@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -163,28 +164,42 @@ def _result_token(outcome: ExecutionOutcome) -> str | None:
     return None
 
 
-def _build_backends(settings: RunSettings, items: list[BenchmarkItem]):
-    """(formulation, evaluation, generation, arbitrator) per config."""
+class Backends(NamedTuple):
+    """The model-facing parts of a run; gold mode has no gateway."""
+
+    formulator: object
+    evaluator: object
+    generator: object
+    arbitrator: object = None
+    gateway: LlmGateway | None = None
+
+
+def build_backends(settings: RunSettings,
+                   items: list[BenchmarkItem]) -> Backends:
+    """The backends that settings.mode calls for."""
     if settings.mode == "gold":
         golds = {item.question: item.gold_sql for item in items}
-        return (GoldFormulationBackend(golds),
-                GoldOracleEvaluationBackend(golds),
-                GoldEchoGenerationBackend(golds),
-                None)
+        return Backends(GoldFormulationBackend(golds),
+                        GoldOracleEvaluationBackend(golds),
+                        GoldEchoGenerationBackend(golds))
     cassette = Cassette(settings.cassette) if settings.cassette else None
     api_key = os.environ.get(settings.gateway.api_key_env, "")
     gateway = LlmGateway(settings.gateway, mode=settings.mode,
                          cassette=cassette, api_key=api_key)
     arbitrator = LlmArbitratorBackend(gateway) \
         if settings.arbitration == "llm" else None
-    return (LlmFormulationBackend(gateway), LlmEvaluationBackend(gateway),
-            LlmGenerationBackend(gateway), arbitrator, gateway)
+    return Backends(LlmFormulationBackend(gateway),
+                    LlmEvaluationBackend(gateway),
+                    LlmGenerationBackend(gateway), arbitrator, gateway)
 
 
 def run_item(item: BenchmarkItem, profile: DatabaseProfile,
              backends, settings: RunSettings) -> dict:
-    """One item through search -> generate -> execute -> select."""
-    formulator, evaluator, genb, arbitrator = backends[:4]
+    """One item through search -> generate -> execute -> select.
+
+    backends is a Backends or a plain tuple in its field order.
+    """
+    backends = Backends(*backends)
     record = {
         "question_id": item.question_id,
         "db_id": item.db_id,
@@ -208,8 +223,9 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
     record["gold_status"] = gold_outcome.status.value
     leaves = []
     try:
-        leaves, tree, cost = run_search(profile, item.question, formulator,
-                                        evaluator, settings.search)
+        leaves, tree, cost = run_search(profile, item.question,
+                                        backends.formulator,
+                                        backends.evaluator, settings.search)
         record["cost"] = {"n_d": cost.n_d, "rho": cost.rho,
                           "depth": cost.depth, "gen_calls": cost.gen_calls,
                           "eval_calls": cost.eval_calls}
@@ -223,15 +239,16 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
     if not leaves:
         return record
     try:
-        candidates = generate_all(profile, item.question, leaves, genb)
+        candidates = generate_all(profile, item.question, leaves,
+                                  backends.generator)
         outcomes = execute_all(profile, candidates, settings.limits)
         tokens = [_result_token(o) for o in outcomes]
         record["k"] = sum(token is not None for token in tokens)
         if gold_token is not None:
             record["pass_hit"] = any(token == gold_token
                                      for token in tokens)
-        winner, trace = select_final(candidates, outcomes, arbitrator,
-                                     item.question)
+        winner, trace = select_final(candidates, outcomes,
+                                     backends.arbitrator, item.question)
         record["final_sql"] = winner.sql
         record["trace"] = trace.to_dict()
         winner_token = tokens[candidates.index(winner)]
@@ -305,7 +322,11 @@ def _load_checkpoint(path: Path, item: BenchmarkItem) -> dict | None:
 def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
                   settings: RunSettings | None = None,
                   backends=None) -> dict:
-    """Full run; returns the report dict and persists it under out_dir."""
+    """Full run; returns the report dict and persists it under out_dir.
+
+    backends, when given, is a Backends or a plain tuple in its field
+    order; otherwise build_backends makes them from settings.
+    """
     if settings is None:
         settings = load_settings(config_path) if config_path \
             else RunSettings()
@@ -315,9 +336,8 @@ def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
         if item.db_id not in profiles:
             profiles[item.db_id] = profile_from_sqlite(
                 resolve_database(db_root, item.db_id), db_id=item.db_id)
-    built = backends if backends is not None \
-        else _build_backends(settings, items)
-    gateway = built[4] if len(built) > 4 else None
+    built = Backends(*backends) if backends is not None \
+        else build_backends(settings, items)
     out = Path(out_dir)
     (out / "items").mkdir(parents=True, exist_ok=True)
 
@@ -340,9 +360,9 @@ def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
     else:
         records = [compute(pair) for pair in workload]
     usage = {}
-    if gateway is not None:
-        usage = {stage: gateway.ledger.totals(stage)
-                 for stage in gateway.ledger.stages()}
+    if built.gateway is not None:
+        ledger = built.gateway.ledger
+        usage = {stage: ledger.totals(stage) for stage in ledger.stages()}
     report = aggregate(records, usage)
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)

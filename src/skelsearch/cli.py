@@ -14,13 +14,14 @@ import sys
 
 from .bench import (
     BenchConfigError,
+    BenchmarkItem,
     RunSettings,
+    build_backends,
     load_settings,
     recompute_report,
     resolve_database,
     run_benchmark,
 )
-from .agents import GoldFormulationBackend, GoldOracleEvaluationBackend
 from .engine import EmptySearch, run_search
 from .schema import profile_from_sqlite, render_mschema
 from .selector import ExecutionLimits, execute_all, select_final
@@ -43,14 +44,6 @@ def _profile(db_path, db_id=None):
         raise BenchConfigError(f"cannot open database: {exc}") from exc
 
 
-def _gold_backends(question: str, gold: str):
-    golds = {question: gold}
-    return (GoldFormulationBackend(golds),
-            GoldOracleEvaluationBackend(golds),
-            GoldEchoGenerationBackend(golds),
-            None)
-
-
 def cmd_run(args) -> int:
     settings = load_settings(args.config) if args.config else RunSettings()
     report = run_benchmark(args.dataset, args.db_root, out_dir=args.out,
@@ -66,15 +59,16 @@ def cmd_search(args) -> int:
     profile = _profile(args.db)
     settings = load_settings(args.config) if args.config else RunSettings()
     if args.gold:
-        formulator, evaluator, _, _ = _gold_backends(args.question, args.gold)
+        item = BenchmarkItem("", args.question, "", args.gold)
+        backends = build_backends(RunSettings(), [item])
     elif settings.mode == "gold":
         raise BenchConfigError("gold mode needs --gold SQL")
     else:
-        from .bench import _build_backends
-        formulator, evaluator = _build_backends(settings, [])[:2]
+        backends = build_backends(settings, [])
     try:
-        leaves, tree, cost = run_search(profile, args.question, formulator,
-                                        evaluator, settings.search)
+        leaves, tree, cost = run_search(profile, args.question,
+                                        backends.formulator,
+                                        backends.evaluator, settings.search)
     except EmptySearch as exc:
         print("empty search: every Base skeleton was pruned",
               file=sys.stderr)

@@ -13,15 +13,14 @@ The candidate set S is every Valid skeleton-bearing node without a Valid
 child: DetailedStep2 survivors plus any node whose children were all
 pruned or never materialized.
 
-Determinism: backend calls within one stage may run concurrently, but
-results are merged in (parent id, candidate index) order, so the tree is
-identical across concurrency settings.
+Determinism: backend calls run inline, one after another, in (parent
+id, candidate index) order, so a search is a pure function of its
+backends' answers. Each model call is bounded by the gateway's own
+timeout and retries; the search adds no timeout of its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,16 +73,12 @@ class VerdictRecord:
 class SearchConfig:
     m: int = 3
     expanded_cap: int = 5
-    concurrency: int = 1
-    node_timeout: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("branching bound m must be >= 1")
         if self.expanded_cap < 1:
             raise ValueError("expanded-phase cap must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
 
 
 @dataclass
@@ -186,27 +181,16 @@ class _Engine:
         self.tree = SearchTree(question, schema.db_id, config.m)
         self.gen_calls = 0
         self.eval_calls = 0
-        self.pool = ThreadPoolExecutor(max_workers=config.concurrency)
-
-    def _await(self, future: Future, default):
-        try:
-            return future.result(timeout=self.config.node_timeout)
-        except FutureTimeout:
-            return default
 
     def _formulate_batch(self, parents: list[SearchNode],
                          phase: SearchPhase) -> dict[int, list[Skeleton]]:
         """Formulate children for each parent; normalized, deduplicated."""
-        futures = {}
+        out: dict[int, list[Skeleton]] = {}
         for parent in parents:
             req = FormulationRequest(self.schema, self.question,
                                      parent.skeleton, phase, self.config.m)
-            futures[parent.id] = self.pool.submit(formulate, req,
-                                                  self.formulator)
             self.gen_calls += 1
-        out: dict[int, list[Skeleton]] = {}
-        for parent in parents:
-            texts = self._await(futures[parent.id], [])
+            texts = formulate(req, self.formulator)
             seen: set[str] = set()
             skeletons = []
             for text in texts:
@@ -222,15 +206,12 @@ class _Engine:
 
     def _evaluate_batch(self, jobs: list[tuple[int, int, Skeleton]],
                         ) -> dict[tuple[int, int], EvaluationVerdict]:
-        futures = {}
+        verdicts = {}
         for parent_id, index, skeleton in jobs:
-            futures[(parent_id, index)] = self.pool.submit(
-                evaluate, self.schema, self.question, skeleton,
-                self.evaluator)
             self.eval_calls += 1
-        timed_out = EvaluationVerdict(False, reason="node timeout")
-        return {key: self._await(f, timed_out)
-                for key, f in futures.items()}
+            verdicts[(parent_id, index)] = evaluate(
+                self.schema, self.question, skeleton, self.evaluator)
+        return verdicts
 
     def _expand(self, parents: list[SearchNode], phase: SearchPhase,
                 step: int, deepening_only: bool = False,
@@ -270,12 +251,6 @@ class _Engine:
         return created, stalled
 
     def run(self) -> tuple[list[Skeleton], SearchTree, CostReport]:
-        try:
-            return self._run()
-        finally:
-            self.pool.shutdown(wait=False)
-
-    def _run(self) -> tuple[list[Skeleton], SearchTree, CostReport]:
         root = self.tree.add_root()
 
         created, _ = self._expand([root], SearchPhase.BASE, 1)

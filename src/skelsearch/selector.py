@@ -1,14 +1,16 @@
 """Candidate execution and execution-result majority voting.
 
-Every SQL candidate runs against a read-only copy of the target database
-under a wall-clock timeout and a row cap. Results are reduced to a
-fingerprint: a hash over canonicalized cells, order-insensitive unless
-the outermost query has ORDER BY. Candidates whose fingerprints agree
-form a vote group; the largest group wins, ties go to an arbitrator
-backend with a deterministic fallback, and when nothing executed to a
-row set the selector falls back to the most detailed surviving
-candidate. Selection is a pure function of (candidates, outcomes), so
-shuffling candidate order never changes the winning fingerprint.
+Every SQL candidate runs against the target database file itself, opened
+read-only (`mode=ro`), under a row cap and a wall-clock deadline that an
+SQLite progress handler checks every PROGRESS_STEPS virtual-machine
+instructions. Results are reduced to a fingerprint: a hash over
+canonicalized cells, order-insensitive unless the outermost query has
+ORDER BY. Candidates whose fingerprints agree form a vote group; the
+largest group wins, ties go to an arbitrator backend with a
+deterministic fallback, and when nothing executed to a row set the
+selector falls back to the most detailed surviving candidate.
+Selection is a pure function of (candidates, outcomes), so shuffling
+candidate order never changes the winning fingerprint.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 import hashlib
 import re
 import sqlite3
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +30,8 @@ from .sqlast import SqlSyntaxError
 from .sqlgen import SqlCandidate
 
 FETCH_CHUNK = 2048
+PROGRESS_STEPS = 1000
+EXACT_INT_MIN = 10_000_000
 PREVIEW_ROWS = 5
 CHOICE_MARKER = re.compile(r"^\s*CHOICE:\s*(\d+)\s*$",
                            re.MULTILINE | re.IGNORECASE)
@@ -73,14 +75,23 @@ class ExecutionOutcome:
 
 
 def canonical_cell(value) -> str:
-    """Stable token for one result cell; numerics bucket at 1e-6."""
+    """Stable token for one result cell.
+
+    A float with an integral value counts as that integer, so 1 == 1.0
+    and -0.0 == 0. Integers of magnitude 1e7 and above render exactly;
+    smaller ones and all other floats render with seven significant
+    digits, which is exact for those integers and buckets float noise
+    at 1e-6. Distinct integers therefore never share a token.
+    """
     if value is None:
         return "NULL"
     if isinstance(value, bytes):
         return "b:" + value.hex()
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not -EXACT_INT_MIN < value < EXACT_INT_MIN:
+        return f"n:{value:d}"
     if isinstance(value, (int, float)):
-        if value == 0:
-            value = 0
         return "n:" + format(value, ".6e")
     return "s:" + str(value)
 
@@ -125,9 +136,9 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     except sqlite3.Error as exc:
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
-    timer = threading.Timer(limits.timeout, conn.interrupt)
-    timer.daemon = True
-    timer.start()
+    deadline = started + limits.timeout
+    conn.set_progress_handler(lambda: time.monotonic() > deadline,
+                              PROGRESS_STEPS)
     rows: list[tuple] = []
     capped = False
     try:
@@ -144,7 +155,6 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
     finally:
-        timer.cancel()
         conn.close()
     wall = time.monotonic() - started
     if capped:
@@ -162,15 +172,10 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
 
 
 def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
-                limits: ExecutionLimits | None = None,
-                workers: int = 1) -> list[ExecutionOutcome]:
-    """Outcomes aligned with the candidate list regardless of workers."""
-    if workers <= 1 or len(candidates) <= 1:
-        return [execute_candidate(profile, c, limits) for c in candidates]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute_candidate, profile, c, limits)
-                   for c in candidates]
-        return [f.result() for f in futures]
+                limits: ExecutionLimits | None = None
+                ) -> list[ExecutionOutcome]:
+    """Outcomes aligned with the candidate list."""
+    return [execute_candidate(profile, c, limits) for c in candidates]
 
 
 @dataclass

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import sqlast as A
@@ -524,8 +523,7 @@ class LlmAnnotatorBackend:
 
 
 def build_dataset(corpus, out_path, pairs_per_level: int = 10,
-                  annotator=None, seed: int = 0,
-                  workers: int = 1) -> BuildSummary:
+                  annotator=None, seed: int = 0) -> BuildSummary:
     """Write a balanced JSONL dataset; see the module docstring."""
     if not corpus:
         raise ValueError("corpus is empty")
@@ -562,41 +560,20 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
                            recipe))
             built += 1
 
-    def annotate(entry):
-        level, question, schema, text, label, _ = entry
-        return annotator.annotate(schema, question, text, level, label)
-
-    if workers > 1 and len(staged) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(annotate, entry) for entry in staged]
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except AnnotationError as exc:
-                    results.append(exc)
-    else:
-        results = []
-        for entry in staged:
-            try:
-                results.append(annotate(entry))
-            except AnnotationError as exc:
-                results.append(exc)
-
     examples: list[SftExample] = []
     for i in range(0, len(staged), 2):
         pair = []
-        dropped = False
-        for entry, analysis in zip(staged[i:i + 2], results[i:i + 2]):
-            level, question, schema, text, label, recipe = entry
-            if isinstance(analysis, AnnotationError):
+        for level, question, schema, text, label, recipe in staged[i:i + 2]:
+            try:
+                analysis = annotator.annotate(schema, question, text, level,
+                                              label)
+            except AnnotationError as exc:
                 skipped.append(f"annotation failed for {level.label} "
-                               f"{text!r}: {analysis}")
-                dropped = True
+                               f"{text!r}: {exc}")
                 break
             pair.append(SftExample(schema, question, text, level, label,
                                    analysis, list(recipe)))
-        if not dropped:
+        else:
             examples.extend(pair)
 
     target = pairs_per_level * 2 * len(LEVELS)

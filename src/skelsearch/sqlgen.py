@@ -10,12 +10,10 @@ with S.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .agents import BackendError, load_template
-from .gateway import LlmGateway, TransportError, UsageEntry, estimate_tokens
+from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
 from .skeleton import Skeleton
@@ -25,7 +23,6 @@ from .skeleton import Skeleton
 class SqlCandidate:
     sql: str
     skeleton: Skeleton
-    usage: UsageEntry | None = None
     failed: bool = False
     error: str = ""
 
@@ -51,34 +48,22 @@ def extract_statement(response: str) -> str:
 def generate_sql(profile: DatabaseProfile, question: str,
                  skeleton: Skeleton, backend) -> SqlCandidate:
     """Produce one candidate; backend failures mark it failed."""
-    started = time.monotonic()
     try:
         response = backend.write_sql(profile, question, skeleton)
     except (BackendError, TransportError) as exc:
-        return SqlCandidate("", skeleton, None, failed=True,
+        return SqlCandidate("", skeleton, failed=True,
                             error=f"generation failed: {exc}")
-    latency = time.monotonic() - started
     sql = extract_statement(response)
-    usage = UsageEntry("generate", estimate_tokens(question),
-                       estimate_tokens(response), latency)
     if not sql:
-        return SqlCandidate("", skeleton, usage, failed=True,
+        return SqlCandidate("", skeleton, failed=True,
                             error="empty generation output")
-    return SqlCandidate(sql, skeleton, usage)
+    return SqlCandidate(sql, skeleton)
 
 
 def generate_all(profile: DatabaseProfile, question: str,
-                 skeletons: list[Skeleton], backend,
-                 workers: int = 1) -> list[SqlCandidate]:
-    """One candidate per skeleton, ordered like the input regardless of
-    completion order."""
-    if workers <= 1 or len(skeletons) <= 1:
-        return [generate_sql(profile, question, s, backend)
-                for s in skeletons]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(generate_sql, profile, question, s, backend)
-                   for s in skeletons]
-        return [f.result() for f in futures]
+                 skeletons: list[Skeleton], backend) -> list[SqlCandidate]:
+    """One candidate per skeleton, ordered like the input."""
+    return [generate_sql(profile, question, s, backend) for s in skeletons]
 
 
 class LlmGenerationBackend:

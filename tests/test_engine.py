@@ -1,5 +1,8 @@
 """Engine behavior against the hand-written Algorithm traces."""
 
+import threading
+import time
+
 import pytest
 
 from skelsearch import GranularityLevel, refinement_check
@@ -14,6 +17,8 @@ from skelsearch.engine import (
     compute_cost,
     run_search,
 )
+from skelsearch.selector import OutcomeStatus, execute_candidate
+from skelsearch.sqlgen import SqlCandidate
 
 from conftest import make_profile
 from fixtures import traces
@@ -163,12 +168,35 @@ def test_unrecoverable_error_attaches_partial_tree():
     assert len(info.value.partial_tree.nodes) >= 1
 
 
-def test_tree_identical_across_concurrency():
-    scenario = traces.spec_example()
-    (_, tree_one, _), _, _ = run_scenario(scenario, concurrency=1)
-    scenario = traces.spec_example()
-    (_, tree_eight, _), _, _ = run_scenario(scenario, concurrency=8)
-    assert tree_one.dump() == tree_eight.dump()
+def test_no_backend_call_after_search_raises():
+    class CountingExploder:
+        def __init__(self):
+            self.calls = 0
+
+        def judge(self, schema, question, candidate):
+            self.calls += 1
+            raise KeyError("cassette miss stand-in")
+
+    formulator = ScriptedFormulationBackend(
+        {traces.fkey("base"): [traces.B1, traces.B2, traces.B3]})
+    evaluator = CountingExploder()
+    with pytest.raises(KeyError):
+        run_search(make_profile(), traces.Q, formulator, evaluator,
+                   SearchConfig())
+    time.sleep(0.1)
+    assert evaluator.calls == 1
+
+
+def test_search_and_execution_start_no_thread(monkeypatch, school_profile):
+    def refuse(thread):
+        raise AssertionError(f"thread started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    (leaves, _, _), _, _ = run_scenario(traces.spec_example())
+    assert leaves
+    outcome = execute_candidate(
+        school_profile, SqlCandidate("SELECT name FROM students", None))
+    assert outcome.status is OutcomeStatus.ROWS
 
 
 def test_leaf_levels_mix():
@@ -198,7 +226,7 @@ def test_compute_cost_tri_branching():
 
 
 def test_config_validation():
-    for bad in (dict(m=0), dict(expanded_cap=0), dict(concurrency=0)):
+    for bad in (dict(m=0), dict(expanded_cap=0)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
     with pytest.raises(ValueError):

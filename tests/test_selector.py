@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skelsearch.gateway import TransportError
 from skelsearch.schema import DatabaseProfile
@@ -83,6 +85,46 @@ def test_sequence_fingerprint_is_order_sensitive():
 def test_multiset_keeps_duplicates():
     assert (fingerprint_rows([(1,), (1,)], ordered=False)
             != fingerprint_rows([(1,)], ordered=False))
+
+
+CELLS = st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=5),
+                  st.binary(max_size=3))
+ROWS = st.lists(st.tuples(CELLS, CELLS), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bag_fingerprint_ignores_row_permutations(data):
+    rows = data.draw(ROWS)
+    shuffled = data.draw(st.permutations(rows))
+    assert (fingerprint_rows(shuffled, ordered=False)
+            == fingerprint_rows(rows, ordered=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-2 ** 53, max_value=2 ** 53))
+def test_integral_float_matches_its_integer(value):
+    assert canonical_cell(float(value)) == canonical_cell(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_negative_zero_does_not_change_fingerprints(rows):
+    flipped = [tuple(-0.0 if isinstance(cell, (int, float)) and cell == 0
+                     else cell for cell in row) for row in rows]
+    assert (fingerprint_rows(flipped, ordered=True)
+            == fingerprint_rows(rows, ordered=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(), st.integers(min_value=-1000, max_value=1000))
+def test_distinct_integers_get_distinct_fingerprints(a, offset):
+    assume(offset != 0)
+    b = a + offset
+    assert canonical_cell(a) != canonical_cell(b)
+    assert (fingerprint_rows([(a,)], ordered=False)
+            != fingerprint_rows([(b,)], ordered=False))
 
 
 # Execution against sqlite
@@ -196,13 +238,12 @@ def test_execute_all_alignment(school_profile):
             "SELECT name FROM students WHERE year > 9000",
             "SELECT course FROM grades"]
     candidates = [cand(s) for s in sqls]
-    sequential = execute_all(school_profile, candidates)
-    threaded = execute_all(school_profile, candidates, workers=4)
-    assert [o.status for o in sequential] == [
+    outcomes = execute_all(school_profile, candidates)
+    assert [o.status for o in outcomes] == [
         OutcomeStatus.ROWS, OutcomeStatus.ERROR,
         OutcomeStatus.EMPTY, OutcomeStatus.ROWS]
-    assert ([o.fingerprint for o in sequential]
-            == [o.fingerprint for o in threaded])
+    assert ([o.fingerprint for o in outcomes]
+            == [run(school_profile, sql).fingerprint for sql in sqls])
 
 
 # Grouping and selection

@@ -300,14 +300,6 @@ def test_build_dataset_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_build_dataset_workers_do_not_change_bytes(tmp_path):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    build_dataset(CORPUS, a, pairs_per_level=6, seed=3, workers=1)
-    build_dataset(CORPUS, b, pairs_per_level=6, seed=3, workers=4)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_build_dataset_seed_changes_bytes(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -64,7 +64,6 @@ def test_generate_sql_success(toy_profile):
     assert not candidate.failed
     assert candidate.sql == "SELECT name FROM students"
     assert candidate.skeleton is skeleton
-    assert candidate.usage.stage == "generate"
 
 
 def test_generate_sql_backend_error_marks_failed(toy_profile):
@@ -114,7 +113,7 @@ def test_generate_all_keeps_input_order(toy_profile):
     delays = {skeletons[0].text: 0.05, skeletons[1].text: 0.02,
               skeletons[2].text: 0.0}
     candidates = generate_all(toy_profile, QUESTION, skeletons,
-                              SlowBackend(delays), workers=3)
+                              SlowBackend(delays))
     assert len(candidates) == len(skeletons)
     for skeleton, candidate in zip(skeletons, candidates):
         assert candidate.skeleton is skeleton
@@ -158,4 +157,3 @@ def test_candidate_defaults():
     candidate = SqlCandidate("SELECT 1 FROM t", skeleton)
     assert not candidate.failed
     assert candidate.error == ""
-    assert candidate.usage is None
