@@ -19,6 +19,7 @@ fail-soft: a failed call yields zero children for that node.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,7 +85,9 @@ class EvaluationVerdict:
     raw: str = ""
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """Prompt template text, read from the package once per name."""
     return resources.files("skelsearch").joinpath(
         f"prompts/{name}.txt").read_text(encoding="utf-8")
 

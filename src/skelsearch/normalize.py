@@ -124,17 +124,17 @@ def normalize(agent_text: str,
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
 
     try:
-        tokens = A.Lexer(text).tokens()
+        lexed = A.Lexer(text).tokens()
     except A.SqlSyntaxError:
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
-    tokens = [t for t in tokens if t.type is not A.TokenType.EOF]
+    tokens = lexed[:-1]  # without the trailing EOF
     if len(tokens) > MAX_TOKENS:
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_BUDGET])
 
     try:
-        tree = parse_query(text)
+        tree = parse_query(text, lexed)
     except (A.SqlSyntaxError, ValueError):
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 SAMPLE_VALUES_PER_COLUMN = 3
@@ -54,6 +55,13 @@ class ForeignKey:
 
 @dataclass
 class DatabaseProfile:
+    """Static description of one database.
+
+    The M-Schema text is rendered on first use and cached, so a profile
+    must not change after it is first rendered: build a new profile
+    instead of editing one.
+    """
+
     db_id: str
     tables: list[TableProfile] = field(default_factory=list)
     foreign_keys: list[ForeignKey] = field(default_factory=list)
@@ -76,6 +84,33 @@ class DatabaseProfile:
                 return t
         raise KeyError(name)
 
+    @cached_property
+    def mschema(self) -> str:
+        """Deterministic M-Schema text; `render_mschema` returns it."""
+        lines = [f"【DB_ID】 {self.db_id}", "【Schema】"]
+        for table in self.tables:
+            lines.append(f"# Table: {table.name}")
+            lines.append("[")
+            for column in table.columns:
+                parts = [f"({column.name}:{column.type.upper()}"
+                         if column.type else f"({column.name}"]
+                if column.primary_key:
+                    parts.append("Primary Key")
+                if column.description:
+                    parts.append(column.description)
+                if column.samples:
+                    rendered = ", ".join(_format_sample(v)
+                                         for v in column.samples)
+                    parts.append(f"Examples: [{rendered}]")
+                lines.append(", ".join(parts) + "),")
+            lines.append("]")
+        if self.foreign_keys:
+            lines.append("【Foreign keys】")
+            for fk in self.foreign_keys:
+                lines.append(f"{fk.table}.{fk.column}="
+                             f"{fk.ref_table}.{fk.ref_column}")
+        return "\n".join(lines) + "\n"
+
 
 def _format_sample(value) -> str:
     if value is None:
@@ -87,30 +122,11 @@ def _format_sample(value) -> str:
 
 
 def render_mschema(profile: DatabaseProfile) -> str:
-    """Deterministic M-Schema text for prompt embedding."""
-    lines = [f"【DB_ID】 {profile.db_id}", "【Schema】"]
-    for table in profile.tables:
-        lines.append(f"# Table: {table.name}")
-        lines.append("[")
-        for column in table.columns:
-            parts = [f"({column.name}:{column.type.upper()}"
-                     if column.type else f"({column.name}"]
-            if column.primary_key:
-                parts.append("Primary Key")
-            if column.description:
-                parts.append(column.description)
-            if column.samples:
-                rendered = ", ".join(_format_sample(v)
-                                     for v in column.samples)
-                parts.append(f"Examples: [{rendered}]")
-            lines.append(", ".join(parts) + "),")
-        lines.append("]")
-    if profile.foreign_keys:
-        lines.append("【Foreign keys】")
-        for fk in profile.foreign_keys:
-            lines.append(f"{fk.table}.{fk.column}="
-                         f"{fk.ref_table}.{fk.ref_column}")
-    return "\n".join(lines) + "\n"
+    """Deterministic M-Schema text for prompt embedding.
+
+    Rendered once per profile; later calls return the cached text.
+    """
+    return profile.mschema
 
 
 def profile_from_sqlite(path: str | Path, db_id: str | None = None,

@@ -3,12 +3,16 @@
 Every SQL candidate runs against the target database file itself, opened
 read-only (`mode=ro`), under a row cap and a wall-clock deadline that an
 SQLite progress handler checks every PROGRESS_STEPS virtual-machine
-instructions. Results are reduced to a fingerprint: a hash over
-canonicalized cells, order-insensitive unless the outermost query has
-ORDER BY. Candidates whose fingerprints agree form a vote group; the
-largest group wins, ties go to an arbitrator backend with a
-deterministic fallback, and when nothing executed to a row set the
-selector falls back to the most detailed surviving candidate.
+instructions. An authorizer allows only reads, SELECTs, function calls
+and recursive CTEs, so a candidate cannot ATTACH a file, run a PRAGMA
+or write. Results are reduced to a fingerprint: a hash over
+canonicalized cells, order-insensitive unless the query has ORDER BY
+outside every parenthesis. That rule is a lexical scan, not a parse, so
+it also holds for CTEs, which the parser rejects. Candidates whose
+fingerprints agree form a vote group; the largest group wins, ties go
+to an arbitrator backend with a deterministic fallback, and when
+nothing executed to a row set the selector falls back to the most
+detailed surviving candidate.
 Selection is a pure function of (candidates, outcomes), so shuffling
 candidate order never changes the winning fingerprint.
 """
@@ -25,8 +29,9 @@ from enum import Enum
 from .agents import BackendError, load_template
 from .gateway import LlmGateway, TransportError
 from .schema import DatabaseProfile
-from .skeleton import parse_query
-from .sqlast import SqlSyntaxError
+# Unused here, but the perfbench tracer patches `selector.parse_query`, so
+# the name must stay importable from this module.
+from .skeleton import parse_query  # noqa: F401
 from .sqlgen import SqlCandidate
 
 FETCH_CHUNK = 2048
@@ -35,6 +40,13 @@ EXACT_INT_MIN = 10_000_000
 PREVIEW_ROWS = 5
 CHOICE_MARKER = re.compile(r"^\s*CHOICE:\s*(\d+)\s*$",
                            re.MULTILINE | re.IGNORECASE)
+# Quoted strings and identifiers, comments, parentheses and words: enough
+# of SQLite's lexical grammar to find ORDER BY outside every parenthesis.
+_ORDER_SCAN = re.compile(
+    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]"
+    r"|--[^\n]*|/\*.*?(?:\*/|\Z)|[()]|\w+", re.DOTALL)
+_AUTHORIZED = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                         sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
 
 
 class ArbitrationError(RuntimeError):
@@ -112,11 +124,29 @@ def fingerprint_rows(rows, ordered: bool) -> str:
 
 
 def _is_ordered(sql: str) -> bool:
-    try:
-        tree = parse_query(sql)
-    except (SqlSyntaxError, ValueError):
-        return False
-    return tree.stmt.order_by is not None
+    """True when ORDER BY appears outside every parenthesis.
+
+    ORDER BY inside OVER ( ... ), a subquery, a CTE body or an aggregate's
+    argument list does not order the result; literals, quoted names and
+    comments are skipped whole.
+    """
+    depth, previous = 0, ""
+    for match in _ORDER_SCAN.finditer(sql):
+        token = match.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0 and not token.startswith(("--", "/*")):
+            token = token.upper()
+            if token == "BY" and previous == "ORDER":
+                return True
+            previous = token
+    return False
+
+
+def _authorize(action, *_) -> int:
+    return sqlite3.SQLITE_OK if action in _AUTHORIZED else sqlite3.SQLITE_DENY
 
 
 def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
@@ -136,6 +166,7 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     except sqlite3.Error as exc:
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
+    conn.set_authorizer(_authorize)
     deadline = started + limits.timeout
     conn.set_progress_handler(lambda: time.monotonic() > deadline,
                               PROGRESS_STEPS)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 from . import sqlast as A
 
@@ -83,17 +84,25 @@ class ClauseTree:
 
     stmt: A.SelectStmt
     text: str
-    root: QueryNode
+
+    @cached_property
+    def root(self) -> QueryNode:
+        """Clause-level projection, built on first use."""
+        return _project_query(self.stmt, 0)
 
 
 @dataclass
 class Skeleton:
-    """A granularity-tagged skeleton with its re-parsed clause tree."""
+    """A granularity-tagged skeleton; its clause tree is parsed from the
+    text on first use."""
 
     level: GranularityLevel
     text: str
-    tree: ClauseTree
     nesting_depth: int
+
+    @cached_property
+    def tree(self) -> ClauseTree:
+        return parse_query(self.text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Skeleton):
@@ -110,12 +119,15 @@ CLAUSE_VOCABULARY = frozenset({
 })
 
 
-def parse_query(q: SqlQuery | str) -> ClauseTree:
+def parse_query(q: SqlQuery | str,
+                tokens: list[A.Token] | None = None) -> ClauseTree:
     """Parse SQL into a clause tree.
 
     Args:
         q: the query text, optionally wrapped in SqlQuery to carry an
             explicit dialect tag.
+        tokens: `Lexer(text).tokens()` when the caller has already lexed
+            the text, so it is not lexed again.
 
     Raises:
         SqlSyntaxError: when the text does not parse, with a byte offset.
@@ -128,8 +140,7 @@ def parse_query(q: SqlQuery | str) -> ClauseTree:
         raise ValueError(f"unsupported dialect {q.dialect!r}")
     if not q.text or not q.text.strip():
         raise ValueError("query text is empty")
-    stmt = A.parse(q.text)
-    return ClauseTree(stmt, q.text, _project_query(stmt, 0))
+    return ClauseTree(A.parse(q.text, tokens), q.text)
 
 
 def nesting_depth(tree: ClauseTree) -> int:
@@ -138,14 +149,15 @@ def nesting_depth(tree: ClauseTree) -> int:
 
 
 def extract_skeleton(tree: ClauseTree, level: GranularityLevel) -> Skeleton:
-    """Render the skeleton of a clause tree at the given granularity."""
+    """Render the skeleton of a clause tree at the given granularity.
+
+    Base renders no subquery, so its depth is 0; Expanded and Detailed
+    keep every subquery boundary, so theirs is the source's depth.
+    """
     if level is GranularityLevel.BASE:
-        text = _render_base(tree.stmt)
-    else:
-        text = _render_query(tree.stmt, level)
-    skeleton_tree = parse_query(text)
-    return Skeleton(level, text, skeleton_tree, _query_depth(
-        skeleton_tree.stmt))
+        return Skeleton(level, _render_base(tree.stmt), 0)
+    return Skeleton(level, _render_query(tree.stmt, level),
+                    _query_depth(tree.stmt))
 
 
 def refinement_check(coarse: Skeleton, fine: Skeleton) -> bool:

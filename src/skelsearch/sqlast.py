@@ -820,8 +820,15 @@ class Parser:
         return FuncCall(name.upper(), args, distinct, window)
 
 
-def parse(text: str) -> SelectStmt:
-    """Parse one SELECT statement, raising SqlSyntaxError on bad input."""
+def parse(text: str, tokens: list[Token] | None = None) -> SelectStmt:
+    """Parse one SELECT statement, raising SqlSyntaxError on bad input.
+
+    `tokens`, when given, must be `Lexer(text).tokens()` (EOF included);
+    a caller that has already lexed the text passes them to skip a
+    second lex.
+    """
     if not text or not text.strip():
         raise SqlSyntaxError("empty statement", 0)
-    return Parser(Lexer(text).tokens()).parse_statement()
+    if tokens is None:
+        tokens = Lexer(text).tokens()
+    return Parser(tokens).parse_statement()

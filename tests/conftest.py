@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from skelsearch import sqlast
 from skelsearch.schema import (
     ColumnProfile,
     DatabaseProfile,
@@ -82,3 +83,22 @@ def make_profile(db_id="toy"):
 @pytest.fixture
 def toy_profile():
     return make_profile()
+
+
+@pytest.fixture
+def parse_counts(monkeypatch):
+    """Counts of sqlast.parse and Lexer.tokens calls while a test runs."""
+    counts = {"parse": 0, "lex": 0}
+    parse, tokens = sqlast.parse, sqlast.Lexer.tokens
+
+    def counted_parse(*args, **kwargs):
+        counts["parse"] += 1
+        return parse(*args, **kwargs)
+
+    def counted_tokens(self):
+        counts["lex"] += 1
+        return tokens(self)
+
+    monkeypatch.setattr(sqlast, "parse", counted_parse)
+    monkeypatch.setattr(sqlast.Lexer, "tokens", counted_tokens)
+    return counts

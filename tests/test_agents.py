@@ -230,3 +230,33 @@ def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
                                   LlmEvaluationBackend(player))
         assert replay_texts == texts
         assert replay_verdict.raw == verdict.raw
+
+
+def test_load_template_reads_each_file_once(monkeypatch, toy_profile):
+    import types
+
+    from skelsearch import agents
+
+    reads = []
+    files = agents.resources.files
+
+    class CountingRoot:
+        def __init__(self, root):
+            self.root = root
+
+        def joinpath(self, name):
+            reads.append(name)
+            return self.root.joinpath(name)
+
+    monkeypatch.setattr(agents, "resources", types.SimpleNamespace(
+        files=lambda package: CountingRoot(files(package))))
+    agents.load_template.cache_clear()
+    try:
+        skeleton = skeleton_of(GOLD, GranularityLevel.BASE)
+        for _ in range(3):
+            build_formulation_prompt(base_request(toy_profile))
+            build_evaluation_prompt(toy_profile, "q?", skeleton)
+        assert sorted(reads) == ["prompts/evaluate.txt",
+                                 "prompts/formulate_base.txt"]
+    finally:
+        agents.load_template.cache_clear()

@@ -146,3 +146,15 @@ def test_trailing_semicolon_still_accepted():
     report = normalize("SELECT _ FROM _;", GranularityLevel.BASE)
     assert report.outcome is NormalizationOutcome.ACCEPTED
     assert report.skeleton.text == "SELECT _ FROM _"
+
+
+@pytest.mark.parametrize("text,target", [
+    ("select _ from _ where _", GranularityLevel.BASE),
+    ("SELECT name FROM t WHERE id IN (SELECT id FROM u)",
+     GranularityLevel.EXPANDED),
+    ("SELECT [col] FROM [tab] WHERE [col] > [val]", GranularityLevel.BASE),
+])
+def test_normalize_lexes_and_parses_once(parse_counts, text, target):
+    report = normalize(text, target)
+    assert report.outcome is not NormalizationOutcome.REJECTED
+    assert parse_counts == {"parse": 1, "lex": 1}

@@ -94,3 +94,17 @@ def test_sample_truncation(tmp_path):
     rendered = render_mschema(profile)
     assert "x" * 40 + "..." in rendered
     assert "x" * 41 not in rendered
+
+
+def test_mschema_is_rendered_once(monkeypatch):
+    from skelsearch import schema
+
+    formatted = []
+    format_sample = schema._format_sample
+    monkeypatch.setattr(schema, "_format_sample",
+                        lambda v: formatted.append(v) or format_sample(v))
+    profile = make_profile()
+    first = render_mschema(profile)
+    once = len(formatted)
+    assert render_mschema(profile) is first
+    assert once > 0 and len(formatted) == once

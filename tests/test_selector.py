@@ -17,6 +17,7 @@ from skelsearch.selector import (
     LlmArbitratorBackend,
     OutcomeStatus,
     ScriptedArbitratorBackend,
+    _is_ordered,
     build_arbitration_prompt,
     canonical_cell,
     execute_all,
@@ -27,6 +28,8 @@ from skelsearch.selector import (
 )
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.sqlgen import SqlCandidate
+
+from fixtures.corpus import CORPUS
 
 B = GranularityLevel.BASE
 E = GranularityLevel.EXPANDED
@@ -244,6 +247,74 @@ def test_execute_all_alignment(school_profile):
         OutcomeStatus.EMPTY, OutcomeStatus.ROWS]
     assert ([o.fingerprint for o in outcomes]
             == [run(school_profile, sql).fingerprint for sql in sqls])
+
+
+# Sandbox: only reads run
+
+
+def test_attach_is_denied_and_creates_no_file(school_profile, tmp_path):
+    target = tmp_path / "x.db"
+    outcome = run(school_profile,
+                  f"ATTACH DATABASE 'file:{target}?mode=rwc' AS x")
+    assert outcome.status is OutcomeStatus.ERROR
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("sql", [
+    "PRAGMA table_info(students)",
+    "SELECT * FROM pragma_table_info('students')",
+])
+def test_pragmas_are_denied(school_profile, sql):
+    assert run(school_profile, sql).status is OutcomeStatus.ERROR
+
+
+@pytest.mark.parametrize("sql", [
+    "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+    "WHERE x < 5) SELECT x FROM c",
+    "WITH s AS (SELECT name FROM students) SELECT name FROM s",
+    "SELECT name, ROW_NUMBER() OVER (ORDER BY year) FROM students",
+    "SELECT n FROM (SELECT COUNT(*) AS n FROM grades) g",
+])
+def test_reads_still_run(school_profile, sql):
+    assert run(school_profile, sql).status is OutcomeStatus.ROWS
+
+
+# Order check: ORDER BY outside every parenthesis
+
+
+@pytest.mark.parametrize("sql", CORPUS)
+def test_order_check_agrees_with_parser(sql):
+    assert _is_ordered(sql) == (parse_query(sql).stmt.order_by is not None)
+
+
+@pytest.mark.parametrize("sql", [
+    "WITH x AS (SELECT a FROM t) SELECT a FROM x ORDER BY 1",
+    "SELECT a FROM t order\n  by a",
+    "SELECT a FROM t ORDER /* why */ BY a",
+    "SELECT \"order\" FROM t ORDER BY 1",
+])
+def test_outer_order_by_is_ordered(sql):
+    assert _is_ordered(sql)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a, ROW_NUMBER() OVER (ORDER BY b) FROM t",
+    "SELECT a FROM t WHERE a IN (SELECT a FROM u ORDER BY a LIMIT 2)",
+    "WITH x AS (SELECT a FROM t ORDER BY a) SELECT a FROM x",
+    "SELECT 'ORDER BY a' FROM t",
+    "SELECT [order by] FROM t",
+    "SELECT a FROM t -- ORDER BY a",
+])
+def test_inner_or_quoted_order_by_is_not_ordered(sql):
+    assert not _is_ordered(sql)
+
+
+def test_ordered_cte_gets_sequence_fingerprint(school_profile):
+    outcome = run(school_profile,
+                  "WITH s AS (SELECT name FROM students) "
+                  "SELECT name FROM s ORDER BY name DESC")
+    assert outcome.status is OutcomeStatus.ROWS
+    assert outcome.fingerprint.startswith("seq:")
 
 
 # Grouping and selection

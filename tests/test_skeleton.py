@@ -180,3 +180,33 @@ def test_clause_tree_projection():
     assert len(where.subqueries) == 1
     assert where.subqueries[0].depth == 1
     assert nesting_depth(tree) == 1
+
+
+# Parse once: extraction renders from the tree it is given
+
+
+def test_extract_skeleton_does_not_parse(parse_counts):
+    tree = parse_query("SELECT a FROM t WHERE b IN (SELECT c FROM u) "
+                       "ORDER BY a LIMIT 3")
+    parse_counts.update(parse=0, lex=0)
+    for level in LEVELS.values():
+        extract_skeleton(tree, level)
+    assert parse_counts == {"parse": 0, "lex": 0}
+
+
+def test_skeleton_tree_is_parsed_once_on_first_use(parse_counts):
+    skeleton = extract_skeleton(parse_query("SELECT a FROM t"),
+                                GranularityLevel.DETAILED)
+    parse_counts.update(parse=0, lex=0)
+    assert skeleton.tree is skeleton.tree
+    assert skeleton.tree.text == skeleton.text
+    assert parse_counts == {"parse": 1, "lex": 1}
+
+
+@pytest.mark.parametrize("sql", CORPUS)
+@pytest.mark.parametrize("name", ["base", "expanded", "detailed"])
+def test_skeleton_depth_and_tree_match_reparse(sql, name):
+    skeleton = extract_skeleton(parse_query(sql), LEVELS[name])
+    reparsed = parse_query(skeleton.text)
+    assert skeleton.nesting_depth == nesting_depth(reparsed)
+    assert skeleton.tree.stmt == reparsed.stmt
