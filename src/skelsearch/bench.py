@@ -38,6 +38,7 @@ from .selector import (
     execute_candidate,
     select_final,
 )
+from .sqlast import SqlSyntaxError
 from .sqlgen import GoldEchoGenerationBackend, LlmGenerationBackend, \
     SqlCandidate, generate_all
 
@@ -116,7 +117,8 @@ def load_settings(path) -> RunSettings:
 
 
 def load_items(path) -> list[BenchmarkItem]:
-    """Read a benchmark release file (JSON array or JSONL)."""
+    """Read a benchmark release file (JSON array or JSONL) of at least
+    one item."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -124,10 +126,13 @@ def load_items(path) -> list[BenchmarkItem]:
     text = text.strip()
     if not text:
         raise BenchConfigError("dataset file is empty")
-    if text.startswith("["):
-        rows = json.loads(text)
-    else:
-        rows = [json.loads(line) for line in text.splitlines() if line]
+    try:
+        if text.startswith("["):
+            rows = json.loads(text)
+        else:
+            rows = [json.loads(line) for line in text.splitlines() if line]
+    except json.JSONDecodeError as exc:
+        raise BenchConfigError(f"bad dataset JSON: {exc}") from exc
     items = []
     for index, row in enumerate(rows):
         if not isinstance(row, dict):
@@ -145,6 +150,8 @@ def load_items(path) -> list[BenchmarkItem]:
             gold_sql=gold,
             difficulty=str(row.get("difficulty", "unknown")),
         ))
+    if not items:
+        raise BenchConfigError("dataset holds no items")
     return items
 
 
@@ -231,6 +238,9 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
                           "eval_calls": cost.eval_calls}
     except EmptySearch:
         record["empty_search"] = True
+    except SqlSyntaxError as exc:  # only the gold backends parse gold SQL
+        record["error"] = f"unparsable gold SQL: {exc}"
+        return record
     except Exception as exc:
         record["error"] = f"search failed: {exc}"
         return record

@@ -17,6 +17,7 @@ from .bench import (
     BenchmarkItem,
     RunSettings,
     build_backends,
+    load_items,
     load_settings,
     recompute_report,
     resolve_database,
@@ -159,28 +160,13 @@ def cmd_select(args) -> int:
 
 
 def cmd_build_sft_data(args) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as handle:
-            rows = json.load(handle)
-    except OSError as exc:
-        raise BenchConfigError(f"cannot read corpus: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BenchConfigError(f"bad corpus JSON: {exc}") from exc
-    if not isinstance(rows, list) or not rows:
-        raise BenchConfigError("corpus must be a non-empty JSON list")
     profiles = {}
     corpus = []
-    for index, row in enumerate(rows):
-        gold = row.get("SQL") or row.get("query") or row.get("gold_sql")
-        question = row.get("question")
-        db_id = row.get("db_id")
-        if not (gold and question and db_id):
-            raise BenchConfigError(
-                f"corpus item {index} lacks question/db_id/SQL fields")
-        if db_id not in profiles:
-            profiles[db_id] = _profile(
-                resolve_database(args.db_root, db_id), db_id=db_id)
-        corpus.append((question, gold, profiles[db_id]))
+    for item in load_items(args.corpus):
+        if item.db_id not in profiles:
+            profiles[item.db_id] = _profile(
+                resolve_database(args.db_root, item.db_id), db_id=item.db_id)
+        corpus.append((item.question, item.gold_sql, profiles[item.db_id]))
     try:
         summary = build_dataset(corpus, args.out,
                                 pairs_per_level=args.pairs_per_level,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .agents import (
-    EvaluationVerdict,
     FormulationRequest,
     SearchPhase,
     evaluate,
@@ -204,15 +203,6 @@ class _Engine:
             out[parent.id] = skeletons
         return out
 
-    def _evaluate_batch(self, jobs: list[tuple[int, int, Skeleton]],
-                        ) -> dict[tuple[int, int], EvaluationVerdict]:
-        verdicts = {}
-        for parent_id, index, skeleton in jobs:
-            self.eval_calls += 1
-            verdicts[(parent_id, index)] = evaluate(
-                self.schema, self.question, skeleton, self.evaluator)
-        return verdicts
-
     def _expand(self, parents: list[SearchNode], phase: SearchPhase,
                 step: int, deepening_only: bool = False,
                 ) -> tuple[dict[int, list[SearchNode]], list[SearchNode]]:
@@ -228,9 +218,6 @@ class _Engine:
                 proposals[parent.id] = [
                     s for s in proposals[parent.id]
                     if s.nesting_depth > floor]
-        jobs = [(p.id, i, s) for p in parents
-                for i, s in enumerate(proposals[p.id])]
-        verdicts = self._evaluate_batch(jobs)
         created: dict[int, list[SearchNode]] = {}
         stalled: list[SearchNode] = []
         for parent in parents:
@@ -238,8 +225,10 @@ class _Engine:
             if not proposals[parent.id]:
                 stalled.append(parent)
                 continue
-            for i, skeleton in enumerate(proposals[parent.id]):
-                verdict = verdicts[(parent.id, i)]
+            for skeleton in proposals[parent.id]:
+                self.eval_calls += 1
+                verdict = evaluate(self.schema, self.question, skeleton,
+                                   self.evaluator)
                 status = (NodeStatus.VALID if verdict.verdict
                           else NodeStatus.PRUNED)
                 node = self.tree.add_child(parent, phase, step, skeleton,

@@ -29,8 +29,6 @@ from . import sqlast as A
 from .skeleton import (
     GranularityLevel,
     Skeleton,
-    _expr_subqueries,
-    _from_subqueries,
     extract_skeleton,
     parse_query,
 )
@@ -76,35 +74,9 @@ def _strip_wrapping(text: str) -> tuple[str, bool]:
     return stripped, False
 
 
-def _has_placeholder_query(stmt: A.SelectStmt) -> bool:
-    for arm in stmt.arms:
-        if isinstance(arm, A.PlaceholderQuery):
-            return True
-        for sub in _arm_queries(arm):
-            if _has_placeholder_query(sub):
-                return True
-    for item in stmt.order_by or []:
-        for sub in _expr_subqueries(item.expr):
-            if _has_placeholder_query(sub):
-                return True
-    for e in (stmt.limit, stmt.offset):
-        if e is not None:
-            for sub in _expr_subqueries(e):
-                if _has_placeholder_query(sub):
-                    return True
-    return False
-
-
-def _arm_queries(arm: A.SelectCore) -> list[A.SelectStmt]:
-    out: list[A.SelectStmt] = []
-    for item in arm.items:
-        out.extend(_expr_subqueries(item.expr))
-    if arm.from_ is not None:
-        out.extend(_from_subqueries(arm.from_))
-    for e in [arm.where, arm.having] + list(arm.group_by or []):
-        if e is not None:
-            out.extend(_expr_subqueries(e))
-    return out
+def _has_placeholder_query(node) -> bool:
+    return isinstance(node, A.PlaceholderQuery) or any(
+        _has_placeholder_query(child) for child in A.children(node))
 
 
 def normalize(agent_text: str,

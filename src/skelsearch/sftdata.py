@@ -13,7 +13,6 @@ Output is line-delimited JSON with a versioned header, ordered by
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
@@ -385,26 +384,18 @@ def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
 # Demonstration schema pruning
 
 
-def _iter_nodes(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if dataclasses.is_dataclass(node):
-            yield node
-            for f in dataclasses.fields(node):
-                stack.append(getattr(node, f.name))
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-
-
 def prune_demonstration_schema(profile: DatabaseProfile,
                                gold_sql: str) -> DatabaseProfile:
     """Profile reduced to what the gold SQL touches, plus key columns."""
-    stmt = parse_query(gold_sql).stmt
+    nodes, stack = [], [parse_query(gold_sql).stmt]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(A.children(node))
     by_name = {table.name: table for table in profile.tables}
     aliases: dict[str, str] = {}
     derived: set[str] = set()
-    for node in _iter_nodes(stmt):
+    for node in nodes:
         if isinstance(node, A.TableRef):
             if node.name not in by_name:
                 raise UnresolvedReference(f"unknown table {node.name!r}")
@@ -415,7 +406,7 @@ def prune_demonstration_schema(profile: DatabaseProfile,
             derived.add(node.alias)
     used = {name: set() for name in aliases.values()}
     star_tables: set[str] = set()
-    for node in _iter_nodes(stmt):
+    for node in nodes:
         if isinstance(node, A.Star):
             if node.table is None:
                 star_tables.update(used)

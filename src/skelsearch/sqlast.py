@@ -241,11 +241,12 @@ class Between:
 
 @dataclass
 class LikeOp:
+    """`left op right`; an ESCAPE operand is parsed and dropped."""
+
     op: str
     negated: bool
     left: object
     right: object
-    escape: object | None = None
 
 
 @dataclass
@@ -347,6 +348,56 @@ class SelectStmt:
     order_by: list[OrderItem] | None = None
     limit: object | None = None
     offset: object | None = None
+
+
+# The AST's shape: each inner node class's child fields in source order.
+# Leaf classes have no entry. Every walk over a tree goes through
+# `children`, so a new node class needs one line here.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    FuncCall: ("args",),
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    Grouping: ("expr",),
+    InList: ("expr", "items"),
+    InSelect: ("expr", "query"),
+    Exists: ("query",),
+    Between: ("expr", "low", "high"),
+    LikeOp: ("left", "right"),
+    IsOp: ("left", "right"),
+    Case: ("operand", "whens", "default"),
+    Cast: ("expr",),
+    Collate: ("expr",),
+    Subquery: ("query",),
+    SelectItem: ("expr",),
+    OrderItem: ("expr",),
+    DerivedTable: ("query",),
+    Join: ("source", "on"),
+    JoinChain: ("first", "joins"),
+    SelectCore: ("items", "from_", "where", "group_by", "having"),
+    SelectStmt: ("arms", "order_by", "limit", "offset"),
+}
+
+
+def children(node) -> list:
+    """The child nodes of `node` in source order; [] for a leaf.
+
+    Absent optional fields are skipped, list fields are spread, and the
+    (condition, value) pairs of `Case.whens` are flattened.
+    """
+    out = []
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            for item in value:
+                if isinstance(item, tuple):
+                    out.extend(item)
+                else:
+                    out.append(item)
+        else:
+            out.append(value)
+    return out
 
 
 _COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
@@ -632,10 +683,9 @@ class Parser:
                     {"LIKE", "GLOB", "REGEXP", "MATCH"}:
                 self.advance()
                 right = self._additive()
-                escape = None
                 if self.eat_keyword("ESCAPE"):
-                    escape = self._additive()
-                expr = LikeOp(tok.value, negated, expr, right, escape)
+                    self._additive()
+                expr = LikeOp(tok.value, negated, expr, right)
             elif self.eat_keyword("IS"):
                 is_negated = self.eat_keyword("NOT")
                 expr = IsOp(is_negated, expr, self._additive())

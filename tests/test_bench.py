@@ -107,6 +107,31 @@ def test_load_items_errors(tmp_path):
         load_items(empty)
 
 
+def test_load_items_rejects_empty_dataset(tmp_path):
+    for name, text in (("empty.json", "[]"), ("empty.jsonl", "\n\n")):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(BenchConfigError):
+            load_items(path)
+
+
+def test_load_items_rejects_malformed_json(tmp_path):
+    for name, text in (("bad.json", "[1,"), ("bad.jsonl", "{}\n{")):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(BenchConfigError, match="bad dataset JSON"):
+            load_items(path)
+
+
+def test_empty_dataset_writes_no_report(tmp_path):
+    dataset = tmp_path / "dev.json"
+    dataset.write_text("[]", encoding="utf-8")
+    with pytest.raises(BenchConfigError, match="no items"):
+        run_benchmark(dataset, tmp_path, out_dir=tmp_path / "run",
+                      backends=gold_backends())
+    assert not (tmp_path / "run").exists()
+
+
 def test_resolve_database(bench_env, tmp_path):
     _, db_root = bench_env
     assert resolve_database(db_root, "school").endswith("school.sqlite")
@@ -227,6 +252,28 @@ def test_gold_execution_error_is_not_correct(bench_env):
     assert record["gold_status"] == "error"
     assert record["correct"] is False
     assert record["pass_hit"] is False
+
+
+@pytest.mark.parametrize("gold", [
+    "WITH s AS (SELECT name FROM students) SELECT name FROM s",
+    "SELECT name FROM students WHERE year = ?",
+    "SELECT name FROM students WHERE year ISNULL",
+], ids=["cte", "parameter", "isnull"])
+def test_unparsable_gold_sql_is_classified(bench_env, gold):
+    _, db_root = bench_env
+    profile = profile_from_sqlite(resolve_database(db_root, "school"),
+                                  db_id="school")
+    question = "gold the parser rejects"
+    golds = {question: gold}
+    record = run_item(BenchmarkItem("0", question, "school", gold), profile,
+                      (GoldFormulationBackend(golds),
+                       GoldOracleEvaluationBackend(golds),
+                       GoldEchoGenerationBackend(golds), None),
+                      RunSettings())
+    assert record["error"].startswith("unparsable gold SQL: ")
+    assert "offset" in record["error"]
+    assert record["correct"] is False
+    assert record["candidate_count"] == 0
 
 
 # Checkpoints and resume

@@ -97,6 +97,19 @@ def test_run_bad_dataset_exits_2(capsys, env):
     assert "error:" in err
 
 
+def test_run_empty_dataset_exits_2(capsys, env):
+    dataset = env["tmp"] / "empty.json"
+    dataset.write_text("[]", encoding="utf-8")
+    out_dir = env["tmp"] / "run"
+    code, out, err = run_cli(capsys, "run", "--dataset", str(dataset),
+                             "--db-root", env["db_root"],
+                             "--out", str(out_dir))
+    assert code == 2
+    assert "no items" in err
+    assert out == ""
+    assert not (out_dir / "report.json").exists()
+
+
 def test_run_bad_config_exits_2(capsys, env):
     config = env["tmp"] / "config.yaml"
     config.write_text("mode: banana\n", encoding="utf-8")
@@ -217,6 +230,20 @@ def test_build_sft_data(capsys, env):
     lines = out_path.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0])["format"] == "sft-dataset"
     assert len(lines) == 25
+
+
+def test_build_sft_data_reads_jsonl(capsys, env):
+    corpus = env["tmp"] / "corpus.jsonl"
+    corpus.write_text(json.dumps(
+        {"question": QUESTION, "db_id": "school", "SQL": GOLD}) + "\n",
+        encoding="utf-8")
+    out_path = env["tmp"] / "sft.jsonl"
+    code, out, _ = run_cli(capsys, "build-sft-data", "--corpus",
+                           str(corpus), "--db-root", env["db_root"],
+                           "--out", str(out_path),
+                           "--pairs-per-level", "2", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["examples"] > 0
 
 
 def test_build_sft_data_unknown_column_exits_2(capsys, env):

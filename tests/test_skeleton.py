@@ -1,9 +1,11 @@
 """Skeleton extraction against the independent oracle and frozen anchors."""
 
+import dataclasses
 import re
 
 import pytest
 
+from skelsearch import sqlast
 from skelsearch import (
     GranularityLevel,
     LevelOrderError,
@@ -171,17 +173,6 @@ def test_skeleton_reparses():
         assert parse_query(skeleton.text).stmt == skeleton.tree.stmt
 
 
-def test_clause_tree_projection():
-    tree = parse_query(
-        "SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d > 1)")
-    labels = [c.label for c in tree.root.clauses]
-    assert labels == ["SELECT", "FROM", "WHERE"]
-    where = tree.root.clauses[2]
-    assert len(where.subqueries) == 1
-    assert where.subqueries[0].depth == 1
-    assert nesting_depth(tree) == 1
-
-
 # Parse once: extraction renders from the tree it is given
 
 
@@ -210,3 +201,75 @@ def test_skeleton_depth_and_tree_match_reparse(sql, name):
     reparsed = parse_query(skeleton.text)
     assert skeleton.nesting_depth == nesting_depth(reparsed)
     assert skeleton.tree.stmt == reparsed.stmt
+
+
+# One tree walk: sqlast.children lists each node's children once
+
+
+def children_walk(root):
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(sqlast.children(node))
+    return nodes
+
+
+def field_walk(root):
+    """The same walk over every dataclass field, needing no child table."""
+    nodes, stack = [], [root]
+    while stack:
+        value = stack.pop()
+        if dataclasses.is_dataclass(value):
+            nodes.append(value)
+            stack.extend(getattr(value, f.name)
+                         for f in dataclasses.fields(value))
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return nodes
+
+
+@pytest.mark.parametrize("sql", CORPUS)
+def test_children_reach_every_node_in_source_order(sql):
+    tree = parse_query(sql)
+    texts = [sql] + [extract_skeleton(tree, level).text
+                     for level in LEVELS.values()]
+    for text in texts:
+        stmt = parse_query(text).stmt
+        assert [id(n) for n in children_walk(stmt)] == \
+            [id(n) for n in field_walk(stmt)], text
+
+
+def test_extraction_visits_each_node_once(monkeypatch):
+    """Expanded then Detailed, plus the depth, list each node's children
+    once in total: no subtree is re-walked per ancestor."""
+    tree = parse_query(
+        "SELECT a, (SELECT MAX(b) FROM u WHERE u.k = t.k) FROM "
+        "(SELECT k, a FROM v WHERE c IN (SELECT c FROM w WHERE d IN "
+        "(SELECT d FROM x WHERE e > (SELECT AVG(e) FROM y)))) AS t "
+        "JOIN s ON s.k = t.k WHERE NOT EXISTS (SELECT 1 FROM z "
+        "WHERE z.k = t.k AND z.f IN (SELECT f FROM q)) "
+        "ORDER BY a LIMIT 3")
+    nodes = children_walk(tree.stmt)
+    visits = []
+    children = sqlast.children
+
+    def counted(node):
+        visits.append(id(node))
+        return children(node)
+
+    monkeypatch.setattr(sqlast, "children", counted)
+    extract_skeleton(tree, GranularityLevel.EXPANDED)
+    extract_skeleton(tree, GranularityLevel.DETAILED)
+    assert nesting_depth(tree) == 4
+    assert sorted(visits) == sorted(id(n) for n in nodes)
+
+
+def test_escape_operand_is_dropped():
+    sql = "SELECT a FROM t WHERE a LIKE b ESCAPE (SELECT c FROM u)"
+    tree = parse_query(sql)
+    assert nesting_depth(tree) == 0 == oracle_depth(sql)
+    for name, level in LEVELS.items():
+        skeleton = extract_skeleton(tree, level)
+        assert skeleton.text == oracle_extract(sql, name)
+        assert skeleton.nesting_depth == 0
