@@ -29,6 +29,7 @@ from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
 from .skeleton import (
+    ClauseTree,
     GranularityLevel,
     Skeleton,
     extract_skeleton,
@@ -248,35 +249,44 @@ class ScriptedEvaluationBackend:
         return f"VERDICT: {bool(value)}"
 
 
-class GoldFormulationBackend:
-    """Echoes the gold SQL's own skeleton at the phase's target level."""
+class GoldBackend:
+    """Base of the gold oracles: one gold SQL, or a question -> SQL dict.
+
+    Each gold text is parsed on first use and its tree kept, so a search
+    parses it once per backend however many nodes ask. Trees are never
+    mutated; two item threads racing on a first use both parse, and
+    either tree serves.
+    """
 
     def __init__(self, gold_sql: str | dict):
         self.gold_sql = gold_sql
+        self._trees: dict[str, ClauseTree] = {}
 
     def _gold(self, question: str) -> str:
         if isinstance(self.gold_sql, dict):
             return self.gold_sql[question]
         return self.gold_sql
 
+    def _gold_tree(self, question: str) -> ClauseTree:
+        gold = self._gold(question)
+        tree = self._trees.get(gold)
+        if tree is None:
+            tree = self._trees[gold] = parse_query(gold)
+        return tree
+
+
+class GoldFormulationBackend(GoldBackend):
+    """Echoes the gold SQL's own skeleton at the phase's target level."""
+
     def propose(self, req: FormulationRequest) -> list[str]:
-        tree = parse_query(self._gold(req.question))
+        tree = self._gold_tree(req.question)
         return [extract_skeleton(tree, req.phase.target_level).text]
 
 
-class GoldOracleEvaluationBackend:
+class GoldOracleEvaluationBackend(GoldBackend):
     """True iff the candidate equals the gold extraction at its level."""
-
-    def __init__(self, gold_sql: str | dict):
-        self.gold_sql = gold_sql
-
-    def _gold(self, question: str) -> str:
-        if isinstance(self.gold_sql, dict):
-            return self.gold_sql[question]
-        return self.gold_sql
 
     def judge(self, schema: DatabaseProfile, question: str,
               candidate: Skeleton) -> str:
-        tree = parse_query(self._gold(question))
-        gold = extract_skeleton(tree, candidate.level)
+        gold = extract_skeleton(self._gold_tree(question), candidate.level)
         return f"VERDICT: {candidate.text == gold.text}"

@@ -2,11 +2,11 @@
 
 Datasets are the benchmarks' published per-item JSON records; databases
 live under {db_root}/{db_id}/{db_id}.sqlite. Each item runs the full
-pipeline, the gold SQL executes exactly once, and a JSON checkpoint per
-item makes interrupted runs resumable. The report is a pure function of
-the persisted item records, so it can be recomputed offline and is
-byte-identical across item-level concurrency settings under replay
-backends.
+pipeline, each distinct SQL text of an item (gold included) executes
+once, and a JSON checkpoint per item makes interrupted runs resumable.
+The report is a pure function of the persisted item records, so it can
+be recomputed offline and is byte-identical across item-level
+concurrency settings under replay backends.
 """
 
 from __future__ import annotations
@@ -251,7 +251,8 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
     try:
         candidates = generate_all(profile, item.question, leaves,
                                   backends.generator)
-        outcomes = execute_all(profile, candidates, settings.limits)
+        outcomes = execute_all(profile, candidates, settings.limits,
+                               known={item.gold_sql: gold_outcome})
         tokens = [_result_token(o) for o in outcomes]
         record["k"] = sum(token is not None for token in tokens)
         if gold_token is not None:

@@ -8,7 +8,8 @@ and recursive CTEs, so a candidate cannot ATTACH a file, run a PRAGMA
 or write. Results are reduced to a fingerprint: a hash over
 canonicalized cells, order-insensitive unless the query has ORDER BY
 outside every parenthesis. That rule is a lexical scan, not a parse, so
-it also holds for CTEs, which the parser rejects. Candidates whose
+it also holds for CTEs, which the parser rejects. Identical candidates
+(the same SQL text) share one execution and its outcome. Candidates whose
 fingerprints agree form a vote group; the largest group wins, ties go
 to an arbitrator backend with a deterministic fallback, and when
 nothing executed to a row set the selector falls back to the most
@@ -108,8 +109,36 @@ def canonical_cell(value) -> str:
     return "s:" + str(value)
 
 
+def _canonical_int(value: int) -> str:
+    if -EXACT_INT_MIN < value < EXACT_INT_MIN:
+        return "n:" + format(value, ".6e")
+    return f"n:{value}"
+
+
+def _canonical_float(value: float) -> str:
+    if value.is_integer():
+        return _canonical_int(int(value))
+    return "n:" + format(value, ".6e")
+
+
+# canonical_cell for each exact type SQLite returns, looked up by type()
+# instead of a chain of isinstance checks. Any other type (bool, a
+# subclass) goes through canonical_cell itself, which stays the general
+# definition that the tests hold this table to.
+_CELL_FORMATS = {
+    str: "s:".__add__,
+    int: _canonical_int,
+    float: _canonical_float,
+    type(None): lambda _: "NULL",
+    bytes: lambda value: "b:" + value.hex(),
+}
+
+
 def canonical_row(row) -> str:
-    return "\x1f".join(canonical_cell(cell) for cell in row)
+    """The row's cells as canonical_cell tokens, joined by \\x1f."""
+    formats = _CELL_FORMATS
+    return "\x1f".join([formats.get(type(cell), canonical_cell)(cell)
+                         for cell in row])
 
 
 def fingerprint_rows(rows, ordered: bool) -> str:
@@ -203,10 +232,29 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
 
 
 def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
-                limits: ExecutionLimits | None = None
+                limits: ExecutionLimits | None = None,
+                known: dict[str, ExecutionOutcome] | None = None
                 ) -> list[ExecutionOutcome]:
-    """Outcomes aligned with the candidate list."""
-    return [execute_candidate(profile, c, limits) for c in candidates]
+    """Outcomes aligned with the candidate list.
+
+    Each distinct SQL text runs once: candidates with the same text share
+    one outcome object. `known` maps SQL text to the outcome of an earlier
+    run against the same profile under the same limits; it is read first
+    and filled with every new run. A failed candidate never runs SQL and
+    keeps its own error outcome.
+    """
+    known = {} if known is None else known
+    outcomes = []
+    for candidate in candidates:
+        if candidate.failed:
+            outcome = execute_candidate(profile, candidate, limits)
+        else:
+            outcome = known.get(candidate.sql)
+            if outcome is None:
+                outcome = execute_candidate(profile, candidate, limits)
+                known[candidate.sql] = outcome
+        outcomes.append(outcome)
+    return outcomes
 
 
 @dataclass

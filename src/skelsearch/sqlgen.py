@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import BackendError, load_template
+from .agents import BackendError, GoldBackend, load_template
 from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
@@ -97,14 +97,9 @@ class ScriptedGenerationBackend:
         return value
 
 
-class GoldEchoGenerationBackend:
+class GoldEchoGenerationBackend(GoldBackend):
     """Echoes the gold SQL regardless of skeleton (oracle upper bound)."""
-
-    def __init__(self, gold_sql: str | dict):
-        self.gold_sql = gold_sql
 
     def write_sql(self, profile: DatabaseProfile, question: str,
                   skeleton: Skeleton) -> str:
-        if isinstance(self.gold_sql, dict):
-            return self.gold_sql[question]
-        return self.gold_sql
+        return self._gold(question)

@@ -21,6 +21,7 @@ from skelsearch.agents import (
     parse_candidate_lines,
     parse_verdict,
 )
+from skelsearch.engine import SearchConfig, run_search
 from skelsearch.gateway import Cassette, GatewayConfig, LlmGateway
 
 GOLD = ("SELECT name FROM students WHERE id IN "
@@ -193,6 +194,24 @@ def test_gold_formulation_echoes_extraction(toy_profile):
                              SearchPhase.EXPANDED, 3)
     assert formulate(req, backend) == [
         skeleton_of(GOLD, GranularityLevel.EXPANDED).text]
+
+
+def test_gold_search_parses_each_gold_text_once_per_backend(
+        parse_counts, school_profile):
+    formulator = GoldFormulationBackend({"q": GOLD})
+    evaluator = GoldOracleEvaluationBackend({"q": GOLD})
+
+    def search_parses():
+        parse_counts.update(parse=0, lex=0)
+        _, tree, _ = run_search(school_profile, "q", formulator, evaluator,
+                                SearchConfig())
+        assert len(tree.verdict_log) > 1
+        return parse_counts["parse"]
+
+    first, again = search_parses(), search_parses()
+    # The engine parses the same skeleton texts in both searches; only
+    # the first parses GOLD, once in each backend.
+    assert first - again == 2
 
 
 def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):

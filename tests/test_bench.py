@@ -6,6 +6,7 @@ import pytest
 
 from conftest import build_school_db
 from fixtures.livestub import TransportOracle
+from skelsearch import bench, selector
 from skelsearch.agents import (
     GoldFormulationBackend,
     GoldOracleEvaluationBackend,
@@ -234,6 +235,43 @@ def test_pass_at_k_counts_candidate_voting_missed(bench_env):
     assert record["pass_hit"] is True
     assert record["correct"] is False
     assert record["trace"]["rule"] == "majority"
+
+
+def test_gold_text_executes_once_per_item(bench_env, monkeypatch):
+    _, db_root = bench_env
+    profile = profile_from_sqlite(resolve_database(db_root, "school"),
+                                  db_id="school")
+    item = BenchmarkItem("0", Q1, "school", GOLDS[Q1], "simple")
+    bases = ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _",
+             "SELECT _ FROM _ ORDER BY _"]
+    other = "SELECT name FROM students WHERE year = 2022"
+    backends = (
+        ScriptedFormulationBackend({(Q1, "base", None): bases}),
+        ScriptedEvaluationBackend({(Q1, text): True for text in bases}),
+        ScriptedGenerationBackend({(Q1, bases[0]): GOLDS[Q1],
+                                   (Q1, bases[1]): other,
+                                   (Q1, bases[2]): GOLDS[Q1]}),
+        None)
+
+    def execute_each(profile, candidates, limits=None, known=None):
+        return [selector.execute_candidate(profile, c, limits)
+                for c in candidates]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "execute_all", execute_each)
+        unshared = run_item(item, profile, backends, RunSettings())
+    executed = []
+    for module in (bench, selector):
+        def counted(profile, candidate, limits=None,
+                    original=module.execute_candidate):
+            executed.append(candidate.sql)
+            return original(profile, candidate, limits)
+        monkeypatch.setattr(module, "execute_candidate", counted)
+    record = run_item(item, profile, backends, RunSettings())
+    assert sorted(executed) == sorted([GOLDS[Q1], other])
+    assert record == unshared
+    assert record["k"] == 3
+    assert record["correct"] is True
 
 
 def test_gold_execution_error_is_not_correct(bench_env):

@@ -1,12 +1,15 @@
 """Execution outcomes, fingerprints, and majority selection."""
 
+import hashlib
 import json
 import random
+import sqlite3
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skelsearch import selector, sqlast
 from skelsearch.gateway import TransportError
 from skelsearch.schema import DatabaseProfile
 from skelsearch.selector import (
@@ -20,6 +23,7 @@ from skelsearch.selector import (
     _is_ordered,
     build_arbitration_prompt,
     canonical_cell,
+    canonical_row,
     execute_all,
     execute_candidate,
     fingerprint_rows,
@@ -128,6 +132,82 @@ def test_distinct_integers_get_distinct_fingerprints(a, offset):
     assert canonical_cell(a) != canonical_cell(b)
     assert (fingerprint_rows([(a,)], ordered=False)
             != fingerprint_rows([(b,)], ordered=False))
+
+
+MIXED_CELLS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=5), st.binary(max_size=3),
+    st.integers(min_value=-10 ** 7 - 3, max_value=-10 ** 7 + 3),
+    st.integers(min_value=10 ** 7 - 3, max_value=10 ** 7 + 3),
+    st.integers(min_value=2 ** 63 - 2, max_value=2 ** 65),
+    st.integers(min_value=-2 ** 65, max_value=-2 ** 63 + 2),
+    st.integers(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                     1e7 - 0.5, 1e7 + 0.5, -1e7 - 0.5, -1e7 + 0.5, 1e7,
+                     -1e7, 2.0 ** 63, 123456789.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(MIXED_CELLS, max_size=8))
+def test_canonical_row_joins_canonical_cells(row):
+    assert canonical_row(row) == "\x1f".join(canonical_cell(c) for c in row)
+
+
+def reference_fingerprint(rows, ordered):
+    """fingerprint_rows spelled out over canonical_cell."""
+    canon = ["\x1f".join(canonical_cell(c) for c in row) for row in rows]
+    if not ordered:
+        canon.sort()
+    prefix = "seq" if ordered else "bag"
+    digest = hashlib.sha256(
+        "\x1e".join([prefix] + canon).encode("utf-8")).hexdigest()
+    return f"{prefix}:{digest}"
+
+
+# One cell value per (row, column) position, cycled: every type SQLite
+# returns, integers on both sides of the exact-rendering threshold, -0.0
+# and a non-integral float next to 1e7.
+CORPUS_CELLS = [None, 3, 12_345_678, 2.5, 4.0, "Oslo", b"\x00\xff", -0.0,
+                10_000_000.5, 9_999_999, "paid", 7, -2 ** 62]
+
+
+def corpus_names():
+    tables, columns = set(), set()
+
+    def visit(node):
+        if isinstance(node, sqlast.TableRef):
+            tables.add(node.name.lower())
+        elif isinstance(node, sqlast.ColumnRef):
+            columns.add(node.name.lower())
+        for child in sqlast.children(node):
+            visit(child)
+
+    for sql in CORPUS:
+        visit(sqlast.parse(sql))
+    return sorted(tables), sorted(columns)
+
+
+def test_fingerprints_on_corpus_results_match_canonical_cells():
+    tables, columns = corpus_names()
+    conn = sqlite3.connect(":memory:")
+    header = ", ".join(f'"{c}"' for c in columns)
+    marks = ", ".join("?" * len(columns))
+    for t, table in enumerate(tables):
+        conn.execute(f'CREATE TABLE "{table}" ({header})')
+        conn.executemany(f'INSERT INTO "{table}" VALUES ({marks})', [
+            tuple(CORPUS_CELLS[(7 * r + 3 * c + t) % len(CORPUS_CELLS)]
+                  for c in range(len(columns))) for r in range(12)])
+    with_rows = 0
+    for sql in CORPUS:
+        try:
+            rows = conn.execute(sql).fetchall()
+        except sqlite3.Error:  # ambiguous names in joins, bad UTF-8
+            continue
+        with_rows += bool(rows)
+        for ordered in (False, True):
+            assert (fingerprint_rows(rows, ordered)
+                    == reference_fingerprint(rows, ordered)), sql
+    conn.close()
+    assert with_rows >= 90
 
 
 # Execution against sqlite
@@ -247,6 +327,66 @@ def test_execute_all_alignment(school_profile):
         OutcomeStatus.EMPTY, OutcomeStatus.ROWS]
     assert ([o.fingerprint for o in outcomes]
             == [run(school_profile, sql).fingerprint for sql in sqls])
+
+
+def counted_executions(monkeypatch):
+    """SQL texts passed to selector.execute_candidate, in call order."""
+    calls = []
+    original = selector.execute_candidate
+
+    def counted(profile, candidate, limits=None):
+        calls.append(candidate.sql)
+        return original(profile, candidate, limits)
+
+    monkeypatch.setattr(selector, "execute_candidate", counted)
+    return calls
+
+
+def same_outcome(a, b):
+    return ((a.status, a.fingerprint, a.error, a.row_count, a.preview)
+            == (b.status, b.fingerprint, b.error, b.row_count, b.preview))
+
+
+def test_execute_all_runs_each_distinct_sql_once(school_profile,
+                                                  monkeypatch):
+    sqls = ["SELECT name FROM students", "SELEC",
+            "SELECT name FROM students", "SELECT course FROM grades",
+            "SELEC", "SELECT name FROM students WHERE year > 9000",
+            "SELECT name FROM students"]
+    alone = [run(school_profile, sql) for sql in sqls]
+    calls = counted_executions(monkeypatch)
+    outcomes = execute_all(school_profile, [cand(s) for s in sqls])
+    assert sorted(calls) == sorted(set(sqls))
+    assert len(outcomes) == len(sqls)
+    for outcome, expected in zip(outcomes, alone):
+        assert same_outcome(outcome, expected)
+
+
+def test_execute_all_reads_and_fills_known(school_profile, monkeypatch):
+    known_sql = "SELECT name FROM students WHERE year = 2021"
+    known = {known_sql: run(school_profile, known_sql)}
+    calls = counted_executions(monkeypatch)
+    outcomes = execute_all(school_profile,
+                           [cand(known_sql), cand("SELECT 1")],
+                           known=known)
+    assert calls == ["SELECT 1"]
+    assert outcomes[0] is known[known_sql]
+    assert known["SELECT 1"] is outcomes[1]
+
+
+def test_failed_candidate_keeps_its_own_error(school_profile):
+    sql = "SELECT name FROM students"
+    failed = SqlCandidate(sql, cand(sql).skeleton, failed=True,
+                          error="generation failed: boom")
+    known = {}
+    outcomes = execute_all(school_profile, [cand(sql), failed, cand(sql)],
+                           known=known)
+    assert [o.status for o in outcomes] == [
+        OutcomeStatus.ROWS, OutcomeStatus.ERROR, OutcomeStatus.ROWS]
+    assert outcomes[1].error == "generation failed: boom"
+    assert known[sql].status is OutcomeStatus.ROWS
+    outcomes = execute_all(school_profile, [failed], known=known)
+    assert outcomes[0].error == "generation failed: boom"
 
 
 # Sandbox: only reads run
