@@ -250,32 +250,38 @@ class ScriptedEvaluationBackend:
 
 
 class GoldBackend:
-    """Base of the gold oracles: one gold SQL, or a question -> SQL dict.
-
-    Each gold text is parsed on first use and its tree kept, so a search
-    parses it once per backend however many nodes ask. Trees are never
-    mutated; two item threads racing on a first use both parse, and
-    either tree serves.
-    """
+    """Base of the gold oracles: one gold SQL, or a question -> SQL dict."""
 
     def __init__(self, gold_sql: str | dict):
         self.gold_sql = gold_sql
-        self._trees: dict[str, ClauseTree] = {}
 
     def _gold(self, question: str) -> str:
         if isinstance(self.gold_sql, dict):
             return self.gold_sql[question]
         return self.gold_sql
 
+
+class _GoldTreeBackend(GoldBackend):
+    """A gold oracle that reads the gold SQL's parse tree.
+
+    It keeps the tree of the last gold text it parsed. A search asks
+    about one question throughout, so each item's gold is parsed once
+    per backend, and a whole dataset run holds one tree per backend.
+    The (text, tree) pair is replaced in one assignment, so an item
+    thread never reads a tree that belongs to another text.
+    """
+
+    _last: tuple[str, ClauseTree] | None = None
+
     def _gold_tree(self, question: str) -> ClauseTree:
         gold = self._gold(question)
-        tree = self._trees.get(gold)
-        if tree is None:
-            tree = self._trees[gold] = parse_query(gold)
-        return tree
+        last = self._last
+        if last is None or last[0] != gold:
+            last = self._last = (gold, parse_query(gold))
+        return last[1]
 
 
-class GoldFormulationBackend(GoldBackend):
+class GoldFormulationBackend(_GoldTreeBackend):
     """Echoes the gold SQL's own skeleton at the phase's target level."""
 
     def propose(self, req: FormulationRequest) -> list[str]:
@@ -283,7 +289,7 @@ class GoldFormulationBackend(GoldBackend):
         return [extract_skeleton(tree, req.phase.target_level).text]
 
 
-class GoldOracleEvaluationBackend(GoldBackend):
+class GoldOracleEvaluationBackend(_GoldTreeBackend):
     """True iff the candidate equals the gold extraction at its level."""
 
     def judge(self, schema: DatabaseProfile, question: str,

@@ -87,6 +87,28 @@ class ExecutionOutcome:
     preview: list[str] = field(default_factory=list)
 
 
+def _int_token(value: int) -> str:
+    if -EXACT_INT_MIN < value < EXACT_INT_MIN:
+        return "n:" + format(value, ".6e")
+    return f"n:{value}"
+
+
+def _float_token(value: float) -> str:
+    if value.is_integer():
+        return _int_token(int(value))
+    return "n:" + format(value, ".6e")
+
+
+# The token of each exact type SQLite returns, looked up by type().
+_CELL_TOKENS = {
+    str: "s:".__add__,
+    int: _int_token,
+    float: _float_token,
+    type(None): lambda _: "NULL",
+    bytes: lambda value: "b:" + value.hex(),
+}
+
+
 def canonical_cell(value) -> str:
     """Stable token for one result cell.
 
@@ -94,51 +116,20 @@ def canonical_cell(value) -> str:
     and -0.0 == 0. Integers of magnitude 1e7 and above render exactly;
     smaller ones and all other floats render with seven significant
     digits, which is exact for those integers and buckets float noise
-    at 1e-6. Distinct integers therefore never share a token.
+    at 1e-6. Distinct integers therefore never share a token. A
+    subclass (bool) counts as its base type; anything else as text.
     """
-    if value is None:
-        return "NULL"
-    if isinstance(value, bytes):
-        return "b:" + value.hex()
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and not -EXACT_INT_MIN < value < EXACT_INT_MIN:
-        return f"n:{value:d}"
-    if isinstance(value, (int, float)):
-        return "n:" + format(value, ".6e")
+    token = _CELL_TOKENS.get(type(value))
+    if token is not None:
+        return token(value)
+    for kind in (bytes, float, int):
+        if isinstance(value, kind):
+            return _CELL_TOKENS[kind](kind(value))
     return "s:" + str(value)
 
 
-def _canonical_int(value: int) -> str:
-    if -EXACT_INT_MIN < value < EXACT_INT_MIN:
-        return "n:" + format(value, ".6e")
-    return f"n:{value}"
-
-
-def _canonical_float(value: float) -> str:
-    if value.is_integer():
-        return _canonical_int(int(value))
-    return "n:" + format(value, ".6e")
-
-
-# canonical_cell for each exact type SQLite returns, looked up by type()
-# instead of a chain of isinstance checks. Any other type (bool, a
-# subclass) goes through canonical_cell itself, which stays the general
-# definition that the tests hold this table to.
-_CELL_FORMATS = {
-    str: "s:".__add__,
-    int: _canonical_int,
-    float: _canonical_float,
-    type(None): lambda _: "NULL",
-    bytes: lambda value: "b:" + value.hex(),
-}
-
-
 def canonical_row(row) -> str:
-    """The row's cells as canonical_cell tokens, joined by \\x1f."""
-    formats = _CELL_FORMATS
-    return "\x1f".join([formats.get(type(cell), canonical_cell)(cell)
-                         for cell in row])
+    return "\x1f".join([canonical_cell(cell) for cell in row])
 
 
 def fingerprint_rows(rows, ordered: bool) -> str:

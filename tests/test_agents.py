@@ -214,6 +214,23 @@ def test_gold_search_parses_each_gold_text_once_per_backend(
     assert first - again == 2
 
 
+def test_gold_backends_follow_the_question(toy_profile):
+    other = "SELECT a FROM t GROUP BY b"
+    golds = {"q": GOLD, "r": other}
+    formulator = GoldFormulationBackend(golds)
+    evaluator = GoldOracleEvaluationBackend(golds)
+    level = GranularityLevel.BASE
+    for question in ["q", "r", "q", "q", "r"]:
+        gold = skeleton_of(golds[question], level)
+        req = FormulationRequest(toy_profile, question, None,
+                                 SearchPhase.BASE, 3)
+        assert formulate(req, formulator) == [gold.text]
+        for sql in golds.values():
+            skel = skeleton_of(sql, level)
+            verdict = evaluate(toy_profile, question, skel, evaluator)
+            assert verdict.verdict is (skel.text == gold.text)
+
+
 def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
     path = tmp_path / "agents.cassette"
     script = {
