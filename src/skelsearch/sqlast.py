@@ -43,6 +43,17 @@ class Token:
     offset: int
 
 
+# The token kinds as module constants: on Python 3.11 each `TokenType.X`
+# lookup runs the enum metaclass, several times the cost of a global.
+_KEYWORD = TokenType.KEYWORD
+_IDENTIFIER = TokenType.IDENTIFIER
+_STRING = TokenType.STRING
+_NUMBER = TokenType.NUMBER
+_OPERATOR = TokenType.OPERATOR
+_PLACEHOLDER = TokenType.PLACEHOLDER
+_EOF = TokenType.EOF
+
+
 KEYWORDS = frozenset({
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
     "OFFSET", "JOIN", "LEFT", "RIGHT", "FULL", "INNER", "OUTER", "CROSS",
@@ -60,105 +71,78 @@ AGGREGATE_FUNCTIONS = frozenset({
     "COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL", "GROUP_CONCAT",
 })
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
-    r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
-    r"|0[xX][0-9a-fA-F]+")
-_PLACEHOLDER_RE = re.compile(r"\[(?:col|tab|val|agg)\]")
+_TOKEN_RE = re.compile(r"""
+    (?:\s+|--[^\n]*\n?|/\*[\s\S]*?\*/)*    # trivia, skipped
+    (?:
+        (?P<comment>/\*)                    # a comment never closed
+      | (?P<placeholder>\[(?:col|tab|val|agg)\]|_(?![A-Za-z_]))
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
+      | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?
+                  |\d+(?:[eE][+-]?\d+)?|0[xX][0-9a-fA-F]+)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op2>==|<>|!=|<=|>=|\|\|)
+      | (?P<op>[-=<>+*/%(),.;])
+      | (?P<bad>.)
+      | (?P<end>\Z)
+    )""", re.VERBOSE)
+
+_OP_SPELLINGS = {"==": "=", "<>": "!="}
+# A `bad` character that opens a string or quoted name was never closed.
+_UNTERMINATED = {"'": "unterminated string",
+                 **dict.fromkeys("`\"[", "unterminated identifier")}
 
 
 class Lexer:
-    """Tokenizer for the SQLite SELECT dialect plus skeleton placeholders."""
+    """Tokenizer for the SQLite SELECT dialect plus skeleton placeholders.
+
+    One master pattern matches the trivia before a token and the token
+    itself; its named group says which kind of token it is. The pattern
+    matches at every position (a stray character is `bad`, the end is
+    `end`), so `finditer` walks the text token by token with no gaps.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
 
     def tokens(self) -> list[Token]:
+        text = self.text
         out: list[Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.type is TokenType.EOF:
-                return out
-
-    def _skip_trivia(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif text.startswith("--", self.pos):
-                nl = text.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise SqlSyntaxError("unterminated comment", self.pos)
-                self.pos = end + 2
+        append = out.append
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            start = m.start(kind)
+            if kind == "word":
+                word = m[kind]
+                up = word.upper()
+                if up in KEYWORDS:
+                    append(Token(_KEYWORD, up, start))
+                else:
+                    append(Token(_IDENTIFIER, word, start))
+            elif kind == "op":
+                append(Token(_OPERATOR, m[kind], start))
+            elif kind == "placeholder":
+                append(Token(_PLACEHOLDER, m[kind], start))
+            elif kind == "number":
+                append(Token(_NUMBER, m[kind], start))
+            elif kind == "string":
+                append(Token(_STRING, m[kind], start))
+            elif kind == "quoted":
+                append(Token(_IDENTIFIER, m[kind][1:-1], start))
+            elif kind == "op2":
+                op = m[kind]
+                append(Token(_OPERATOR, _OP_SPELLINGS.get(op, op), start))
+            elif kind == "end":
+                break
+            elif kind == "comment":
+                raise SqlSyntaxError("unterminated comment", start)
             else:
-                return
-
-    def _next(self) -> Token:
-        self._skip_trivia()
-        text, start = self.text, self.pos
-        if start >= len(text):
-            return Token(TokenType.EOF, "", start)
-        ch = text[start]
-
-        m = _PLACEHOLDER_RE.match(text, start)
-        if m:
-            self.pos = m.end()
-            return Token(TokenType.PLACEHOLDER, m.group(), start)
-        if ch == "_" and not _WORD_RE.match(text, start + 1):
-            self.pos = start + 1
-            return Token(TokenType.PLACEHOLDER, "_", start)
-
-        if ch == "'":
-            i = start + 1
-            while i < len(text):
-                if text[i] == "'":
-                    if text.startswith("''", i):
-                        i += 2
-                        continue
-                    self.pos = i + 1
-                    return Token(TokenType.STRING, text[start:i + 1], start)
-                i += 1
-            raise SqlSyntaxError("unterminated string", start)
-
-        for quote, closer in (("`", "`"), ('"', '"'), ("[", "]")):
-            if ch == quote:
-                end = text.find(closer, start + 1)
-                if end < 0:
-                    raise SqlSyntaxError("unterminated identifier", start)
-                self.pos = end + 1
-                return Token(TokenType.IDENTIFIER, text[start + 1:end], start)
-
-        if ch.isdigit() or (ch == "." and start + 1 < len(text)
-                            and text[start + 1].isdigit()):
-            m = _NUMBER_RE.match(text, start)
-            if m:
-                self.pos = m.end()
-                return Token(TokenType.NUMBER, m.group(), start)
-
-        m = _WORD_RE.match(text, start)
-        if m:
-            self.pos = m.end()
-            word = m.group()
-            up = word.upper()
-            if up in KEYWORDS:
-                return Token(TokenType.KEYWORD, up, start)
-            return Token(TokenType.IDENTIFIER, word, start)
-
-        for multi, canon in (("==", "="), ("<>", "!="), ("!=", "!="),
-                             ("<=", "<="), (">=", ">="), ("||", "||")):
-            if text.startswith(multi, start):
-                self.pos = start + len(multi)
-                return Token(TokenType.OPERATOR, canon, start)
-        if ch in "=<>+-*/%(),.;":
-            self.pos = start + 1
-            return Token(TokenType.OPERATOR, ch, start)
-        raise SqlSyntaxError(f"unexpected character {ch!r}", start)
+                ch = m[kind]
+                raise SqlSyntaxError(
+                    _UNTERMINATED.get(ch, f"unexpected character {ch!r}"),
+                    start)
+        append(Token(_EOF, "", len(text)))
+        return out
 
 
 # Expression nodes
@@ -400,60 +384,84 @@ def children(node) -> list:
     return out
 
 
-_COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+# Parser tags: a keyword, operator or placeholder token is tagged with its
+# text; the other kinds with a lowercase name no token text can equal.
+_TYPE_TAGS = {_IDENTIFIER: "identifier", _STRING: "string",
+              _NUMBER: "number", _EOF: "eof"}
+# The longest lookahead past the current token (LEFT OUTER JOIN).
+_LOOKAHEAD = 2
+
+# Binding power of the infix operators, loosest first; every level is
+# left-associative. Prefix NOT binds between AND and the comparisons.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL = range(1, 7)
+_INFIX = {
+    "OR": _OR, "AND": _AND,
+    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">=", "IN", "BETWEEN",
+                     "LIKE", "GLOB", "REGEXP", "MATCH", "IS", "NOT"),
+                    _COMPARE),
+    "+": _ADD, "-": _ADD, "||": _ADD,
+    "*": _MUL, "/": _MUL, "%": _MUL,
+}
+_LIKE_OPS = frozenset({"LIKE", "GLOB", "REGEXP", "MATCH"})
+_NEGATABLE = _LIKE_OPS | {"IN", "BETWEEN"}
 _SET_STARTERS = frozenset({"UNION", "INTERSECT", "EXCEPT"})
-_ARM_FOLLOWERS = frozenset({"UNION", "INTERSECT", "EXCEPT", "ORDER",
-                            "LIMIT"})
+_JOIN_STARTS = frozenset({"JOIN", "LEFT", "INNER", "CROSS", "NATURAL",
+                          "RIGHT", "FULL"})
+# What may follow a `_` that stands for a whole SELECT arm.
+_ARM_ENDS = _SET_STARTERS | {"ORDER", "LIMIT", ")", ";", "eof"}
 
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream.
+
+    `tags[i]` is the tag of `tokens[i]`, so each test of the current
+    token is one list lookup; both lists are padded with EOF so that
+    lookahead never runs off the end.
+    """
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
+        self.tags = [
+            tok.value if (kind := tok.type) is _KEYWORD
+            or kind is _OPERATOR or kind is _PLACEHOLDER
+            else "identifier" if kind is _IDENTIFIER else _TYPE_TAGS[kind]
+            for tok in self.tokens]
         self.i = 0
 
-    def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if tok.type is not TokenType.EOF:
+        tok = self.tokens[self.i]
+        if tok.type is not _EOF:
             self.i += 1
         return tok
 
-    def at_keyword(self, *words: str) -> bool:
-        for k, word in enumerate(words):
-            tok = self.peek(k)
-            if tok.type is not TokenType.KEYWORD or tok.value != word:
-                return False
-        return True
+    def at(self, tag: str) -> bool:
+        return self.tags[self.i] == tag
 
-    def eat_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.i += len(words)
-            return True
-        return False
-
-    def at_op(self, op: str, k: int = 0) -> bool:
-        tok = self.peek(k)
-        return tok.type is TokenType.OPERATOR and tok.value == op
-
-    def eat_op(self, op: str) -> bool:
-        if self.at_op(op):
+    def eat(self, tag: str) -> bool:
+        if self.tags[self.i] == tag:
             self.i += 1
             return True
         return False
 
+    def eat_seq(self, *tags: str) -> bool:
+        i = self.i
+        for k, tag in enumerate(tags):
+            if self.tags[i + k] != tag:
+                return False
+        self.i = i + len(tags)
+        return True
+
     def expect_op(self, op: str) -> None:
-        if not self.eat_op(op):
+        if not self.eat(op):
             tok = self.peek()
             raise SqlSyntaxError(f"expected {op!r}, found {tok.value!r}",
                                  tok.offset)
 
     def expect_keyword(self, word: str) -> None:
-        if not self.eat_keyword(word):
+        if not self.eat(word):
             tok = self.peek()
             raise SqlSyntaxError(f"expected {word}, found {tok.value!r}",
                                  tok.offset)
@@ -464,11 +472,11 @@ class Parser:
     # statement
 
     def parse_statement(self) -> SelectStmt:
-        if self.at_keyword("WITH"):
+        if self.at("WITH"):
             raise self.fail("WITH (common table expressions) not supported")
         stmt = self.select_stmt()
-        self.eat_op(";")
-        if self.peek().type is not TokenType.EOF:
+        self.eat(";")
+        if not self.at("eof"):
             raise self.fail(f"trailing input {self.peek().value!r}")
         return stmt
 
@@ -476,90 +484,75 @@ class Parser:
         arms = [self.select_arm()]
         ops: list[str] = []
         while True:
-            if self.eat_keyword("UNION", "ALL"):
-                ops.append("UNION ALL")
-            elif self.eat_keyword("UNION"):
-                ops.append("UNION")
-            elif self.eat_keyword("INTERSECT"):
-                ops.append("INTERSECT")
-            elif self.eat_keyword("EXCEPT"):
-                ops.append("EXCEPT")
-            else:
+            tag = self.tags[self.i]
+            if tag not in _SET_STARTERS:
                 break
+            self.i += 1
+            if tag == "UNION" and self.eat("ALL"):
+                tag = "UNION ALL"
+            ops.append(tag)
             arms.append(self.select_arm())
         order_by = limit = offset = None
-        if self.eat_keyword("ORDER", "BY"):
+        if self.eat_seq("ORDER", "BY"):
             order_by = [self.order_item()]
-            while self.eat_op(","):
+            while self.eat(","):
                 order_by.append(self.order_item())
-        if self.eat_keyword("LIMIT"):
+        if self.eat("LIMIT"):
             limit = self.expr()
-            if self.eat_keyword("OFFSET"):
+            if self.eat("OFFSET"):
                 offset = self.expr()
-            elif self.eat_op(","):
+            elif self.eat(","):
                 offset, limit = limit, self.expr()
         return SelectStmt(arms, ops, order_by, limit, offset)
 
     def select_arm(self):
-        tok = self.peek()
-        if tok.type is TokenType.PLACEHOLDER and tok.value == "_":
-            nxt = self.peek(1)
-            if nxt.type is TokenType.EOF or \
-                    (nxt.type is TokenType.OPERATOR and
-                     nxt.value in {")", ";"}) or \
-                    (nxt.type is TokenType.KEYWORD and
-                     nxt.value in _ARM_FOLLOWERS):
-                self.advance()
-                return PlaceholderQuery()
+        if self.at("_") and self.tags[self.i + 1] in _ARM_ENDS:
+            self.i += 1
+            return PlaceholderQuery()
         return self.select_core()
 
     def select_core(self) -> SelectCore:
         self.expect_keyword("SELECT")
-        distinct = False
-        if self.eat_keyword("DISTINCT"):
-            distinct = True
-        else:
-            self.eat_keyword("ALL")
+        distinct = self.eat("DISTINCT")
+        if not distinct:
+            self.eat("ALL")
         items = [self.select_item()]
-        while self.eat_op(","):
+        while self.eat(","):
             items.append(self.select_item())
         from_ = where = having = None
         group_by = None
-        if self.eat_keyword("FROM"):
+        if self.eat("FROM"):
             from_ = self.from_clause()
-        if self.eat_keyword("WHERE"):
+        if self.eat("WHERE"):
             where = self.expr()
-        if self.eat_keyword("GROUP", "BY"):
+        if self.eat_seq("GROUP", "BY"):
             group_by = [self.expr()]
-            while self.eat_op(","):
+            while self.eat(","):
                 group_by.append(self.expr())
-        if self.eat_keyword("HAVING"):
+        if self.eat("HAVING"):
             having = self.expr()
         return SelectCore(distinct, items, from_, where, group_by, having)
 
     def select_item(self) -> SelectItem:
         expr = self.expr()
         alias = None
-        if self.eat_keyword("AS"):
+        if self.eat("AS"):
             alias = self._name("alias")
-        elif self.peek().type is TokenType.IDENTIFIER:
+        elif self.at("identifier"):
             alias = self.advance().value
         return SelectItem(expr, alias)
 
     def order_item(self) -> OrderItem:
         expr = self.expr()
-        desc = False
-        if self.eat_keyword("DESC"):
-            desc = True
-        else:
-            self.eat_keyword("ASC")
+        desc = self.eat("DESC")
+        if not desc:
+            self.eat("ASC")
         return OrderItem(expr, desc)
 
     def _name(self, what: str) -> str:
-        tok = self.peek()
-        if tok.type in (TokenType.IDENTIFIER, TokenType.STRING):
-            self.advance()
-            return tok.value
+        tag = self.tags[self.i]
+        if tag == "identifier" or tag == "string":
+            return self.advance().value
         raise self.fail(f"expected {what}")
 
     # FROM clause
@@ -567,7 +560,7 @@ class Parser:
     def from_clause(self) -> JoinChain:
         chain = JoinChain(self.source())
         while True:
-            if self.eat_op(","):
+            if self.eat(","):
                 chain.joins.append(Join("JOIN", self.source()))
                 continue
             kind = self._join_kind()
@@ -576,41 +569,42 @@ class Parser:
             source = self.source()
             on = None
             using: list[str] = []
-            if self.eat_keyword("ON"):
+            if self.eat("ON"):
                 on = self.expr()
-            elif self.eat_keyword("USING"):
+            elif self.eat("USING"):
                 self.expect_op("(")
                 using.append(self._name("column"))
-                while self.eat_op(","):
+                while self.eat(","):
                     using.append(self._name("column"))
                 self.expect_op(")")
             chain.joins.append(Join(kind, source, on, using))
 
     def _join_kind(self) -> str | None:
-        if self.at_keyword("RIGHT") or self.at_keyword("FULL"):
+        tag = self.tags[self.i]
+        if tag not in _JOIN_STARTS:
+            return None
+        if tag == "RIGHT" or tag == "FULL":
             raise self.fail("RIGHT/FULL joins not supported")
-        if self.eat_keyword("NATURAL"):
+        if self.eat("NATURAL"):
             for prefix in (("LEFT", "OUTER"), ("LEFT",), ("INNER",),
                            ("CROSS",)):
-                if self.eat_keyword(*prefix):
+                if self.eat_seq(*prefix):
                     break
             self.expect_keyword("JOIN")
             return "JOIN"
-        if self.eat_keyword("LEFT", "OUTER", "JOIN") or \
-                self.eat_keyword("LEFT", "JOIN"):
+        if self.eat_seq("LEFT", "OUTER", "JOIN") or \
+                self.eat_seq("LEFT", "JOIN"):
             return "LEFT JOIN"
-        if self.eat_keyword("INNER", "JOIN") or \
-                self.eat_keyword("CROSS", "JOIN") or self.eat_keyword("JOIN"):
+        if self.eat_seq("INNER", "JOIN") or \
+                self.eat_seq("CROSS", "JOIN") or self.eat("JOIN"):
             return "JOIN"
         return None
 
     def source(self):
-        tok = self.peek()
-        if tok.type is TokenType.OPERATOR and tok.value == "(":
-            self.advance()
-            if self.at_keyword("SELECT") or (
-                    self.peek().type is TokenType.PLACEHOLDER and
-                    self.peek().value == "_"):
+        tag = self.tags[self.i]
+        if tag == "(":
+            self.i += 1
+            if self.at("SELECT") or self.at("_"):
                 query = self.select_stmt()
                 self.expect_op(")")
                 return DerivedTable(query, self._maybe_alias())
@@ -618,192 +612,156 @@ class Parser:
             self.expect_op(")")
             self._maybe_alias()
             return inner
-        if tok.type is TokenType.PLACEHOLDER:
-            self.advance()
-            return PlaceholderSource(tok.value)
-        if tok.type is not TokenType.IDENTIFIER:
+        if tag in PLACEHOLDER_SYMBOLS:
+            self.i += 1
+            return PlaceholderSource(tag)
+        if tag != "identifier":
             raise self.fail("expected table name")
         name = self.advance().value
         schema = None
-        if self.at_op(".") and self.peek(1).type is TokenType.IDENTIFIER:
-            self.advance()
+        if self.at(".") and self.tags[self.i + 1] == "identifier":
+            self.i += 1
             schema, name = name, self.advance().value
         return TableRef(name, schema, self._maybe_alias())
 
     def _maybe_alias(self) -> str | None:
-        if self.eat_keyword("AS"):
+        if self.eat("AS"):
             return self._name("alias")
-        if self.peek().type is TokenType.IDENTIFIER:
+        if self.at("identifier"):
             return self.advance().value
         return None
 
     # expressions
 
-    def expr(self):
-        return self._or()
+    def expr(self, level: int = _OR):
+        """An expression whose infix operators bind at least as tightly
+        as `level` (precedence climbing).
 
-    def _or(self):
-        expr = self._and()
-        while self.eat_keyword("OR"):
-            expr = Binary("OR", expr, self._and())
-        return expr
-
-    def _and(self):
-        expr = self._not()
-        while self.eat_keyword("AND"):
-            expr = Binary("AND", expr, self._not())
-        return expr
-
-    def _not(self):
-        if self.at_keyword("NOT") and not self.at_keyword("NOT", "EXISTS"):
-            self.advance()
-            return Unary("NOT", self._not())
-        return self._comparison()
-
-    def _comparison(self):
-        expr = self._additive()
+        `ceiling` is the binding of the last operator applied: an operand
+        parsed at `bind + 1` has taken every tighter operator already,
+        and after `IN (...)` a tighter one must not extend the result.
+        """
+        tags = self.tags
+        if level <= _NOT and tags[self.i] == "NOT" and \
+                tags[self.i + 1] != "EXISTS":
+            self.i += 1
+            left = Unary("NOT", self.expr(_NOT))
+            ceiling = _NOT
+        else:
+            left = self._unary()
+            ceiling = _MUL
         while True:
-            negated = False
-            if self.at_keyword("NOT") and self.peek(1).type is \
-                    TokenType.KEYWORD and self.peek(1).value in \
-                    {"IN", "BETWEEN", "LIKE", "GLOB", "REGEXP", "MATCH"}:
-                self.advance()
-                negated = True
-            tok = self.peek()
-            if tok.type is TokenType.OPERATOR and tok.value in _COMPARISONS:
-                self.advance()
-                expr = Binary(tok.value, expr, self._additive())
-            elif self.eat_keyword("IN"):
-                expr = self._in_tail(negated, expr)
-            elif self.eat_keyword("BETWEEN"):
-                low = self._additive()
+            tag = tags[self.i]
+            bind = _INFIX.get(tag)
+            if bind is None or bind < level or bind > ceiling:
+                return left
+            ceiling = bind
+            negated = tag == "NOT"
+            if negated:
+                if tags[self.i + 1] not in _NEGATABLE:
+                    return left
+                self.i += 1
+                tag = tags[self.i]
+            self.i += 1
+            if tag == "IN":
+                left = self._in_tail(negated, left)
+            elif tag == "BETWEEN":
+                low = self.expr(_ADD)
                 self.expect_keyword("AND")
-                expr = Between(negated, expr, low, self._additive())
-            elif tok.type is TokenType.KEYWORD and tok.value in \
-                    {"LIKE", "GLOB", "REGEXP", "MATCH"}:
-                self.advance()
-                right = self._additive()
-                if self.eat_keyword("ESCAPE"):
-                    self._additive()
-                expr = LikeOp(tok.value, negated, expr, right)
-            elif self.eat_keyword("IS"):
-                is_negated = self.eat_keyword("NOT")
-                expr = IsOp(is_negated, expr, self._additive())
+                left = Between(negated, left, low, self.expr(_ADD))
+            elif tag in _LIKE_OPS:
+                right = self.expr(_ADD)
+                if self.eat("ESCAPE"):
+                    self.expr(_ADD)
+                left = LikeOp(tag, negated, left, right)
+            elif tag == "IS":
+                is_negated = self.eat("NOT")
+                left = IsOp(is_negated, left, self.expr(_ADD))
             else:
-                return expr
+                left = Binary(tag, left, self.expr(bind + 1))
 
     def _in_tail(self, negated: bool, expr):
         self.expect_op("(")
-        if self.at_keyword("SELECT") or (
-                self.peek().type is TokenType.PLACEHOLDER and
-                self.peek().value == "_" and self._ph_starts_query()):
+        if self.at("SELECT") or (
+                self.at("_") and self.tags[self.i + 1] in _SET_STARTERS):
             query = self.select_stmt()
             self.expect_op(")")
             return InSelect(negated, expr, query)
         items = [self.expr()]
-        while self.eat_op(","):
+        while self.eat(","):
             items.append(self.expr())
         self.expect_op(")")
         return InList(negated, expr, items)
 
-    def _ph_starts_query(self) -> bool:
-        nxt = self.peek(1)
-        return nxt.type is TokenType.KEYWORD and nxt.value in _SET_STARTERS
-
-    def _additive(self):
-        expr = self._multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.type is TokenType.OPERATOR and tok.value in \
-                    {"+", "-", "||"}:
-                self.advance()
-                expr = Binary(tok.value, expr, self._multiplicative())
-            else:
-                return expr
-
-    def _multiplicative(self):
-        expr = self._unary()
-        while True:
-            tok = self.peek()
-            if tok.type is TokenType.OPERATOR and tok.value in \
-                    {"*", "/", "%"}:
-                self.advance()
-                expr = Binary(tok.value, expr, self._unary())
-            else:
-                return expr
-
     def _unary(self):
-        tok = self.peek()
-        if tok.type is TokenType.OPERATOR and tok.value in {"+", "-"}:
-            self.advance()
-            return Unary(tok.value, self._unary())
-        return self._postfix()
-
-    def _postfix(self):
-        expr = self._primary()
-        while self.eat_keyword("COLLATE"):
+        tag = self.tags[self.i]
+        if tag == "+" or tag == "-":
+            self.i += 1
+            return Unary(tag, self._unary())
+        expr = _PRIMARY.get(tag, Parser._unexpected)(self)
+        while self.eat("COLLATE"):
             expr = Collate(expr, self._name("collation"))
         return expr
 
-    def _primary(self):
-        tok = self.peek()
-        if tok.type is TokenType.PLACEHOLDER:
-            self.advance()
-            return Placeholder(tok.value)
-        if tok.type is TokenType.NUMBER:
-            self.advance()
-            return Literal(tok.value, "number")
-        if tok.type is TokenType.STRING:
-            self.advance()
-            return Literal(tok.value, "string")
-        if tok.type is TokenType.KEYWORD:
-            if tok.value == "NULL":
-                self.advance()
-                return Literal("NULL", "null")
-            if tok.value in {"TRUE", "FALSE"}:
-                self.advance()
-                return Literal(tok.value, "bool")
-            if tok.value == "EXISTS" or self.at_keyword("NOT", "EXISTS"):
-                negated = self.eat_keyword("NOT")
-                self.expect_keyword("EXISTS")
-                self.expect_op("(")
-                query = self.select_stmt()
-                self.expect_op(")")
-                return Exists(negated, query)
-            if tok.value == "CASE":
-                return self._case()
-            if tok.value == "CAST":
-                return self._cast()
-        if tok.type is TokenType.OPERATOR and tok.value == "(":
-            self.advance()
-            if self.at_keyword("SELECT"):
-                query = self.select_stmt()
-                self.expect_op(")")
-                return Subquery(query)
-            expr = self.expr()
+    # primaries, dispatched on the tag of their first token by _PRIMARY
+
+    def _placeholder(self) -> Placeholder:
+        return Placeholder(self.advance().value)
+
+    def _number(self) -> Literal:
+        return Literal(self.advance().value, "number")
+
+    def _string(self) -> Literal:
+        return Literal(self.advance().value, "string")
+
+    def _null(self) -> Literal:
+        self.i += 1
+        return Literal("NULL", "null")
+
+    def _bool(self) -> Literal:
+        return Literal(self.advance().value, "bool")
+
+    def _exists(self) -> Exists:
+        if self.at("NOT") and self.tags[self.i + 1] != "EXISTS":
+            return self._unexpected()
+        negated = self.eat("NOT")
+        self.expect_keyword("EXISTS")
+        self.expect_op("(")
+        query = self.select_stmt()
+        self.expect_op(")")
+        return Exists(negated, query)
+
+    def _paren(self):
+        self.i += 1
+        if self.at("SELECT"):
+            query = self.select_stmt()
             self.expect_op(")")
-            return Grouping(expr)
-        if tok.type is TokenType.OPERATOR and tok.value == "*":
-            self.advance()
-            return Star()
-        if tok.type is TokenType.IDENTIFIER:
-            return self._name_or_call()
-        raise self.fail(f"unexpected token {tok.value!r}")
+            return Subquery(query)
+        expr = self.expr()
+        self.expect_op(")")
+        return Grouping(expr)
+
+    def _star(self) -> Star:
+        self.i += 1
+        return Star()
+
+    def _unexpected(self):
+        raise self.fail(f"unexpected token {self.peek().value!r}")
 
     def _case(self) -> Case:
         self.expect_keyword("CASE")
         operand = None
-        if not self.at_keyword("WHEN"):
+        if not self.at("WHEN"):
             operand = self.expr()
         whens = []
-        while self.eat_keyword("WHEN"):
+        while self.eat("WHEN"):
             cond = self.expr()
             self.expect_keyword("THEN")
             whens.append((cond, self.expr()))
         if not whens:
             raise self.fail("CASE requires at least one WHEN")
         default = None
-        if self.eat_keyword("ELSE"):
+        if self.eat("ELSE"):
             default = self.expr()
         self.expect_keyword("END")
         return Case(operand, whens, default)
@@ -814,12 +772,14 @@ class Parser:
         expr = self.expr()
         self.expect_keyword("AS")
         parts = []
-        while self.peek().type in (TokenType.IDENTIFIER, TokenType.KEYWORD) \
-                or self.at_op("("):
-            if self.at_op("("):
-                self.advance()
-                while not self.eat_op(")"):
+        while True:
+            tag = self.tags[self.i]
+            if tag == "(":
+                self.i += 1
+                while not self.eat(")"):
                     self.advance()
+                break
+            if tag != "identifier" and tag not in KEYWORDS:
                 break
             parts.append(self.advance().value)
         if not parts:
@@ -829,12 +789,11 @@ class Parser:
 
     def _name_or_call(self):
         name = self.advance().value
-        if self.at_op("("):
+        if self.at("("):
             return self._call(name)
         table = None
-        if self.at_op("."):
-            self.advance()
-            if self.eat_op("*"):
+        if self.eat("."):
+            if self.eat("*"):
                 return Star(name)
             table, name = name, self._name("column")
         return ColumnRef(table, name)
@@ -843,31 +802,47 @@ class Parser:
         self.expect_op("(")
         args: list = []
         distinct = False
-        if self.eat_op("*"):
+        if self.eat("*"):
             args.append(Star())
-        elif not self.at_op(")"):
-            if self.eat_keyword("DISTINCT"):
-                distinct = True
-            else:
-                self.eat_keyword("ALL")
+        elif not self.at(")"):
+            distinct = self.eat("DISTINCT")
+            if not distinct:
+                self.eat("ALL")
             args.append(self.expr())
-            while self.eat_op(","):
+            while self.eat(","):
                 args.append(self.expr())
         self.expect_op(")")
-        window = False
-        if self.eat_keyword("OVER"):
-            window = True
+        window = self.eat("OVER")
+        if window:
             self.expect_op("(")
             depth = 1
             while depth:
-                tok = self.advance()
-                if tok.type is TokenType.EOF:
+                tag = self.tags[self.i]
+                if tag == "eof":
                     raise self.fail("unterminated window definition")
-                if tok.type is TokenType.OPERATOR and tok.value == "(":
+                self.i += 1
+                if tag == "(":
                     depth += 1
-                elif tok.type is TokenType.OPERATOR and tok.value == ")":
+                elif tag == ")":
                     depth -= 1
         return FuncCall(name.upper(), args, distinct, window)
+
+
+_PRIMARY = {
+    **dict.fromkeys(PLACEHOLDER_SYMBOLS, Parser._placeholder),
+    "number": Parser._number,
+    "string": Parser._string,
+    "identifier": Parser._name_or_call,
+    "NULL": Parser._null,
+    "TRUE": Parser._bool,
+    "FALSE": Parser._bool,
+    "EXISTS": Parser._exists,
+    "NOT": Parser._exists,
+    "CASE": Parser._case,
+    "CAST": Parser._cast,
+    "(": Parser._paren,
+    "*": Parser._star,
+}
 
 
 def parse(text: str, tokens: list[Token] | None = None) -> SelectStmt:
