@@ -75,11 +75,11 @@ _TOKEN_RE = re.compile(r"""
     (?:\s+|--[^\n]*\n?|/\*[\s\S]*?\*/)*    # trivia, skipped
     (?:
         (?P<comment>/\*)                    # a comment never closed
-      | (?P<placeholder>\[(?:col|tab|val|agg)\]|_(?![A-Za-z_]))
+      | (?P<placeholder>\[(?:col|tab|val|agg)\]|_(?![A-Za-z0-9_]))
       | (?P<string>'[^']*(?:''[^']*)*'(?!'))
       | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
-      | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?
-                  |\d+(?:[eE][+-]?\d+)?|0[xX][0-9a-fA-F]+)
+      | (?P<number>0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?
+                  |\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op2>==|<>|!=|<=|>=|\|\|)
       | (?P<op>[-=<>+*/%(),.;])

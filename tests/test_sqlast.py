@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -145,9 +146,10 @@ def test_precedence_errors(text, message):
 
 _REF_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_NUMBER = re.compile(
-    r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
-    r"|0[xX][0-9a-fA-F]+")
+    r"0[xX][0-9a-fA-F]+"
+    r"|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?")
 _REF_PLACEHOLDER = re.compile(r"\[(?:col|tab|val|agg)\]")
+_REF_NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
 
 
 class ReferenceLexer:
@@ -193,7 +195,7 @@ class ReferenceLexer:
         if m:
             self.pos = m.end()
             return Token(TokenType.PLACEHOLDER, m.group(), start)
-        if ch == "_" and not _REF_WORD.match(text, start + 1):
+        if ch == "_" and not _REF_NAME_CHAR.match(text, start + 1):
             self.pos = start + 1
             return Token(TokenType.PLACEHOLDER, "_", start)
 
@@ -302,6 +304,47 @@ def test_trivia_and_operator_spellings():
         ("OPERATOR", "||", 35), ("STRING", "'d''e'", 38),
         ("OPERATOR", ";", 45), ("EOF", "", 46),
     ]
+
+
+# Hex literals and names that start with `_` and a digit
+
+
+@pytest.mark.parametrize("sql,expected", [
+    ("SELECT a FROM t WHERE b = 0x1F",
+     sqlast.Binary("=", sqlast.ColumnRef(None, "b"),
+                   sqlast.Literal("0x1F", "number"))),
+    ("SELECT 0x1F FROM t",
+     sqlast.SelectItem(sqlast.Literal("0x1F", "number"))),
+    ("SELECT _1 FROM t", sqlast.SelectItem(sqlast.ColumnRef(None, "_1"))),
+    ("SELECT _2a AS x FROM t",
+     sqlast.SelectItem(sqlast.ColumnRef(None, "_2a"), "x")),
+])
+def test_sqlite_hex_literals_and_digit_names(sql, expected):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (a, b, _1, _2a)")
+        conn.execute(sql).fetchall()  # valid SQLite
+    finally:
+        conn.close()
+    core = sqlast.parse(sql).arms[0]
+    assert expected in (core.where, core.items[0])
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("0x1F 0XaB", [("NUMBER", "0x1F"), ("NUMBER", "0XaB")]),
+    ("0x", [("NUMBER", "0"), ("IDENTIFIER", "x")]),
+    ("_1 _ 1 __1", [("IDENTIFIER", "_1"), ("PLACEHOLDER", "_"),
+                    ("NUMBER", "1"), ("IDENTIFIER", "__1")]),
+])
+def test_hex_and_underscore_tokens(text, tokens):
+    lexed = sqlast.Lexer(text).tokens()[:-1]
+    assert [(t.type.name, t.value) for t in lexed] == tokens
+
+
+def test_hex_and_digit_names_in_skeletons():
+    tree = parse_query("SELECT _1 FROM t WHERE b = 0x1F")
+    assert extract_skeleton(tree, GranularityLevel.DETAILED).text == \
+        "SELECT [col] FROM [tab] WHERE [col] = [val]"
 
 
 if __name__ == "__main__":
