@@ -774,10 +774,11 @@ class Parser:
         parts = []
         while True:
             tag = self.tags[self.i]
-            if tag == "(":
+            if tag == "(":  # a size such as VARCHAR(20), skipped
                 self.i += 1
-                while not self.eat(")"):
-                    self.advance()
+                while not self.at(")") and not self.at("eof"):
+                    self.i += 1
+                self.expect_op(")")
                 break
             if tag != "identifier" and tag not in KEYWORDS:
                 break

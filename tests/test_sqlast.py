@@ -21,6 +21,7 @@ import hashlib
 import json
 import re
 import sqlite3
+import threading
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,36 @@ def test_trivia_and_operator_spellings():
         ("OPERATOR", "||", 35), ("STRING", "'d''e'", 38),
         ("OPERATOR", ";", 45), ("EOF", "", 46),
     ]
+
+
+# CAST type names
+
+
+def test_cast_type_size_is_skipped():
+    cast = sqlast.parse("SELECT CAST(a AS VARCHAR(20)) FROM t") \
+        .arms[0].items[0].expr
+    assert cast == sqlast.Cast(sqlast.ColumnRef(None, "a"), "VARCHAR")
+
+
+@pytest.mark.parametrize("sql,offset", [
+    ("SELECT CAST(a AS INT(", 21),
+    ("SELECT CAST(a AS INT(3", 22),
+])
+def test_unclosed_cast_type_size_fails(sql, offset):
+    # run in a thread: a parser that loops forever here fails the join
+    outcome: list = []
+
+    def parse():
+        try:
+            sqlast.parse(sql)
+        except SqlSyntaxError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=parse, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert str(outcome[0]) == f"expected ')', found '' (offset {offset})"
 
 
 # Hex literals and names that start with `_` and a digit
