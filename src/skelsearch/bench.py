@@ -374,6 +374,8 @@ def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
     if built.gateway is not None:
         ledger = built.gateway.ledger
         usage = {stage: ledger.totals(stage) for stage in ledger.stages()}
+        if built.gateway.cassette is not None:
+            built.gateway.cassette.rewrite_sorted()
     report = aggregate(records, usage)
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)

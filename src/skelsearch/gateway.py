@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ import requests
 
 CASSETTE_FORMAT = "cassette"
 CASSETTE_VERSION = 1
+_HEADER_LINE = json.dumps({"format": CASSETTE_FORMAT,
+                           "version": CASSETTE_VERSION}) + "\n"
 
 
 class TransportError(RuntimeError):
@@ -105,12 +108,19 @@ def estimate_tokens(text: str) -> int:
 
 
 class Cassette:
-    """Line-delimited (prompt hash -> response) store with a header."""
+    """Line-delimited (prompt hash -> response) store with a header.
+
+    `store` appends each new entry as it arrives, so a run that stops
+    midway keeps what it recorded. Arrival order depends on thread timing,
+    so the owner of a run calls `rewrite_sorted` at its end to give the
+    file the same bytes whatever order the calls completed in.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        self._appended = False
         if self.path.exists():
             self._load()
 
@@ -157,14 +167,29 @@ class Cassette:
             if key in self._entries:
                 return
             self._entries[key] = entry
+            self._appended = True
             new_file = not self.path.exists()
             with self.path.open("a", encoding="utf-8") as fh:
                 if new_file:
-                    fh.write(json.dumps({
-                        "format": CASSETTE_FORMAT,
-                        "version": CASSETTE_VERSION,
-                    }) + "\n")
+                    fh.write(_HEADER_LINE)
                 fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+
+    def rewrite_sorted(self) -> None:
+        """Rewrite the file as the header and then every entry sorted by
+        key, through a temporary file and `os.replace`. Does nothing when
+        nothing was stored since the cassette was opened or last sorted.
+        """
+        with self._lock:
+            if not self._appended:
+                return
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.write(_HEADER_LINE)
+                for key in sorted(self._entries):
+                    fh.write(json.dumps(self._entries[key],
+                                        ensure_ascii=False) + "\n")
+            os.replace(tmp, self.path)
+            self._appended = False
 
 
 def http_transport(prompt: str, config: GatewayConfig,

@@ -1,6 +1,7 @@
 """Benchmark harness: loading, per-item pipeline, reports, resume."""
 
 import json
+import time
 
 import pytest
 
@@ -411,6 +412,42 @@ def test_record_then_replay_reports_identical(bench_env, tmp_path):
         assert report["ex"] == 1.0
         assert report["pass_at_k"] == 1.0
     assert reports[0] == reports[1]
+
+
+def test_record_runs_write_identical_cassettes(bench_env, tmp_path):
+    dataset, db_root = bench_env
+    config = GatewayConfig(endpoint="https://example.invalid/v1",
+                           model="stub")
+    questions = list(GOLDS)
+    tapes, reports = [], []
+    for run, order in enumerate((questions, questions[::-1])):
+        oracle = TransportOracle(GOLDS)
+
+        def transport(prompt, config, api_key, order=order):
+            # the two runs answer the questions' calls in opposite orders
+            rank = next(i for i, q in enumerate(order) if q in prompt)
+            time.sleep(0.004 * rank)
+            return oracle(prompt, config, api_key)
+
+        path = tmp_path / f"tape{run}.jsonl"
+        gateway = LlmGateway(config, mode="record", cassette=Cassette(path),
+                             transport=transport, api_key="k")
+        reports.append(run_benchmark(
+            dataset, db_root, out_dir=tmp_path / f"record{run}",
+            settings=RunSettings(mode="record", cassette=str(path),
+                                 gateway=config, items_concurrency=4),
+            backends=llm_backends(gateway)))
+        tapes.append(path.read_bytes())
+    assert tapes[0] == tapes[1]
+    lines = tapes[0].decode("utf-8").splitlines()
+    keys = [json.loads(line)["key"] for line in lines[1:]]
+    assert json.loads(lines[0])["format"] == "cassette"
+    assert keys == sorted(keys)
+    replay = run_benchmark(
+        dataset, db_root, out_dir=tmp_path / "replay",
+        settings=RunSettings(mode="replay", cassette=str(path),
+                             gateway=config))
+    assert replay["records"] == reports[0]["records"] == reports[1]["records"]
 
 
 def test_replay_usage_has_zero_latency(bench_env, tmp_path):

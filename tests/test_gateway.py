@@ -1,5 +1,6 @@
 """Gateway behavior: cassettes, retries, ledger conservation, hermetic replay."""
 
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -80,6 +81,26 @@ def test_cassette_reload_roundtrip(tmp_path):
     assert len(reloaded) == 2
     assert reloaded.lookup("k1")["response"] == "value one"
     assert reloaded.lookup("k2")["completion_tokens"] == 6
+
+
+def test_cassette_rewrite_sorted(tmp_path):
+    path = tmp_path / "c.cassette"
+    cassette = Cassette(path)
+    cassette.store("k2", "value two", 5, 6)
+    cassette.store("k1", "value one", 3, 4)
+    appended = path.read_text(encoding="utf-8").splitlines()
+
+    # an instance that stored nothing leaves the file as it is
+    Cassette(path).rewrite_sorted()
+    assert path.read_text(encoding="utf-8").splitlines() == appended
+
+    cassette.rewrite_sorted()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == appended[0]
+    assert [json.loads(line)["key"] for line in lines[1:]] == ["k1", "k2"]
+    assert sorted(lines) == sorted(appended)
+    assert not list(tmp_path.glob("*.tmp"))
+    assert Cassette(path).lookup("k2")["response"] == "value two"
 
 
 def test_cassette_rejects_foreign_file(tmp_path):
