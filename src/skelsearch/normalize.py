@@ -124,7 +124,6 @@ def normalize(agent_text: str,
             reasons + [RULE_UNDER_DETAIL])
 
     canonical = skeleton.text.split(" ")
-    values = [t.value for t in tokens]
     folded = [t.value if t.type is A.TokenType.PLACEHOLDER
               else t.value.upper() for t in tokens]
     if folded == canonical:
