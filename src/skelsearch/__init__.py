@@ -5,7 +5,6 @@ from .skeleton import (
     GranularityLevel,
     LevelOrderError,
     Skeleton,
-    SqlQuery,
     extract_skeleton,
     nesting_depth,
     parse_query,
@@ -18,7 +17,6 @@ __all__ = [
     "GranularityLevel",
     "LevelOrderError",
     "Skeleton",
-    "SqlQuery",
     "SqlSyntaxError",
     "extract_skeleton",
     "nesting_depth",

@@ -6,7 +6,6 @@ skeleton against the question with a True/False verdict. Both are modeled
 as swappable backends behind small protocols:
 
 * live LLM backends (prompt templates + gateway),
-* scripted tables (hand-written traces for engine tests),
 * gold oracles (string equality against the gold SQL's extraction).
 
 Replay is not a separate backend: an LLM backend over a gateway in replay
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -210,55 +209,14 @@ class LlmEvaluationBackend:
         return self.gateway.complete(prompt, stage="evaluate")
 
 
-class ScriptedFormulationBackend:
-    """Table-driven double: (question, phase, parent text) -> texts.
-
-    A stored exception instance is raised instead, which lets traces
-    script backend failures at exact nodes.
-    """
-
-    def __init__(self, table: dict):
-        self.table = dict(table)
-        self.calls: list[tuple] = []
-
-    def propose(self, req: FormulationRequest) -> list[str]:
-        key = (req.question, req.phase.value,
-               req.parent.text if req.parent else None)
-        self.calls.append(key)
-        value = self.table.get(key, [])
-        if isinstance(value, Exception):
-            raise value
-        return list(value)
-
-
-class ScriptedEvaluationBackend:
-    """Table-driven double: (question, skeleton text) -> bool."""
-
-    def __init__(self, table: dict, default: bool = False):
-        self.table = dict(table)
-        self.default = default
-        self.calls: list[tuple] = []
-
-    def judge(self, schema: DatabaseProfile, question: str,
-              candidate: Skeleton) -> str:
-        key = (question, candidate.text)
-        self.calls.append(key)
-        value = self.table.get(key, self.default)
-        if isinstance(value, Exception):
-            raise value
-        return f"VERDICT: {bool(value)}"
-
-
 class GoldBackend:
-    """Base of the gold oracles: one gold SQL, or a question -> SQL dict."""
+    """Base of the gold oracles: a (db_id, question) -> gold SQL dict."""
 
-    def __init__(self, gold_sql: str | dict):
-        self.gold_sql = gold_sql
+    def __init__(self, golds: dict[tuple[str, str], str]):
+        self.golds = golds
 
-    def _gold(self, question: str) -> str:
-        if isinstance(self.gold_sql, dict):
-            return self.gold_sql[question]
-        return self.gold_sql
+    def _gold(self, schema: DatabaseProfile, question: str) -> str:
+        return self.golds[(schema.db_id, question)]
 
 
 class _GoldTreeBackend(GoldBackend):
@@ -273,8 +231,9 @@ class _GoldTreeBackend(GoldBackend):
 
     _last: tuple[str, ClauseTree] | None = None
 
-    def _gold_tree(self, question: str) -> ClauseTree:
-        gold = self._gold(question)
+    def _gold_tree(self, schema: DatabaseProfile,
+                   question: str) -> ClauseTree:
+        gold = self._gold(schema, question)
         last = self._last
         if last is None or last[0] != gold:
             last = self._last = (gold, parse_query(gold))
@@ -285,7 +244,7 @@ class GoldFormulationBackend(_GoldTreeBackend):
     """Echoes the gold SQL's own skeleton at the phase's target level."""
 
     def propose(self, req: FormulationRequest) -> list[str]:
-        tree = self._gold_tree(req.question)
+        tree = self._gold_tree(req.schema, req.question)
         return [extract_skeleton(tree, req.phase.target_level).text]
 
 
@@ -294,5 +253,6 @@ class GoldOracleEvaluationBackend(_GoldTreeBackend):
 
     def judge(self, schema: DatabaseProfile, question: str,
               candidate: Skeleton) -> str:
-        gold = extract_skeleton(self._gold_tree(question), candidate.level)
+        gold = extract_skeleton(self._gold_tree(schema, question),
+                                candidate.level)
         return f"VERDICT: {candidate.text == gold.text}"

@@ -185,7 +185,13 @@ def build_backends(settings: RunSettings,
                    items: list[BenchmarkItem]) -> Backends:
     """The backends that settings.mode calls for."""
     if settings.mode == "gold":
-        golds = {item.question: item.gold_sql for item in items}
+        golds: dict[tuple[str, str], str] = {}
+        for item in items:
+            key = (item.db_id, item.question)
+            if golds.setdefault(key, item.gold_sql) != item.gold_sql:
+                raise BenchConfigError(
+                    f"two gold SQL texts for question {item.question!r} "
+                    f"on {item.db_id!r}")
         return Backends(GoldFormulationBackend(golds),
                         GoldOracleEvaluationBackend(golds),
                         GoldEchoGenerationBackend(golds))
@@ -330,7 +336,7 @@ def _load_checkpoint(path: Path, item: BenchmarkItem) -> dict | None:
     return record
 
 
-def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
+def run_benchmark(dataset_path, db_root, out_dir="runs",
                   settings: RunSettings | None = None,
                   backends=None) -> dict:
     """Full run; returns the report dict and persists it under out_dir.
@@ -338,9 +344,7 @@ def run_benchmark(dataset_path, db_root, config_path=None, out_dir="runs",
     backends, when given, is a Backends or a plain tuple in its field
     order; otherwise build_backends makes them from settings.
     """
-    if settings is None:
-        settings = load_settings(config_path) if config_path \
-            else RunSettings()
+    settings = settings or RunSettings()
     items = load_items(dataset_path)
     profiles: dict[str, DatabaseProfile] = {}
     for item in items:

@@ -26,7 +26,7 @@ from .bench import (
 from .engine import EmptySearch, run_search
 from .schema import profile_from_sqlite, render_mschema
 from .selector import ExecutionLimits, execute_all, select_final
-from .sftdata import DatasetBuildError, TemplateAnnotator, build_dataset
+from .sftdata import DatasetBuildError, build_dataset
 from .skeleton import GranularityLevel, extract_skeleton, parse_query
 from .sqlast import SqlSyntaxError
 from .sqlgen import GoldEchoGenerationBackend, SqlCandidate, generate_all
@@ -60,7 +60,7 @@ def cmd_search(args) -> int:
     profile = _profile(args.db)
     settings = load_settings(args.config) if args.config else RunSettings()
     if args.gold:
-        item = BenchmarkItem("", args.question, "", args.gold)
+        item = BenchmarkItem("", args.question, profile.db_id, args.gold)
         backends = build_backends(RunSettings(), [item])
     elif settings.mode == "gold":
         raise BenchConfigError("gold mode needs --gold SQL")
@@ -107,7 +107,8 @@ def cmd_generate(args) -> int:
     skeletons = [extract_skeleton(tree, level) for level in (
         GranularityLevel.BASE, GranularityLevel.EXPANDED,
         GranularityLevel.DETAILED)]
-    backend = GoldEchoGenerationBackend({args.question: args.gold})
+    backend = GoldEchoGenerationBackend(
+        {(profile.db_id, args.question): args.gold})
     candidates = generate_all(profile, args.question, skeletons, backend)
     _emit([{"skeleton": c.skeleton.text, "sql": c.sql,
             "failed": c.failed, "error": c.error} for c in candidates])
@@ -170,7 +171,6 @@ def cmd_build_sft_data(args) -> int:
     try:
         summary = build_dataset(corpus, args.out,
                                 pairs_per_level=args.pairs_per_level,
-                                annotator=TemplateAnnotator(),
                                 seed=args.seed)
     except (SqlSyntaxError, ValueError) as exc:
         raise BenchConfigError(f"corpus rejected: {exc}") from exc

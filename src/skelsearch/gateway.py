@@ -17,7 +17,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -46,15 +46,12 @@ class GatewayConfig:
     max_tokens: int = 2048
     timeout: float = 60.0
     retries: int = 2
-    concurrency: int = 50
     backoff_base: float = 0.5
     api_key_env: str = "LLM_API_KEY"
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.concurrency < 1:
-            raise ValueError("concurrency cap must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -240,7 +237,6 @@ class LlmGateway:
         self.transport = transport or http_transport
         self.ledger = ledger or UsageLedger()
         self.api_key = api_key
-        self._semaphore = threading.BoundedSemaphore(config.concurrency)
 
     def complete(self, prompt: str, stage: str = "default") -> str:
         key = prompt_key(prompt)
@@ -265,9 +261,8 @@ class LlmGateway:
                 time.sleep(min(self.config.backoff_base * 2 ** (attempt - 1),
                                8.0))
             try:
-                with self._semaphore:
-                    text, p_tokens, c_tokens = self.transport(
-                        prompt, self.config, self.api_key)
+                text, p_tokens, c_tokens = self.transport(
+                    prompt, self.config, self.api_key)
             except Exception as exc:
                 last_error = exc
                 continue

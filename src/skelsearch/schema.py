@@ -129,9 +129,8 @@ def render_mschema(profile: DatabaseProfile) -> str:
     return profile.mschema
 
 
-def profile_from_sqlite(path: str | Path, db_id: str | None = None,
-                        samples: int = SAMPLE_VALUES_PER_COLUMN,
-                        ) -> DatabaseProfile:
+def profile_from_sqlite(path: str | Path,
+                        db_id: str | None = None) -> DatabaseProfile:
     """Introspect a sqlite file into a profile.
 
     Sample values are the smallest distinct non-null values per column,
@@ -151,15 +150,14 @@ def profile_from_sqlite(path: str | Path, db_id: str | None = None,
             columns = []
             for _, col, ctype, _notnull, _default, pk in conn.execute(
                     f'PRAGMA table_info("{name}")'):
-                values = []
-                if samples > 0:
-                    try:
-                        values = [r[0] for r in conn.execute(
-                            f'SELECT DISTINCT "{col}" FROM "{name}" '
-                            f'WHERE "{col}" IS NOT NULL '
-                            f'ORDER BY "{col}" LIMIT {int(samples)}')]
-                    except sqlite3.Error:
-                        values = []
+                try:
+                    values = [r[0] for r in conn.execute(
+                        f'SELECT DISTINCT "{col}" FROM "{name}" '
+                        f'WHERE "{col}" IS NOT NULL '
+                        f'ORDER BY "{col}" '
+                        f'LIMIT {SAMPLE_VALUES_PER_COLUMN}')]
+                except sqlite3.Error:
+                    values = []
                 columns.append(ColumnProfile(col, ctype or "", bool(pk),
                                              samples=values))
             tables.append(TableProfile(name, columns))

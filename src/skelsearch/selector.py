@@ -379,17 +379,3 @@ class LlmArbitratorBackend:
         if not matches:
             raise ArbitrationError("no choice marker in response")
         return int(matches[-1]) - 1
-
-
-class ScriptedArbitratorBackend:
-    """Test double returning a fixed 0-based group index."""
-
-    def __init__(self, choice):
-        self.choice = choice
-        self.calls: list[tuple] = []
-
-    def choose(self, question: str, tied: list[VoteGroup]) -> int:
-        self.calls.append((question, [g.fingerprint for g in tied]))
-        if isinstance(self.choice, Exception):
-            raise self.choice
-        return self.choice

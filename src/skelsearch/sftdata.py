@@ -5,8 +5,8 @@ skeleton text with one or two operators drawn uniformly from a fixed
 family of seven, then must re-parse under the skeleton grammar and
 differ from the gold text; construction retries up to a bound and the
 whole build fails if it falls below 90% of the target. Each example
-carries a three-stage analysis from an annotator backend; a
-deterministic template annotator ships so builds need no model access.
+carries a three-stage analysis filled in from a fixed template, so a
+build needs no model access.
 Output is line-delimited JSON with a versioned header, ordered by
 (level, index), and bit-identical for a fixed seed.
 """
@@ -18,15 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import sqlast as A
-from .agents import BackendError, load_template, parse_analysis
-from .gateway import LlmGateway, TransportError
-from .schema import (
-    ColumnProfile,
-    DatabaseProfile,
-    ForeignKey,
-    TableProfile,
-    render_mschema,
-)
+from .schema import DatabaseProfile, TableProfile, render_mschema
 from .skeleton import GranularityLevel, Skeleton, extract_skeleton, parse_query
 from .sqlast import SqlSyntaxError
 
@@ -51,10 +43,6 @@ LEVELS = (GranularityLevel.BASE, GranularityLevel.EXPANDED,
 
 class CorruptionError(RuntimeError):
     """No grammatical, distinct corruption found within the attempt bound."""
-
-
-class AnnotationError(RuntimeError):
-    """The annotator backend could not produce a three-stage analysis."""
 
 
 class DatasetBuildError(RuntimeError):
@@ -463,64 +451,41 @@ def prune_demonstration_schema(profile: DatabaseProfile,
                            path=profile.path)
 
 
-# Annotation backends
+# Annotation
 
 
-class TemplateAnnotator:
-    """Deterministic slot-filled analyses for offline builds."""
-
-    def annotate(self, schema: str, question: str, skeleton: str,
-                 level: GranularityLevel, label: bool
-                 ) -> tuple[str, str, str]:
-        clauses = [token for token in skeleton.split(" ")
-                   if token.isalpha() and token.isupper()]
-        seen = sorted(set(clauses))
-        a_q = (f"The question asks: {question} The answer requires the "
-               f"database schema above.")
-        a_sk = (f"The candidate is a {level.label} skeleton using "
-                f"{', '.join(seen) if seen else 'no clause keywords'}.")
-        if label:
-            a_align = ("Each clause in the skeleton maps onto a "
-                       "requirement of the question, so the structure "
-                       "is consistent with the intent.")
-        else:
-            a_align = ("The skeleton's structure does not match what the "
-                       "question needs, so it cannot lead to a correct "
-                       "query.")
-        return a_q, a_sk, a_align
-
-
-class LlmAnnotatorBackend:
-    """Annotation over a gateway using the three-stage format."""
-
-    def __init__(self, gateway: LlmGateway):
-        self.gateway = gateway
-
-    def annotate(self, schema, question, skeleton, level, label):
-        prompt = load_template("annotate").format(
-            schema=schema.rstrip("\n"), question=question,
-            skeleton=skeleton, level=level.label, label=label)
-        try:
-            response = self.gateway.complete(prompt, stage="annotate")
-        except (BackendError, TransportError) as exc:
-            raise AnnotationError(f"backend error: {exc}") from exc
-        analysis = parse_analysis(response)
-        if analysis is None:
-            raise AnnotationError("response lacks the three-stage analysis")
-        return analysis
+def template_analysis(question: str, skeleton: str,
+                      level: GranularityLevel, label: bool
+                      ) -> tuple[str, str, str]:
+    """Deterministic slot-filled three-stage analysis of one example."""
+    clauses = [token for token in skeleton.split(" ")
+               if token.isalpha() and token.isupper()]
+    seen = sorted(set(clauses))
+    a_q = (f"The question asks: {question} The answer requires the "
+           f"database schema above.")
+    a_sk = (f"The candidate is a {level.label} skeleton using "
+            f"{', '.join(seen) if seen else 'no clause keywords'}.")
+    if label:
+        a_align = ("Each clause in the skeleton maps onto a "
+                   "requirement of the question, so the structure "
+                   "is consistent with the intent.")
+    else:
+        a_align = ("The skeleton's structure does not match what the "
+                   "question needs, so it cannot lead to a correct "
+                   "query.")
+    return a_q, a_sk, a_align
 
 
 # Dataset build
 
 
 def build_dataset(corpus, out_path, pairs_per_level: int = 10,
-                  annotator=None, seed: int = 0) -> BuildSummary:
+                  seed: int = 0) -> BuildSummary:
     """Write a balanced JSONL dataset; see the module docstring."""
     if not corpus:
         raise ValueError("corpus is empty")
     if pairs_per_level < 1:
         raise ValueError("pairs_per_level must be at least 1")
-    annotator = annotator or TemplateAnnotator()
     prepared = []
     for question, gold_sql, profile in corpus:
         tree = parse_query(gold_sql)
@@ -532,7 +497,7 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
 
     rnd = random.Random(seed)
     skipped: list[str] = []
-    staged = []  # (level, question, schema, skeleton, label, recipe)
+    examples: list[SftExample] = []
     for level in LEVELS:
         built = 0
         budget = pairs_per_level * 4
@@ -546,26 +511,12 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
             except CorruptionError as exc:
                 skipped.append(str(exc))
                 continue
-            staged.append((level, question, schema, gold.text, True, []))
-            staged.append((level, question, schema, negative, False,
-                           recipe))
+            for text, label, steps in ((gold.text, True, []),
+                                       (negative, False, recipe)):
+                analysis = template_analysis(question, text, level, label)
+                examples.append(SftExample(schema, question, text, level,
+                                           label, analysis, steps))
             built += 1
-
-    examples: list[SftExample] = []
-    for i in range(0, len(staged), 2):
-        pair = []
-        for level, question, schema, text, label, recipe in staged[i:i + 2]:
-            try:
-                analysis = annotator.annotate(schema, question, text, level,
-                                              label)
-            except AnnotationError as exc:
-                skipped.append(f"annotation failed for {level.label} "
-                               f"{text!r}: {exc}")
-                break
-            pair.append(SftExample(schema, question, text, level, label,
-                                   analysis, list(recipe)))
-        else:
-            examples.extend(pair)
 
     target = pairs_per_level * 2 * len(LEVELS)
     if len(examples) < MIN_YIELD * target:

@@ -53,14 +53,6 @@ class LevelOrderError(ValueError):
 
 
 @dataclass
-class SqlQuery:
-    """Raw SQL input tagged with its dialect (only sqlite is accepted)."""
-
-    text: str
-    dialect: str = "sqlite"
-
-
-@dataclass
 class ClauseTree:
     """A parsed statement and the text it was parsed from."""
 
@@ -111,28 +103,22 @@ class Skeleton:
         return hash((self.level, self.text))
 
 
-def parse_query(q: SqlQuery | str,
+def parse_query(text: str,
                 tokens: list[A.Token] | None = None) -> ClauseTree:
-    """Parse SQL into a clause tree.
+    """Parse SQLite SQL into a clause tree.
 
     Args:
-        q: the query text, optionally wrapped in SqlQuery to carry an
-            explicit dialect tag.
+        text: the query text.
         tokens: `Lexer(text).tokens()` when the caller has already lexed
             the text, so it is not lexed again.
 
     Raises:
         SqlSyntaxError: when the text does not parse, with a byte offset.
-        ValueError: when the declared dialect is not sqlite or the text
-            is empty.
+        ValueError: when the text is empty.
     """
-    if isinstance(q, str):
-        q = SqlQuery(q)
-    if q.dialect != "sqlite":
-        raise ValueError(f"unsupported dialect {q.dialect!r}")
-    if not q.text or not q.text.strip():
+    if not text or not text.strip():
         raise ValueError("query text is empty")
-    return ClauseTree(A.parse(q.text, tokens), q.text)
+    return ClauseTree(A.parse(text, tokens), text)
 
 
 def nesting_depth(tree: ClauseTree) -> int:

@@ -390,10 +390,19 @@ _TYPE_TAGS = {_IDENTIFIER: "identifier", _STRING: "string",
               _NUMBER: "number", _EOF: "eof"}
 # The longest lookahead past the current token (LEFT OUTER JOIN).
 _LOOKAHEAD = 2
+# How many nodes tall a parse tree may be; deeper input is a syntax error
+# at the token that passes the bound. Nested calls take the parser 4
+# frames a level and the tree walks (rendering, depths, normalize) take
+# at most 3, so 150 levels need 600 frames of the default recursion
+# limit of 1000 and leave the caller 400. The test corpus tops out at 13.
+MAX_HEIGHT = 150
+_TOO_DEEP = f"query nested deeper than {MAX_HEIGHT} levels"
 
 # Binding power of the infix operators, loosest first; every level is
 # left-associative. Prefix NOT binds between AND and the comparisons.
 _OR, _AND, _NOT, _COMPARE, _ADD, _MUL = range(1, 7)
+# The operand of a prefix sign takes no infix operator at all.
+_SIGNED = _MUL + 1
 _INFIX = {
     "OR": _OR, "AND": _AND,
     **dict.fromkeys(("=", "!=", "<", "<=", ">", ">=", "IN", "BETWEEN",
@@ -417,6 +426,11 @@ class Parser:
     `tags[i]` is the tag of `tokens[i]`, so each test of the current
     token is one list lookup; both lists are padded with EOF so that
     lookahead never runs off the end.
+
+    `depth` is the tree depth of the node being parsed, and `deepest`
+    the deepest level that the innermost open expression's subtree
+    reaches. An infix operator puts a new node above everything its
+    expression has parsed so far, so it pushes `deepest` one level down.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -427,6 +441,7 @@ class Parser:
             else "identifier" if kind is _IDENTIFIER else _TYPE_TAGS[kind]
             for tok in self.tokens]
         self.i = 0
+        self.depth = self.deepest = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -469,6 +484,14 @@ class Parser:
     def fail(self, message: str) -> SqlSyntaxError:
         return SqlSyntaxError(message, self.peek().offset)
 
+    def reach(self, depth: int) -> int:
+        """Note that the tree reaches `depth`, failing past MAX_HEIGHT."""
+        if depth > MAX_HEIGHT:
+            raise self.fail(_TOO_DEEP)
+        if depth > self.deepest:
+            self.deepest = depth
+        return depth
+
     # statement
 
     def parse_statement(self) -> SelectStmt:
@@ -481,6 +504,10 @@ class Parser:
         return stmt
 
     def select_stmt(self) -> SelectStmt:
+        # The statement, its SelectCore, and a SelectItem or JoinChain
+        # sit above the expressions and sources it holds.
+        outer = self.depth
+        self.depth = self.reach(outer + 3)
         arms = [self.select_arm()]
         ops: list[str] = []
         while True:
@@ -503,6 +530,7 @@ class Parser:
                 offset = self.expr()
             elif self.eat(","):
                 offset, limit = limit, self.expr()
+        self.depth = outer
         return SelectStmt(arms, ops, order_by, limit, offset)
 
     def select_arm(self):
@@ -604,13 +632,18 @@ class Parser:
         tag = self.tags[self.i]
         if tag == "(":
             self.i += 1
+            # A Join, then the DerivedTable or inner JoinChain.
+            outer = self.depth
+            self.depth = self.reach(outer + 2)
             if self.at("SELECT") or self.at("_"):
                 query = self.select_stmt()
                 self.expect_op(")")
+                self.depth = outer
                 return DerivedTable(query, self._maybe_alias())
             inner = self.from_clause()
             self.expect_op(")")
             self._maybe_alias()
+            self.depth = outer
             return inner
         if tag in PLACEHOLDER_SYMBOLS:
             self.i += 1
@@ -642,6 +675,11 @@ class Parser:
         and after `IN (...)` a tighter one must not extend the result.
         """
         tags = self.tags
+        outer_deepest = self.deepest
+        depth = self.depth + 1
+        if depth > MAX_HEIGHT:
+            raise self.fail(_TOO_DEEP)
+        self.depth = self.deepest = depth
         if level <= _NOT and tags[self.i] == "NOT" and \
                 tags[self.i + 1] != "EXISTS":
             self.i += 1
@@ -654,14 +692,15 @@ class Parser:
             tag = tags[self.i]
             bind = _INFIX.get(tag)
             if bind is None or bind < level or bind > ceiling:
-                return left
+                break
             ceiling = bind
             negated = tag == "NOT"
             if negated:
                 if tags[self.i + 1] not in _NEGATABLE:
-                    return left
+                    break
                 self.i += 1
                 tag = tags[self.i]
+            self.reach(self.deepest + 1)
             self.i += 1
             if tag == "IN":
                 left = self._in_tail(negated, left)
@@ -679,6 +718,10 @@ class Parser:
                 left = IsOp(is_negated, left, self.expr(_ADD))
             else:
                 left = Binary(tag, left, self.expr(bind + 1))
+        self.depth = depth - 1
+        if outer_deepest > self.deepest:
+            self.deepest = outer_deepest
+        return left
 
     def _in_tail(self, negated: bool, expr):
         self.expect_op("(")
@@ -697,9 +740,10 @@ class Parser:
         tag = self.tags[self.i]
         if tag == "+" or tag == "-":
             self.i += 1
-            return Unary(tag, self._unary())
+            return Unary(tag, self.expr(_SIGNED))
         expr = _PRIMARY.get(tag, Parser._unexpected)(self)
         while self.eat("COLLATE"):
+            self.reach(self.deepest + 1)
             expr = Collate(expr, self._name("collation"))
         return expr
 

@@ -78,28 +78,9 @@ class LlmGenerationBackend:
         return self.gateway.complete(prompt, stage="generate")
 
 
-class ScriptedGenerationBackend:
-    """Table double: (question, skeleton text) -> SQL text."""
-
-    def __init__(self, table: dict):
-        self.table = dict(table)
-        self.calls: list[tuple] = []
-
-    def write_sql(self, profile: DatabaseProfile, question: str,
-                  skeleton: Skeleton) -> str:
-        key = (question, skeleton.text)
-        self.calls.append(key)
-        value = self.table.get(key)
-        if value is None:
-            raise BackendError(f"no scripted SQL for {key!r}")
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-
 class GoldEchoGenerationBackend(GoldBackend):
     """Echoes the gold SQL regardless of skeleton (oracle upper bound)."""
 
     def write_sql(self, profile: DatabaseProfile, question: str,
                   skeleton: Skeleton) -> str:
-        return self._gold(question)
+        return self._gold(profile, question)

@@ -4,8 +4,8 @@ It recognizes the prompt kind by the template's first line, pulls the
 question (and skeleton, for judgments) out of the prompt body, and
 answers from a question -> gold SQL table: gold skeletons for
 formulation, gold-oracle verdicts for evaluation, the gold SQL for
-generation. Pointing a record-mode gateway at it yields a cassette that
-replays hermetically.
+generation. Each gold is parsed once, when the oracle is built. Pointing
+a record-mode gateway at it yields a cassette that replays hermetically.
 """
 
 import re
@@ -30,6 +30,7 @@ _STAGES = [
 class TransportOracle:
     def __init__(self, golds: dict):
         self.golds = dict(golds)
+        self.trees = {sql: parse_query(sql) for sql in self.golds.values()}
         self.calls = 0
 
     def _gold(self, prompt: str) -> str:
@@ -45,7 +46,7 @@ class TransportOracle:
         if kind is None:
             raise AssertionError(f"unrecognized prompt: {prompt[:60]!r}")
         gold = self._gold(prompt)
-        tree = parse_query(gold)
+        tree = self.trees[gold]
         if kind == "generate":
             response = gold
         elif kind == "evaluate":

@@ -21,6 +21,11 @@ import pytest
 from conftest import build_school_db, make_profile
 from fixtures import traces
 from fixtures.corpus import CORPUS
+from fixtures.doubles import (
+    ScriptedArbitratorBackend,
+    ScriptedEvaluationBackend,
+    ScriptedFormulationBackend,
+)
 from fixtures.livestub import TransportOracle
 from fixtures.sftcorpus import build_corpus
 from fixtures.traces import SCENARIOS
@@ -28,8 +33,6 @@ from oracle_skeleton import oracle_depth, oracle_extract
 from skelsearch.agents import (
     GoldFormulationBackend,
     GoldOracleEvaluationBackend,
-    ScriptedEvaluationBackend,
-    ScriptedFormulationBackend,
 )
 from skelsearch.bench import RunSettings, run_benchmark
 from skelsearch.engine import (
@@ -45,7 +48,6 @@ from skelsearch.selector import (
     ArbitrationError,
     ExecutionOutcome,
     OutcomeStatus,
-    ScriptedArbitratorBackend,
     fingerprint_rows,
     select_final,
 )
@@ -409,9 +411,10 @@ def test_criterion_09_greedy_metric_sanity(tmp_path):
     """With branching factor 1, mean candidate count is exactly 1.0 in
     every difficulty bucket, and Pass@k >= EX."""
     dataset, db_root = _bench_fixture(tmp_path)
-    backends = (GoldFormulationBackend(BENCH_GOLDS),
-                GoldOracleEvaluationBackend(BENCH_GOLDS),
-                GoldEchoGenerationBackend(BENCH_GOLDS), None)
+    golds = {("school", q): sql for q, sql in BENCH_GOLDS.items()}
+    backends = (GoldFormulationBackend(golds),
+                GoldOracleEvaluationBackend(golds),
+                GoldEchoGenerationBackend(golds), None)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
                            settings=RunSettings(search=SearchConfig(m=1)),
                            backends=backends)

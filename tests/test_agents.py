@@ -2,6 +2,10 @@
 
 import pytest
 
+from fixtures.doubles import (
+    ScriptedEvaluationBackend,
+    ScriptedFormulationBackend,
+)
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.agents import (
     BackendError,
@@ -10,8 +14,6 @@ from skelsearch.agents import (
     GoldOracleEvaluationBackend,
     LlmEvaluationBackend,
     LlmFormulationBackend,
-    ScriptedEvaluationBackend,
-    ScriptedFormulationBackend,
     SearchPhase,
     build_evaluation_prompt,
     build_formulation_prompt,
@@ -176,7 +178,7 @@ def test_evaluate_missing_marker_is_false(toy_profile):
 
 
 def test_gold_oracle_accepts_gold_extractions(toy_profile):
-    backend = GoldOracleEvaluationBackend(GOLD)
+    backend = GoldOracleEvaluationBackend({("toy", "q"): GOLD})
     for level in GranularityLevel:
         gold = skeleton_of(GOLD, level)
         assert evaluate(toy_profile, "q", gold, backend).verdict is True
@@ -185,7 +187,7 @@ def test_gold_oracle_accepts_gold_extractions(toy_profile):
 
 
 def test_gold_formulation_echoes_extraction(toy_profile):
-    backend = GoldFormulationBackend({"q": GOLD})
+    backend = GoldFormulationBackend({("toy", "q"): GOLD})
     req = FormulationRequest(toy_profile, "q", None, SearchPhase.BASE, 3)
     assert formulate(req, backend) == [
         skeleton_of(GOLD, GranularityLevel.BASE).text]
@@ -198,8 +200,8 @@ def test_gold_formulation_echoes_extraction(toy_profile):
 
 def test_gold_search_parses_each_gold_text_once_per_backend(
         parse_counts, school_profile):
-    formulator = GoldFormulationBackend({"q": GOLD})
-    evaluator = GoldOracleEvaluationBackend({"q": GOLD})
+    formulator = GoldFormulationBackend({("school", "q"): GOLD})
+    evaluator = GoldOracleEvaluationBackend({("school", "q"): GOLD})
 
     def search_parses():
         parse_counts.update(parse=0, lex=0)
@@ -216,12 +218,12 @@ def test_gold_search_parses_each_gold_text_once_per_backend(
 
 def test_gold_backends_follow_the_question(toy_profile):
     other = "SELECT a FROM t GROUP BY b"
-    golds = {"q": GOLD, "r": other}
+    golds = {("toy", "q"): GOLD, ("toy", "r"): other}
     formulator = GoldFormulationBackend(golds)
     evaluator = GoldOracleEvaluationBackend(golds)
     level = GranularityLevel.BASE
     for question in ["q", "r", "q", "q", "r"]:
-        gold = skeleton_of(golds[question], level)
+        gold = skeleton_of(golds[("toy", question)], level)
         req = FormulationRequest(toy_profile, question, None,
                                  SearchPhase.BASE, 3)
         assert formulate(req, formulator) == [gold.text]

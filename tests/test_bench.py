@@ -6,6 +6,11 @@ import time
 import pytest
 
 from conftest import build_school_db
+from fixtures.doubles import (
+    ScriptedEvaluationBackend,
+    ScriptedFormulationBackend,
+    ScriptedGenerationBackend,
+)
 from fixtures.livestub import TransportOracle
 from skelsearch import bench, selector
 from skelsearch.agents import (
@@ -13,8 +18,6 @@ from skelsearch.agents import (
     GoldOracleEvaluationBackend,
     LlmEvaluationBackend,
     LlmFormulationBackend,
-    ScriptedEvaluationBackend,
-    ScriptedFormulationBackend,
 )
 from skelsearch.bench import (
     BenchConfigError,
@@ -34,7 +37,6 @@ from skelsearch.schema import profile_from_sqlite
 from skelsearch.sqlgen import (
     GoldEchoGenerationBackend,
     LlmGenerationBackend,
-    ScriptedGenerationBackend,
 )
 
 Q1 = "Which students enrolled in 2021?"
@@ -69,9 +71,10 @@ def bench_env(tmp_path):
 
 
 def gold_backends():
-    return (GoldFormulationBackend(GOLDS),
-            GoldOracleEvaluationBackend(GOLDS),
-            GoldEchoGenerationBackend(GOLDS),
+    golds = {("school", q): sql for q, sql in GOLDS.items()}
+    return (GoldFormulationBackend(golds),
+            GoldOracleEvaluationBackend(golds),
+            GoldEchoGenerationBackend(golds),
             None)
 
 
@@ -198,11 +201,50 @@ def test_gold_run_is_perfect(bench_env, tmp_path):
         assert bucket["mean_candidates"] >= 1.0
 
 
+def _same_question_dataset(tmp_path, db_ids):
+    """Two items that ask "Which names?" with different gold SQL."""
+    db_root = tmp_path / "databases"
+    golds = ["SELECT name FROM students WHERE year = 2021",
+             "SELECT name FROM students"]
+    rows = []
+    for index, (db_id, gold) in enumerate(zip(db_ids, golds)):
+        (db_root / db_id).mkdir(parents=True, exist_ok=True)
+        if not (db_root / db_id / f"{db_id}.sqlite").exists():
+            build_school_db(db_root / db_id / f"{db_id}.sqlite")
+        rows.append({"question_id": index, "question": "Which names?",
+                     "db_id": db_id, "SQL": gold})
+    dataset = tmp_path / "dev.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    return dataset, db_root
+
+
+def test_gold_mode_scores_each_item_against_its_own_gold(tmp_path):
+    dataset, db_root = _same_question_dataset(tmp_path,
+                                              ["school", "school2"])
+    report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
+    assert report["ex"] == 1.0
+    assert [r["final_sql"] for r in report["records"]] == \
+        [r["gold_sql"] for r in report["records"]]
+
+
+def test_gold_mode_rejects_two_golds_for_one_question(tmp_path):
+    dataset, db_root = _same_question_dataset(tmp_path,
+                                              ["school", "school"])
+    with pytest.raises(BenchConfigError, match="two gold SQL texts"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
+    rows = json.loads(dataset.read_text(encoding="utf-8"))
+    rows[1]["SQL"] = rows[0]["SQL"]
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
+    assert report["ex"] == 1.0
+
+
 def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
     dataset, db_root = bench_env
-    backends = (GoldFormulationBackend(GOLDS),
+    golds = {("school", q): sql for q, sql in GOLDS.items()}
+    backends = (GoldFormulationBackend(golds),
                 ScriptedEvaluationBackend({}, default=False),
-                GoldEchoGenerationBackend(GOLDS),
+                GoldEchoGenerationBackend(golds),
                 None)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
                            backends=backends)
@@ -282,7 +324,7 @@ def test_gold_execution_error_is_not_correct(bench_env):
     question = "broken gold"
     gold = "SELECT ghost FROM students"
     item = BenchmarkItem("0", question, "school", gold)
-    golds = {question: gold}
+    golds = {("school", question): gold}
     record = run_item(item, profile,
                       (GoldFormulationBackend(golds),
                        GoldOracleEvaluationBackend(golds),
@@ -303,7 +345,7 @@ def test_unparsable_gold_sql_is_classified(bench_env, gold):
     profile = profile_from_sqlite(resolve_database(db_root, "school"),
                                   db_id="school")
     question = "gold the parser rejects"
-    golds = {question: gold}
+    golds = {("school", question): gold}
     record = run_item(BenchmarkItem("0", question, "school", gold), profile,
                       (GoldFormulationBackend(golds),
                        GoldOracleEvaluationBackend(golds),

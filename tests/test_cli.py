@@ -119,6 +119,20 @@ def test_run_bad_config_exits_2(capsys, env):
     assert code == 2
 
 
+def test_run_gateway_concurrency_key_exits_2(capsys, env):
+    # items_concurrency is the only concurrency setting; the gateway's
+    # own cap is gone, so naming it is a bad config field.
+    config = env["tmp"] / "config.yaml"
+    config.write_text("mode: replay\ncassette: tape.jsonl\n"
+                      "gateway: {concurrency: 4}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--dataset", env["dataset"],
+                             "--db-root", env["db_root"],
+                             "--config", str(config))
+    assert code == 2
+    assert "bad config field" in err
+    assert out == ""
+
+
 def test_stats_missing_run_dir_exits_2(capsys, env):
     code, _, _ = run_cli(capsys, "stats", "--run-dir",
                          str(env["tmp"] / "nowhere"))

@@ -6,10 +6,6 @@ import time
 import pytest
 
 from skelsearch import GranularityLevel, refinement_check
-from skelsearch.agents import (
-    ScriptedEvaluationBackend,
-    ScriptedFormulationBackend,
-)
 from skelsearch.engine import (
     EmptySearch,
     NodeStatus,
@@ -22,6 +18,10 @@ from skelsearch.sqlgen import SqlCandidate
 
 from conftest import make_profile
 from fixtures import traces
+from fixtures.doubles import (
+    ScriptedEvaluationBackend,
+    ScriptedFormulationBackend,
+)
 from fixtures.traces import SCENARIOS, Scenario
 
 

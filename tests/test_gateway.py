@@ -1,7 +1,6 @@
 """Gateway behavior: cassettes, retries, ledger conservation, hermetic replay."""
 
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -32,11 +31,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(temperature=-1.0)
     with pytest.raises(ValueError):
-        config(concurrency=0)
-    with pytest.raises(ValueError):
         config(timeout=0)
     assert config().temperature == 0.0
-    assert config().concurrency == 50
 
 
 def test_record_then_replay(tmp_path):
@@ -150,26 +146,6 @@ def test_ledger_conserved_under_concurrency():
     assert totals["prompt_tokens"] == 400
     assert totals["completion_tokens"] == 600
     assert len(gateway.ledger.entries) == 200
-
-
-def test_concurrency_cap_enforced():
-    active = []
-    peak = []
-    lock = threading.Lock()
-
-    def transport(prompt, cfg, api_key=None):
-        with lock:
-            active.append(1)
-            peak.append(len(active))
-        threading.Event().wait(0.01)
-        with lock:
-            active.pop()
-        return "r", 1, 1
-
-    gateway = LlmGateway(config(concurrency=4), transport=transport)
-    with ThreadPoolExecutor(max_workers=16) as pool:
-        list(pool.map(lambda i: gateway.complete(f"q{i}"), range(32)))
-    assert max(peak) <= 4
 
 
 def test_ledger_stage_split():

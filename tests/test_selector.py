@@ -17,7 +17,6 @@ from skelsearch.selector import (
     ExecutionOutcome,
     LlmArbitratorBackend,
     OutcomeStatus,
-    ScriptedArbitratorBackend,
     _is_ordered,
     build_arbitration_prompt,
     canonical_cell,
@@ -32,6 +31,7 @@ from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.sqlgen import SqlCandidate
 
 from fixtures.corpus import CORPUS
+from fixtures.doubles import ScriptedArbitratorBackend
 
 B = GranularityLevel.BASE
 E = GranularityLevel.EXPANDED

@@ -6,16 +6,14 @@ import random
 import pytest
 
 from fixtures.sftcorpus import build_corpus, school_profile
+from skelsearch import sftdata
 from skelsearch.sftdata import (
     OPERATORS,
-    AnnotationError,
     BuildSummary,
     CorruptionError,
     CorruptionStep,
     DatasetBuildError,
-    LlmAnnotatorBackend,
     SftExample,
-    TemplateAnnotator,
     UnresolvedReference,
     _op_clause_deletion,
     _op_clause_insertion,
@@ -28,6 +26,7 @@ from skelsearch.sftdata import (
     corrupt_skeleton,
     load_dataset,
     prune_demonstration_schema,
+    template_analysis,
 )
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 
@@ -308,36 +307,14 @@ def test_build_dataset_seed_changes_bytes(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-class FlakyAnnotator(TemplateAnnotator):
-    """Fails for one specific skeleton level to exercise pair drops."""
+def test_build_fails_below_minimum_yield(tmp_path, monkeypatch):
+    def refuse(gold, rnd):
+        raise CorruptionError("no corruption")
 
-    def __init__(self, reject_level):
-        self.reject_level = reject_level
-        self.failures = 0
-
-    def annotate(self, schema, question, skeleton, level, label):
-        if level is self.reject_level and label:
-            self.failures += 1
-            raise AnnotationError("scripted failure")
-        return super().annotate(schema, question, skeleton, level, label)
-
-
-def test_annotation_failures_drop_whole_pairs(tmp_path):
-    out = tmp_path / "sft.jsonl"
-    with pytest.raises(DatasetBuildError):
-        build_dataset(CORPUS, out, pairs_per_level=5,
-                      annotator=FlakyAnnotator(B), seed=1)
-
-
-class RefusingAnnotator:
-    def annotate(self, schema, question, skeleton, level, label):
-        raise AnnotationError("always down")
-
-
-def test_build_fails_below_minimum_yield(tmp_path):
+    monkeypatch.setattr(sftdata, "corrupt_skeleton", refuse)
     with pytest.raises(DatasetBuildError):
         build_dataset(CORPUS, tmp_path / "x.jsonl", pairs_per_level=2,
-                      annotator=RefusingAnnotator(), seed=0)
+                      seed=0)
 
 
 def test_build_dataset_validation(tmp_path):
@@ -369,32 +346,10 @@ def test_example_invariants():
 
 
 def test_template_annotator_is_deterministic():
-    annotator = TemplateAnnotator()
-    first = annotator.annotate("sch", "q?", "SELECT _ FROM _", B, True)
-    second = annotator.annotate("sch", "q?", "SELECT _ FROM _", B, True)
+    first = template_analysis("q?", "SELECT _ FROM _", B, True)
+    second = template_analysis("q?", "SELECT _ FROM _", B, True)
     assert first == second
     assert len(first) == 3
-
-
-class CannedGateway:
-    def __init__(self, response):
-        self.response = response
-
-    def complete(self, prompt, stage="annotate"):
-        return self.response
-
-
-def test_llm_annotator_parses_three_stages():
-    response = ("QUESTION ANALYSIS: asks for names\n"
-                "SKELETON ANALYSIS: one filter\n"
-                "ALIGNMENT ANALYSIS: consistent\n"
-                "VERDICT: True")
-    backend = LlmAnnotatorBackend(CannedGateway(response))
-    analysis = backend.annotate("sch", "q", "SELECT _ FROM _", B, True)
-    assert analysis == ("asks for names", "one filter", "consistent")
-    with pytest.raises(AnnotationError):
-        LlmAnnotatorBackend(CannedGateway("nope")).annotate(
-            "sch", "q", "SELECT _ FROM _", B, True)
 
 
 def test_corruption_error_bubbles_message():

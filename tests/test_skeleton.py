@@ -9,7 +9,6 @@ from skelsearch import sqlast
 from skelsearch import (
     GranularityLevel,
     LevelOrderError,
-    SqlQuery,
     SqlSyntaxError,
     extract_skeleton,
     nesting_depth,
@@ -157,8 +156,6 @@ def test_unsupported_constructs():
         parse_query("WITH x AS (SELECT 1) SELECT * FROM x")
     with pytest.raises(SqlSyntaxError):
         parse_query("SELECT a FROM t RIGHT JOIN u ON t.k = u.k")
-    with pytest.raises(ValueError):
-        parse_query(SqlQuery("SELECT 1", dialect="postgres"))
     with pytest.raises(ValueError):
         parse_query("   ")
 

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch import sqlast
+from skelsearch.normalize import NormalizationReport, normalize
 from skelsearch.sqlast import KEYWORDS, SqlSyntaxError, Token, TokenType
 
 from fixtures.corpus import CORPUS
@@ -377,6 +378,101 @@ def test_hex_and_digit_names_in_skeletons():
     assert extract_skeleton(tree, GranularityLevel.DETAILED).text == \
         "SELECT [col] FROM [tab] WHERE [col] = [val]"
 
+
+# Nesting bound
+
+# Ways to nest an expression one level deeper: (prefix, suffix) around it.
+_WRAPS = {
+    "paren": ("(", ")"),
+    "not": ("NOT ", ""),
+    "minus": ("- ", ""),
+    "exists": ("EXISTS (SELECT ", ")"),
+    "not-exists": ("NOT EXISTS (SELECT ", ")"),
+    "in": ("a IN (SELECT ", ")"),
+    "scalar": ("(SELECT ", ")"),
+    "call": ("f(", ")"),
+    "aggregate": ("MAX(", ")"),
+    "case": ("CASE WHEN ", " THEN 1 END"),
+    "cast": ("CAST(", " AS INT)"),
+    "between": ("a BETWEEN (", ") AND 2"),
+    "collate": ("", " COLLATE nocase"),
+}
+# Left-deep operator chains, one level per operator.
+_CHAINS = (" OR ", " AND ", " = ", " + ", " * ", " || ")
+
+
+def _nest(expr: str, form: str, times: int) -> str:
+    if form in _CHAINS:
+        return expr + (form + "1") * times
+    prefix, suffix = _WRAPS[form]
+    return prefix * times + expr + suffix * times
+
+
+def _statement(expr: str, form: str, times: int) -> str:
+    if form == "derived":
+        return ("SELECT * FROM " + "(SELECT * FROM " * times
+                + "t WHERE " + expr + ")" * times)
+    if form == "joins":
+        return ("SELECT " + expr + " FROM " + "(t JOIN " * times + "u"
+                + ")" * times)
+    return "SELECT " + expr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_WRAPS) + list(_CHAINS)),
+                          st.integers(1, 2000)), min_size=1, max_size=2),
+       st.sampled_from(["select", "derived", "joins"]),
+       st.integers(1, 2000))
+def test_deep_nesting_is_a_syntax_error(steps, outer, outer_times):
+    """Nesting of any depth parses, or fails as a syntax error; it never
+    exhausts the interpreter's recursion limit."""
+    expr = "1"
+    for form, times in steps:
+        expr = _nest(expr, form, times)
+    text = _statement(expr, outer, outer_times)
+    for level in GranularityLevel:
+        assert isinstance(normalize(text, level), NormalizationReport)
+    try:
+        tree = parse_query(text)
+    except SqlSyntaxError:
+        return
+    for level in GranularityLevel:
+        extract_skeleton(tree, level)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("SELECT " + "NOT " * 500 + "1", 595),
+    ("SELECT " + "- " * 500 + "1", 301),
+    ("SELECT " + "EXISTS (SELECT " * 100 + "1" + ")" * 100, 555),
+    ("SELECT " + "(" * 1000 + "1" + ")" * 1000, 154),
+    ("SELECT a FROM t WHERE " + " OR ".join(["a = 1"] * 600), 1333),
+], ids=["not", "minus", "exists", "paren", "or-chain"])
+def test_nesting_fails_at_the_token_past_the_bound(text, offset):
+    with pytest.raises(SqlSyntaxError) as info:
+        parse_query(text)
+    assert str(info.value) == (f"query nested deeper than "
+                               f"{sqlast.MAX_HEIGHT} levels (offset {offset})")
+
+
+def _height(node) -> int:
+    best, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        best = max(best, depth)
+        stack.extend((child, depth + 1) for child in sqlast.children(node))
+    return best
+
+
+@pytest.mark.parametrize("form", ["not", "call", " OR "])
+def test_trees_up_to_the_bound_parse(form):
+    # SelectStmt, SelectCore and SelectItem sit above the expression.
+    times = sqlast.MAX_HEIGHT - 4
+    tree = parse_query(_statement(_nest("1", form, times), "select", 1))
+    assert _height(tree.stmt) == sqlast.MAX_HEIGHT
+    for level in GranularityLevel:
+        extract_skeleton(tree, level)
+    with pytest.raises(SqlSyntaxError):
+        parse_query(_statement(_nest("1", form, times + 1), "select", 1))
 
 if __name__ == "__main__":
     print(json.dumps({sql: outcome_digest(sql) for sql in CORPUS},

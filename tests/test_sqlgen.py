@@ -2,13 +2,13 @@
 
 import time
 
+from fixtures.doubles import ScriptedGenerationBackend
 from skelsearch.agents import BackendError
 from skelsearch.gateway import Cassette, GatewayConfig, LlmGateway
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.sqlgen import (
     GoldEchoGenerationBackend,
     LlmGenerationBackend,
-    ScriptedGenerationBackend,
     SqlCandidate,
     build_generation_prompt,
     extract_statement,
@@ -85,12 +85,9 @@ def test_generate_sql_empty_output_marks_failed(toy_profile):
 
 def test_gold_echo_matches_gold(toy_profile):
     skeleton = make_skeleton()
-    backend = GoldEchoGenerationBackend(GOLD)
+    backend = GoldEchoGenerationBackend({("toy", QUESTION): GOLD})
     candidate = generate_sql(toy_profile, QUESTION, skeleton, backend)
     assert candidate.sql == GOLD
-    backend = GoldEchoGenerationBackend({QUESTION: GOLD})
-    assert generate_sql(toy_profile, QUESTION, skeleton,
-                        backend).sql == GOLD
 
 
 class SlowBackend:
