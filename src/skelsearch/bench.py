@@ -34,6 +34,7 @@ from .selector import (
     ExecutionOutcome,
     LlmArbitratorBackend,
     OutcomeStatus,
+    ReadOnlyConnections,
     execute_all,
     execute_candidate,
     select_final,
@@ -207,11 +208,17 @@ def build_backends(settings: RunSettings,
 
 
 def run_item(item: BenchmarkItem, profile: DatabaseProfile,
-             backends, settings: RunSettings) -> dict:
+             backends, settings: RunSettings,
+             connections: ReadOnlyConnections | None = None) -> dict:
     """One item through search -> generate -> execute -> select.
 
-    backends is a Backends or a plain tuple in its field order.
+    backends is a Backends or a plain tuple in its field order. SQL runs
+    on `connections`; without a set, the item uses one of its own and
+    closes it.
     """
+    if connections is None:
+        with ReadOnlyConnections() as own:
+            return run_item(item, profile, backends, settings, own)
     backends = Backends(*backends)
     record = {
         "question_id": item.question_id,
@@ -231,7 +238,8 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         "cost": None,
     }
     gold_outcome = execute_candidate(
-        profile, SqlCandidate(item.gold_sql, None), settings.limits)
+        profile, SqlCandidate(item.gold_sql, None), settings.limits,
+        connections)
     gold_token = _result_token(gold_outcome)
     record["gold_status"] = gold_outcome.status.value
     leaves = []
@@ -258,7 +266,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         candidates = generate_all(profile, item.question, leaves,
                                   backends.generator)
         outcomes = execute_all(profile, candidates, settings.limits,
-                               known={item.gold_sql: gold_outcome})
+                               {item.gold_sql: gold_outcome}, connections)
         tokens = [_result_token(o) for o in outcomes]
         record["k"] = sum(token is not None for token in tokens)
         if gold_token is not None:
@@ -342,7 +350,9 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     """Full run; returns the report dict and persists it under out_dir.
 
     backends, when given, is a Backends or a plain tuple in its field
-    order; otherwise build_backends makes them from settings.
+    order; otherwise build_backends makes them from settings. Every item
+    runs its SQL on one connection set, which keeps each worker thread's
+    connection to each database open until the item pool has drained.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)
@@ -355,25 +365,28 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
         else build_backends(settings, items)
     out = Path(out_dir)
     (out / "items").mkdir(parents=True, exist_ok=True)
+    connections = ReadOnlyConnections()
 
     def compute(index_item):
         index, item = index_item
         path = _checkpoint_path(out, index)
         record = _load_checkpoint(path, item)
         if record is None:
-            record = run_item(item, profiles[item.db_id], built, settings)
+            record = run_item(item, profiles[item.db_id], built, settings,
+                              connections)
             path.write_text(
                 json.dumps(record, sort_keys=True, ensure_ascii=False)
                 + "\n", encoding="utf-8")
         return record
 
     workload = list(enumerate(items))
-    if settings.items_concurrency > 1 and len(workload) > 1:
-        with ThreadPoolExecutor(
-                max_workers=settings.items_concurrency) as pool:
-            records = list(pool.map(compute, workload))
-    else:
-        records = [compute(pair) for pair in workload]
+    with connections:
+        if settings.items_concurrency > 1 and len(workload) > 1:
+            with ThreadPoolExecutor(
+                    max_workers=settings.items_concurrency) as pool:
+                records = list(pool.map(compute, workload))
+        else:
+            records = [compute(pair) for pair in workload]
     usage = {}
     if built.gateway is not None:
         ledger = built.gateway.ledger

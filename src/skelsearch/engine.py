@@ -30,9 +30,9 @@ from .agents import (
     evaluate,
     formulate,
 )
-from .normalize import NormalizationOutcome, normalize
+from .normalize import NormalizationOutcome, NormalizationReport, normalize
 from .schema import DatabaseProfile
-from .skeleton import Skeleton
+from .skeleton import GranularityLevel, Skeleton
 
 
 class EmptySearch(RuntimeError):
@@ -180,11 +180,16 @@ class _Engine:
         self.tree = SearchTree(question, schema.db_id, config.m)
         self.gen_calls = 0
         self.eval_calls = 0
+        # Reports by (agent line, level): a line that a second parent
+        # proposes again at the same level is normalized once per search.
+        self.normalized: dict[tuple[str, GranularityLevel],
+                              NormalizationReport] = {}
 
     def _formulate_batch(self, parents: list[SearchNode],
                          phase: SearchPhase) -> dict[int, list[Skeleton]]:
         """Formulate children for each parent; normalized, deduplicated."""
         out: dict[int, list[Skeleton]] = {}
+        level = phase.target_level
         for parent in parents:
             req = FormulationRequest(self.schema, self.question,
                                      parent.skeleton, phase, self.config.m)
@@ -193,7 +198,10 @@ class _Engine:
             seen: set[str] = set()
             skeletons = []
             for text in texts:
-                report = normalize(text, phase.target_level)
+                report = self.normalized.get((text, level))
+                if report is None:
+                    report = normalize(text, level)
+                    self.normalized[text, level] = report
                 if report.outcome is NormalizationOutcome.REJECTED:
                     continue
                 if report.skeleton.text in seen:

@@ -74,11 +74,6 @@ def _strip_wrapping(text: str) -> tuple[str, bool]:
     return stripped, False
 
 
-def _has_placeholder_query(node) -> bool:
-    return isinstance(node, A.PlaceholderQuery) or any(
-        _has_placeholder_query(child) for child in A.children(node))
-
-
 def normalize(agent_text: str,
               target: GranularityLevel) -> NormalizationReport:
     """Coerce agent output into a canonical skeleton at `target`.
@@ -96,7 +91,7 @@ def normalize(agent_text: str,
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
 
     try:
-        lexed = A.Lexer(text).tokens()
+        lexed = A.Lexer(text, MAX_TOKENS).tokens()
     except A.SqlSyntaxError:
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
@@ -111,8 +106,7 @@ def normalize(agent_text: str,
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
 
-    if target >= GranularityLevel.EXPANDED and _has_placeholder_query(
-            tree.stmt):
+    if target >= GranularityLevel.EXPANDED and tree.has_placeholder_query:
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None,
             reasons + [RULE_UNDER_DETAIL])

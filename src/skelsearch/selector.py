@@ -5,9 +5,11 @@ read-only (`mode=ro`), under a row cap and a wall-clock deadline that an
 SQLite progress handler checks every PROGRESS_STEPS virtual-machine
 instructions. An authorizer allows only reads, SELECTs, function calls
 and recursive CTEs, so a candidate cannot ATTACH a file, run a PRAGMA
-or write. Results are reduced to a fingerprint: a hash over
-canonicalized cells, order-insensitive unless the query has ORDER BY
-outside every parenthesis. That rule is a lexical scan, not a parse, so
+or write. Connections come from a ReadOnlyConnections set, which keeps
+each thread's connection to each database open for reuse. Results are
+reduced to a fingerprint: a hash over canonicalized cells,
+order-insensitive unless the query has ORDER BY outside every
+parenthesis. That rule is a lexical scan, not a parse, so
 it also holds for CTEs, which the parser rejects. Identical candidates
 (the same SQL text) share one execution and its outcome. Candidates whose
 fingerprints agree form a vote group; the largest group wins, ties go
@@ -23,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import re
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +41,7 @@ from .sqlgen import SqlCandidate
 
 FETCH_CHUNK = 2048
 PROGRESS_STEPS = 1000
+CONNECTIONS_PER_THREAD = 8
 EXACT_INT_MIN = 10_000_000
 PREVIEW_ROWS = 5
 CHOICE_MARKER = re.compile(r"^\s*CHOICE:\s*(\d+)\s*$",
@@ -76,7 +81,9 @@ class ExecutionLimits:
 class ExecutionOutcome:
     """What one candidate did when executed.
 
-    fingerprint is present exactly when status is ROWS.
+    fingerprint is present exactly when status is ROWS. wall_time runs
+    from the start of the call to its end; it includes opening the
+    database connection only when this call is the first use of it.
     """
 
     status: OutcomeStatus
@@ -169,10 +176,81 @@ def _authorize(action, *_) -> int:
     return sqlite3.SQLITE_OK if action in _AUTHORIZED else sqlite3.SQLITE_DENY
 
 
+class ReadOnlyConnections:
+    """Read-only database connections kept open for reuse, per thread.
+
+    Each thread that asks for a database gets its own connection, opened
+    once as `file:{path}?mode=ro` with the authorizer installed, and gets
+    that same connection back on every later call. Only the thread that
+    opened a connection runs queries on it. A thread keeps at most
+    CONNECTIONS_PER_THREAD connections: past that, its least recently
+    used one is closed. Each open connection holds one file descriptor
+    and a page cache of at most SQLite's default 2 MiB, so a set used by
+    W threads holds at most W * 8 descriptors (against the usual soft
+    limit of 1024) and W * 16 MiB of page cache. Connections keep no
+    statement cache: an item runs each distinct SQL text once, and
+    different questions seldom share a text, so cached statements would
+    pay off only on inputs that repeat whole queries across items.
+
+    close() closes every connection the set holds. Call it (or leave a
+    `with` block) once no thread uses the set any more, for instance
+    after a thread pool has drained; the set may be used again after.
+    Connections are opened with check_same_thread=False only so that
+    the closing thread may close them.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._caches: list[OrderedDict] = []
+
+    def get(self, path: str) -> sqlite3.Connection:
+        """This thread's connection to `path`, opened on first use.
+
+        Raises:
+            sqlite3.Error: the database cannot be opened.
+        """
+        cache = getattr(self._local, "cache", None)
+        if cache is None:
+            cache = self._local.cache = OrderedDict()
+            with self._lock:
+                self._caches.append(cache)
+        conn = cache.get(path)
+        if conn is not None:
+            cache.move_to_end(path)
+            return conn
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                               check_same_thread=False, cached_statements=0)
+        conn.set_authorizer(_authorize)
+        cache[path] = conn
+        if len(cache) > CONNECTIONS_PER_THREAD:
+            cache.popitem(last=False)[1].close()
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            for cache in self._caches:
+                while cache:
+                    cache.popitem()[1].close()
+
+    def __enter__(self) -> "ReadOnlyConnections":
+        return self
+
+    def __exit__(self, *_) -> None:
+        self.close()
+
+
 def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
-                      limits: ExecutionLimits | None = None
+                      limits: ExecutionLimits | None = None,
+                      connections: ReadOnlyConnections | None = None
                       ) -> ExecutionOutcome:
-    """Run one candidate read-only under the configured limits."""
+    """Run one candidate read-only under the configured limits.
+
+    Without a connection set, the call uses one of its own and closes it.
+    """
+    if connections is None:
+        with ReadOnlyConnections() as own:
+            return execute_candidate(profile, candidate, limits, own)
     limits = limits or ExecutionLimits()
     if candidate.failed:
         return ExecutionOutcome(OutcomeStatus.ERROR,
@@ -180,20 +258,23 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     if not profile.path:
         return ExecutionOutcome(OutcomeStatus.ERROR,
                                 error="profile has no database file")
+    sql = candidate.sql
     started = time.monotonic()
     try:
-        conn = sqlite3.connect(f"file:{profile.path}?mode=ro", uri=True)
+        conn = connections.get(profile.path)
     except sqlite3.Error as exc:
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
-    conn.set_authorizer(_authorize)
     deadline = started + limits.timeout
     conn.set_progress_handler(lambda: time.monotonic() > deadline,
                               PROGRESS_STEPS)
     rows: list[tuple] = []
     capped = False
+    # Closing the cursor resets its statement, so no read lock outlives
+    # the query, on the row-cap and error paths too.
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(candidate.sql)
+        cursor.execute(sql)
         while True:
             chunk = cursor.fetchmany(FETCH_CHUNK)
             if not chunk:
@@ -206,7 +287,7 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
     finally:
-        conn.close()
+        cursor.close()
     wall = time.monotonic() - started
     if capped:
         return ExecutionOutcome(
@@ -215,7 +296,7 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
             wall_time=wall)
     if not rows:
         return ExecutionOutcome(OutcomeStatus.EMPTY, wall_time=wall)
-    fingerprint = fingerprint_rows(rows, _is_ordered(candidate.sql))
+    fingerprint = fingerprint_rows(rows, _is_ordered(sql))
     preview = [canonical_row(row) for row in rows[:PREVIEW_ROWS]]
     return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
                             row_count=len(rows), wall_time=wall,
@@ -224,7 +305,8 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
 
 def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
                 limits: ExecutionLimits | None = None,
-                known: dict[str, ExecutionOutcome] | None = None
+                known: dict[str, ExecutionOutcome] | None = None,
+                connections: ReadOnlyConnections | None = None
                 ) -> list[ExecutionOutcome]:
     """Outcomes aligned with the candidate list.
 
@@ -232,17 +314,23 @@ def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
     one outcome object. `known` maps SQL text to the outcome of an earlier
     run against the same profile under the same limits; it is read first
     and filled with every new run. A failed candidate never runs SQL and
-    keeps its own error outcome.
+    keeps its own error outcome. Without a connection set, the call uses
+    one of its own and closes it.
     """
+    if connections is None:
+        with ReadOnlyConnections() as own:
+            return execute_all(profile, candidates, limits, known, own)
     known = {} if known is None else known
     outcomes = []
     for candidate in candidates:
         if candidate.failed:
-            outcome = execute_candidate(profile, candidate, limits)
+            outcome = execute_candidate(profile, candidate, limits,
+                                        connections)
         else:
             outcome = known.get(candidate.sql)
             if outcome is None:
-                outcome = execute_candidate(profile, candidate, limits)
+                outcome = execute_candidate(profile, candidate, limits,
+                                            connections)
                 known[candidate.sql] = outcome
         outcomes.append(outcome)
     return outcomes

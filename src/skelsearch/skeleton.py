@@ -60,25 +60,40 @@ class ClauseTree:
     text: str
 
     @cached_property
-    def depths(self) -> dict[int, int]:
-        """Subquery nesting depth below each node, keyed by `id(node)`.
-
-        Built in one walk on first use. A node holds a subquery iff its
-        depth is positive; the statement's own entry is its nesting depth.
-        """
+    def _walk(self) -> tuple[dict[int, int], bool]:
+        """One walk of the tree, on first use: `depths` and
+        `has_placeholder_query` both read it."""
         depths: dict[int, int] = {}
+        placeholder_query = False
 
         def visit(node) -> int:
+            nonlocal placeholder_query
             depth = 0
             for child in A.children(node):
                 below = visit(child) + isinstance(child, A.SelectStmt)
                 if below > depth:
                     depth = below
+            if type(node) is A.PlaceholderQuery:
+                placeholder_query = True
             depths[id(node)] = depth
             return depth
 
         visit(self.stmt)
-        return depths
+        return depths, placeholder_query
+
+    @cached_property
+    def depths(self) -> dict[int, int]:
+        """Subquery nesting depth below each node, keyed by `id(node)`.
+
+        A node holds a subquery iff its depth is positive; the
+        statement's own entry is its nesting depth.
+        """
+        return self._walk[0]
+
+    @cached_property
+    def has_placeholder_query(self) -> bool:
+        """Whether a `_` stands for a whole SELECT arm anywhere."""
+        return self._walk[1]
 
 
 @dataclass

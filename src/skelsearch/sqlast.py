@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
+from itertools import islice
 
 
 class SqlSyntaxError(ValueError):
@@ -100,16 +101,24 @@ class Lexer:
     itself; its named group says which kind of token it is. The pattern
     matches at every position (a stray character is `bad`, the end is
     `end`), so `finditer` walks the text token by token with no gaps.
+
+    With a `limit`, lexing stops after `limit + 1` tokens: a text that
+    holds more than `limit` comes back as its first `limit + 1` tokens
+    and EOF, and nothing after them is lexed or checked.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, limit: int | None = None):
         self.text = text
+        self.limit = limit
 
     def tokens(self) -> list[Token]:
         text = self.text
         out: list[Token] = []
         append = out.append
-        for m in _TOKEN_RE.finditer(text):
+        matches = _TOKEN_RE.finditer(text)
+        if self.limit is not None:
+            matches = islice(matches, self.limit + 1)
+        for m in matches:
             kind = m.lastgroup
             start = m.start(kind)
             if kind == "word":
@@ -392,9 +401,10 @@ _TYPE_TAGS = {_IDENTIFIER: "identifier", _STRING: "string",
 _LOOKAHEAD = 2
 # How many nodes tall a parse tree may be; deeper input is a syntax error
 # at the token that passes the bound. Nested calls take the parser 4
-# frames a level and the tree walks (rendering, depths, normalize) take
-# at most 3, so 150 levels need 600 frames of the default recursion
-# limit of 1000 and leave the caller 400. The test corpus tops out at 13.
+# frames a level; the tree walks take fewer (Detailed rendering 2, the
+# one `ClauseTree` walk 1). So 150 levels need 600 frames of the default
+# recursion limit of 1000 and leave the caller 400. The test corpus tops
+# out at 13.
 MAX_HEIGHT = 150
 _TOO_DEEP = f"query nested deeper than {MAX_HEIGHT} levels"
 

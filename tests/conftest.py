@@ -52,6 +52,15 @@ def build_school_db(path):
     return path
 
 
+def is_closed(conn) -> bool:
+    """Whether a sqlite3 connection has been closed."""
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
 @pytest.fixture
 def school_db(tmp_path):
     return build_school_db(tmp_path / "school.sqlite")

@@ -1,11 +1,13 @@
 """Benchmark harness: loading, per-item pipeline, reports, resume."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
 
-from conftest import build_school_db
+from conftest import build_school_db, is_closed
 from fixtures.doubles import (
     ScriptedEvaluationBackend,
     ScriptedFormulationBackend,
@@ -296,8 +298,9 @@ def test_gold_text_executes_once_per_item(bench_env, monkeypatch):
                                    (Q1, bases[2]): GOLDS[Q1]}),
         None)
 
-    def execute_each(profile, candidates, limits=None, known=None):
-        return [selector.execute_candidate(profile, c, limits)
+    def execute_each(profile, candidates, limits=None, known=None,
+                     connections=None):
+        return [selector.execute_candidate(profile, c, limits, connections)
                 for c in candidates]
 
     with monkeypatch.context() as patch:
@@ -305,10 +308,10 @@ def test_gold_text_executes_once_per_item(bench_env, monkeypatch):
         unshared = run_item(item, profile, backends, RunSettings())
     executed = []
     for module in (bench, selector):
-        def counted(profile, candidate, limits=None,
+        def counted(profile, candidate, limits=None, connections=None,
                     original=module.execute_candidate):
             executed.append(candidate.sql)
-            return original(profile, candidate, limits)
+            return original(profile, candidate, limits, connections)
         monkeypatch.setattr(module, "execute_candidate", counted)
     record = run_item(item, profile, backends, RunSettings())
     assert sorted(executed) == sorted([GOLDS[Q1], other])
@@ -415,6 +418,84 @@ def test_item_concurrency_keeps_report_bytes(bench_env, tmp_path):
                   backends=gold_backends())
     assert ((serial / "report.json").read_bytes()
             == (threaded / "report.json").read_bytes())
+
+
+def opened_connections(monkeypatch) -> list:
+    """(thread id, path, connection) of every ReadOnlyConnections.get."""
+    opened = []
+    original = selector.ReadOnlyConnections.get
+
+    def recording(self, path):
+        conn = original(self, path)
+        opened.append((threading.get_ident(), path, conn))
+        return conn
+
+    monkeypatch.setattr(selector.ReadOnlyConnections, "get", recording)
+    return opened
+
+
+def three_database_dataset(tmp_path, repeats=3):
+    db_root = tmp_path / "databases"
+    rows = []
+    for db_id in ("school", "school2", "school3"):
+        (db_root / db_id).mkdir(parents=True)
+        build_school_db(db_root / db_id / f"{db_id}.sqlite")
+        for _ in range(repeats):
+            for question, gold in GOLDS.items():
+                rows.append({"question_id": len(rows), "question": question,
+                             "db_id": db_id, "SQL": gold,
+                             "difficulty": DIFFICULTY[question]})
+    dataset = tmp_path / "dev.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    return dataset, db_root
+
+
+def test_shared_connections_under_item_concurrency(tmp_path, monkeypatch):
+    dataset, db_root = three_database_dataset(tmp_path)
+    serial = run_benchmark(dataset, db_root, out_dir=tmp_path / "serial",
+                           settings=RunSettings(items_concurrency=1))
+    opened = opened_connections(monkeypatch)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: reports.append(
+            run_benchmark(dataset, db_root, out_dir=tmp_path / "threaded",
+                          settings=RunSettings(items_concurrency=8))))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert reports and reports[0]["records"] == serial["records"]
+    assert serial["ex"] == 1.0
+    connections = {}
+    for thread, path, conn in opened:
+        assert connections.setdefault((thread, path), conn) is conn
+    assert len({path for _, path in connections}) == 3
+    assert all(is_closed(conn) for conn in connections.values())
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_connections_close_when_an_item_raises(bench_env, tmp_path,
+                                               monkeypatch, concurrency):
+    dataset, db_root = bench_env
+    opened = opened_connections(monkeypatch)
+    original = bench.run_item
+
+    def failing(item, *args):
+        record = original(item, *args)
+        if item.question_id == "1":
+            raise RuntimeError("item failed")
+        return record
+
+    monkeypatch.setattr(bench, "run_item", failing)
+    with pytest.raises(RuntimeError, match="item failed"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+                      settings=RunSettings(items_concurrency=concurrency),
+                      backends=gold_backends())
+    assert opened
+    assert all(is_closed(conn) for _, _, conn in opened)
 
 
 # Record/replay over the gateway

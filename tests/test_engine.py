@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from skelsearch import GranularityLevel, refinement_check
+from skelsearch import GranularityLevel, engine, refinement_check
 from skelsearch.engine import (
     EmptySearch,
     NodeStatus,
@@ -130,6 +130,40 @@ def test_duplicates_evaluated_once():
     scenario = traces.duplicate_child()
     _, _, evaluator = run_scenario(scenario)
     assert evaluator.calls == [(traces.Q, traces.B1), (traces.Q, traces.B2)]
+
+
+def test_same_line_from_two_parents_is_normalized_once(monkeypatch):
+    calls = []
+    original = engine.normalize
+
+    def counted(text, level):
+        calls.append((text, level))
+        return original(text, level)
+
+    monkeypatch.setattr(engine, "normalize", counted)
+
+    def search(second_line):
+        formulator = ScriptedFormulationBackend({
+            traces.fkey("base"): [traces.B1, traces.B3],
+            traces.fkey("expanded", traces.B1): [traces.E11],
+            traces.fkey("expanded", traces.B3): [second_line]})
+        evaluator = ScriptedEvaluationBackend(
+            {(traces.Q, t): True for t in (traces.B1, traces.B3,
+                                           traces.E11)})
+        calls.clear()
+        _, tree, _ = run_search(make_profile(), traces.Q, formulator,
+                                evaluator, SearchConfig())
+        return tree.dump()
+
+    expanded = GranularityLevel.EXPANDED
+    respelled = traces.E11.lower()
+    apart = search(respelled)
+    assert calls.count((traces.E11, expanded)) == 1
+    assert calls.count((respelled, expanded)) == 1
+    shared = search(traces.E11)
+    assert calls.count((traces.E11, expanded)) == 1
+    assert shared == apart
+    assert shared.count(traces.E11) == 2
 
 
 def test_expanded_cap_stops_deepening():

@@ -122,6 +122,23 @@ def test_rejects_over_budget():
     assert "token-budget-exceeded" in report.reasons
 
 
+def test_budget_cuts_lexing_off_before_a_later_error():
+    text = "SELECT " + " , ".join(["col"] * 300) + " FROM t WHERE a = 'open"
+    report = normalize(text, GranularityLevel.DETAILED)
+    assert report.outcome is NormalizationOutcome.REJECTED
+    assert report.reasons == ["token-budget-exceeded"]
+
+
+@pytest.mark.parametrize("tail, rejected", [("", False), (" x", True)])
+def test_budget_boundary(tail, rejected):
+    # SELECT, n columns, n - 1 commas, FROM and t: 2n + 2 tokens
+    columns = (MAX_TOKENS - 2) // 2
+    text = "SELECT " + " , ".join(["a"] * columns) + " FROM t" + tail
+    report = normalize(text, GranularityLevel.BASE)
+    assert (report.outcome is NormalizationOutcome.REJECTED) == rejected
+    assert ("token-budget-exceeded" in report.reasons) == rejected
+
+
 def test_rejects_empty():
     for text in ("", "   ", "```\n```", ";"):
         report = normalize(text, GranularityLevel.BASE)

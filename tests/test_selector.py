@@ -2,6 +2,8 @@
 
 import json
 import random
+import sqlite3
+import threading
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,7 @@ from skelsearch.selector import (
     ExecutionOutcome,
     LlmArbitratorBackend,
     OutcomeStatus,
+    ReadOnlyConnections,
     _is_ordered,
     build_arbitration_prompt,
     canonical_cell,
@@ -30,6 +33,7 @@ from skelsearch.selector import (
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.sqlgen import SqlCandidate
 
+from conftest import build_school_db, is_closed
 from fixtures.corpus import CORPUS
 from fixtures.doubles import ScriptedArbitratorBackend
 
@@ -292,9 +296,9 @@ def counted_executions(monkeypatch):
     calls = []
     original = selector.execute_candidate
 
-    def counted(profile, candidate, limits=None):
+    def counted(profile, candidate, limits=None, connections=None):
         calls.append(candidate.sql)
-        return original(profile, candidate, limits)
+        return original(profile, candidate, limits, connections)
 
     monkeypatch.setattr(selector, "execute_candidate", counted)
     return calls
@@ -345,6 +349,111 @@ def test_failed_candidate_keeps_its_own_error(school_profile):
     assert known[sql].status is OutcomeStatus.ROWS
     outcomes = execute_all(school_profile, [failed], known=known)
     assert outcomes[0].error == "generation failed: boom"
+
+
+# Connection reuse
+
+
+def commit_a_write(path) -> None:
+    """BEGIN IMMEDIATE ... COMMIT on a second connection that never waits;
+    the COMMIT fails while any other connection holds a read lock."""
+    writer = sqlite3.connect(path, timeout=0, isolation_level=None)
+    try:
+        writer.execute("BEGIN IMMEDIATE")
+        writer.execute("INSERT INTO students VALUES (99, 'Zed', 2024)")
+        writer.execute("COMMIT")
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("sql, limits, error", [
+    # 4**6 rows: more than one fetch chunk, so the statement stops mid-way
+    ("SELECT a.name FROM students a, students b, students c, students d, "
+     "students e, students f", ExecutionLimits(row_cap=10),
+     "row cap exceeded"),
+    ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+     "LIMIT 30000000) SELECT count(*) FROM c, students",
+     ExecutionLimits(timeout=0.1), "interrupt"),
+])
+def test_no_read_lock_outlives_a_query(school_profile, sql, limits, error):
+    with ReadOnlyConnections() as connections:
+        conn = connections.get(school_profile.path)
+        outcome = execute_candidate(school_profile, cand(sql), limits,
+                                    connections)
+        assert outcome.status is OutcomeStatus.ERROR
+        assert error in outcome.error.lower()
+        assert connections.get(school_profile.path) is conn
+        commit_a_write(school_profile.path)
+        after = execute_candidate(
+            school_profile, cand("SELECT name FROM students WHERE id = 99"),
+            None, connections)
+    assert after.row_count == 1
+
+
+@pytest.mark.parametrize("denied", [
+    "PRAGMA table_info(students)",
+    "ATTACH DATABASE ':memory:' AS x",
+    "SELECT * FROM pragma_table_info('students')",
+])
+def test_denied_statement_leaves_the_connection_usable(school_profile,
+                                                       denied):
+    with ReadOnlyConnections() as connections:
+        conn = connections.get(school_profile.path)
+        refused = execute_candidate(school_profile, cand(denied), None,
+                                    connections)
+        outcome = execute_candidate(school_profile,
+                                    cand("SELECT name FROM students"), None,
+                                    connections)
+        assert connections.get(school_profile.path) is conn
+    assert refused.status is OutcomeStatus.ERROR
+    assert "not authorized" in refused.error
+    assert outcome.status is OutcomeStatus.ROWS
+    assert outcome.row_count == 4
+
+
+def test_cap_closes_the_least_recently_used_connection(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(selector, "CONNECTIONS_PER_THREAD", 2)
+    paths = [str(build_school_db(tmp_path / f"db{i}.sqlite"))
+             for i in range(3)]
+    with ReadOnlyConnections() as connections:
+        first, second = connections.get(paths[0]), connections.get(paths[1])
+        assert connections.get(paths[0]) is first
+        third = connections.get(paths[2])
+        assert is_closed(second)
+        assert not is_closed(first) and not is_closed(third)
+        assert connections.get(paths[1]) is not second
+        assert is_closed(first)
+    assert is_closed(third)
+
+
+def test_each_thread_gets_its_own_connection(school_profile):
+    with ReadOnlyConnections() as connections:
+        mine = connections.get(school_profile.path)
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(
+                connections.get(school_profile.path)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert theirs and theirs[0] is not mine
+    assert is_closed(mine) and is_closed(theirs[0])
+
+
+def test_missing_database_is_not_kept(tmp_path):
+    missing = tmp_path / "later.sqlite"
+    profile = DatabaseProfile("later", tables=[], foreign_keys=[],
+                              path=str(missing))
+    with ReadOnlyConnections() as connections:
+        first = execute_candidate(profile, cand("SELECT 1"), None,
+                                  connections)
+        build_school_db(missing)
+        second = execute_candidate(profile,
+                                   cand("SELECT name FROM students"), None,
+                                   connections)
+    assert first.status is OutcomeStatus.ERROR
+    assert second.status is OutcomeStatus.ROWS
 
 
 # Sandbox: only reads run

@@ -296,6 +296,15 @@ def test_lexer_errors(text, message, offset):
     assert info.value.offset == offset
 
 
+def test_lexer_limit_stops_after_limit_plus_one_tokens():
+    tokens = sqlast.Lexer("SELECT a , b FROM t WHERE x = 'open", 4).tokens()
+    assert [t.value for t in tokens] == ["SELECT", "a", ",", "b", "FROM", ""]
+    assert tokens[-1].type is sqlast.TokenType.EOF
+    text = "SELECT a FROM t"
+    assert (sqlast.Lexer(text, 4).tokens()
+            == sqlast.Lexer(text).tokens())
+
+
 def test_trivia_and_operator_spellings():
     tokens = sqlast.Lexer(
         "SELECT -- note\n a/**/== [b] <> `c` || 'd''e' ;").tokens()
