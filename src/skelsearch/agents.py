@@ -80,9 +80,13 @@ class FormulationRequest:
 @dataclass
 class EvaluationVerdict:
     verdict: bool
-    analysis: tuple[str, str, str] | None = None
     reason: str = ""
     raw: str = ""
+
+    @property
+    def analysis(self) -> tuple[str, str, str] | None:
+        """The three-stage analysis of `raw`, parsed when asked for."""
+        return parse_analysis(self.raw)
 
 
 @functools.cache
@@ -180,8 +184,7 @@ def evaluate(schema: DatabaseProfile, question: str, candidate: Skeleton,
     except (BackendError, TransportError) as exc:
         return EvaluationVerdict(False, reason=f"backend error: {exc}")
     verdict, reason = parse_verdict(response)
-    return EvaluationVerdict(verdict, parse_analysis(response), reason,
-                             response)
+    return EvaluationVerdict(verdict, reason, response)
 
 
 class LlmFormulationBackend:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -180,6 +181,11 @@ class Backends(NamedTuple):
     generator: object
     arbitrator: object = None
     gateway: LlmGateway | None = None
+
+    def close(self) -> None:
+        """Close the gateway's cassette handle, if there is one."""
+        if self.gateway is not None:
+            self.gateway.close()
 
 
 def build_backends(settings: RunSettings,
@@ -353,6 +359,8 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     order; otherwise build_backends makes them from settings. Every item
     runs its SQL on one connection set, which keeps each worker thread's
     connection to each database open until the item pool has drained.
+    The gateway's cassette is closed once the items are done, also when
+    an item raises.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)
@@ -380,7 +388,9 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
         return record
 
     workload = list(enumerate(items))
-    with connections:
+    # Closing the backends closes the cassette's append handle whether
+    # the pool drains or an item raises; rewrite_sorted needs no handle.
+    with connections, closing(built):
         if settings.items_concurrency > 1 and len(workload) > 1:
             with ThreadPoolExecutor(
                     max_workers=settings.items_concurrency) as pool:

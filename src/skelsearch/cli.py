@@ -11,6 +11,7 @@ import argparse
 import json
 import sqlite3
 import sys
+from contextlib import closing
 
 from .bench import (
     BenchConfigError,
@@ -67,9 +68,11 @@ def cmd_search(args) -> int:
     else:
         backends = build_backends(settings, [])
     try:
-        leaves, tree, cost = run_search(profile, args.question,
-                                        backends.formulator,
-                                        backends.evaluator, settings.search)
+        with closing(backends):
+            leaves, tree, cost = run_search(profile, args.question,
+                                            backends.formulator,
+                                            backends.evaluator,
+                                            settings.search)
     except EmptySearch as exc:
         print("empty search: every Base skeleton was pruned",
               file=sys.stderr)

@@ -107,10 +107,17 @@ def estimate_tokens(text: str) -> int:
 class Cassette:
     """Line-delimited (prompt hash -> response) store with a header.
 
-    `store` appends each new entry as it arrives, so a run that stops
-    midway keeps what it recorded. Arrival order depends on thread timing,
-    so the owner of a run calls `rewrite_sorted` at its end to give the
-    file the same bytes whatever order the calls completed in.
+    `store` appends each new entry as it arrives, through one append
+    handle that the first store opens and that every store flushes before
+    it returns, so a run that stops midway keeps what it recorded. The
+    header goes in whenever that handle opens on an empty file. Arrival
+    order depends on thread timing, so the owner of a run calls
+    `rewrite_sorted` at its end to give the file the same bytes whatever
+    order the calls completed in.
+
+    `rewrite_sorted` and `close` (or leaving a `with` block) close the
+    handle; a later `store` opens it again. Whoever records closes the
+    cassette when done.
     """
 
     def __init__(self, path: str | Path):
@@ -118,6 +125,7 @@ class Cassette:
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         self._appended = False
+        self._handle = None
         if self.path.exists():
             self._load()
 
@@ -165,18 +173,37 @@ class Cassette:
                 return
             self._entries[key] = entry
             self._appended = True
-            new_file = not self.path.exists()
-            with self.path.open("a", encoding="utf-8") as fh:
-                if new_file:
-                    fh.write(_HEADER_LINE)
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            if self._handle is None:
+                self._handle = self.path.open("a", encoding="utf-8")
+                if self._handle.tell() == 0:
+                    self._handle.write(_HEADER_LINE)
+            self._handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            self._handle.flush()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def close(self) -> None:
+        """Close the append handle, if open. Safe to call again."""
+        with self._lock:
+            self._close_handle()
+
+    def __enter__(self) -> "Cassette":
+        return self
+
+    def __exit__(self, *_) -> None:
+        self.close()
 
     def rewrite_sorted(self) -> None:
-        """Rewrite the file as the header and then every entry sorted by
-        key, through a temporary file and `os.replace`. Does nothing when
-        nothing was stored since the cassette was opened or last sorted.
+        """Close the append handle, then rewrite the file as the header
+        and every entry sorted by key, through a temporary file and
+        `os.replace`. The rewrite does nothing when nothing was stored
+        since the cassette was opened or last sorted.
         """
         with self._lock:
+            self._close_handle()
             if not self._appended:
                 return
             tmp = self.path.with_name(self.path.name + ".tmp")
@@ -218,7 +245,8 @@ class LlmGateway:
     """Completion client in one of three modes: live, record, replay.
 
     Record mode consults the cassette before the network, so repeated
-    prompts resolve to one stored entry and identical responses. Replay
+    prompts resolve to one stored entry and identical responses; `close`
+    closes the cassette's append handle once recording is done. Replay
     mode never touches the transport; unknown prompts raise CassetteMiss.
     """
 
@@ -237,6 +265,11 @@ class LlmGateway:
         self.transport = transport or http_transport
         self.ledger = ledger or UsageLedger()
         self.api_key = api_key
+
+    def close(self) -> None:
+        """Close the cassette's append handle, if any."""
+        if self.cassette is not None:
+            self.cassette.close()
 
     def complete(self, prompt: str, stage: str = "default") -> str:
         key = prompt_key(prompt)

@@ -46,11 +46,15 @@ EXACT_INT_MIN = 10_000_000
 PREVIEW_ROWS = 5
 CHOICE_MARKER = re.compile(r"^\s*CHOICE:\s*(\d+)\s*$",
                            re.MULTILINE | re.IGNORECASE)
-# Quoted strings and identifiers, comments, parentheses and words: enough
-# of SQLite's lexical grammar to find ORDER BY outside every parenthesis.
-_ORDER_SCAN = re.compile(
-    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]"
-    r"|--[^\n]*|/\*.*?(?:\*/|\Z)|[()]|\w+", re.DOTALL)
+# Quoted strings and identifiers (group 1) and comments: enough of
+# SQLite's lexical grammar to blank them out, so that the parentheses and
+# words left are SQL, before looking for ORDER BY outside every
+# parenthesis.
+_ORDER_NOISE = re.compile(
+    r"('(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\])"
+    r"|--[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
+_PARENS = re.compile(r"([()])")
+_ORDER_BY = re.compile(r"(?<!\w)ORDER(?!\w)\W*BY(?!\w)", re.IGNORECASE)
 _AUTHORIZED = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                          sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
 
@@ -139,15 +143,24 @@ def canonical_row(row) -> str:
     return "\x1f".join([canonical_cell(cell) for cell in row])
 
 
-def fingerprint_rows(rows, ordered: bool) -> str:
-    """Hash of the result set; sequence-sensitive only when ordered."""
-    canon = [canonical_row(row) for row in rows]
+def fingerprint_rows(rows, ordered: bool, *, canonical: bool = False) -> str:
+    """Hash of the result set; sequence-sensitive only when ordered.
+
+    rows are result rows, or their canonical_row strings when canonical
+    is true.
+    """
+    canon = rows if canonical else [canonical_row(row) for row in rows]
     if not ordered:
-        canon.sort()
+        canon = sorted(canon)
     prefix = "seq" if ordered else "bag"
     digest = hashlib.sha256(
         "\x1e".join([prefix] + canon).encode("utf-8")).hexdigest()
     return f"{prefix}:{digest}"
+
+
+def _blank(match: re.Match) -> str:
+    # A literal or quoted name stays a word of its own; a comment is space.
+    return " 0 " if match.group(1) else " "
 
 
 def _is_ordered(sql: str) -> bool:
@@ -155,21 +168,17 @@ def _is_ordered(sql: str) -> bool:
 
     ORDER BY inside OVER ( ... ), a subquery, a CTE body or an aggregate's
     argument list does not order the result; literals, quoted names and
-    comments are skipped whole.
+    comments are skipped whole. Between ORDER and BY, punctuation,
+    comments and parenthesised groups are skipped; a literal or any other
+    word is not.
     """
-    depth, previous = 0, ""
-    for match in _ORDER_SCAN.finditer(sql):
-        token = match.group()
-        if token == "(":
-            depth += 1
-        elif token == ")":
-            depth -= 1
-        elif depth == 0 and not token.startswith(("--", "/*")):
-            token = token.upper()
-            if token == "BY" and previous == "ORDER":
-                return True
-            previous = token
-    return False
+    parts = _PARENS.split(_ORDER_NOISE.sub(_blank, sql))
+    depth, outer = 0, [parts[0]]
+    for paren, text in zip(parts[1::2], parts[2::2]):
+        depth += 1 if paren == "(" else -1
+        if depth == 0:
+            outer.append(text)
+    return _ORDER_BY.search(" ".join(outer)) is not None
 
 
 def _authorize(action, *_) -> int:
@@ -296,11 +305,11 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
             wall_time=wall)
     if not rows:
         return ExecutionOutcome(OutcomeStatus.EMPTY, wall_time=wall)
-    fingerprint = fingerprint_rows(rows, _is_ordered(sql))
-    preview = [canonical_row(row) for row in rows[:PREVIEW_ROWS]]
+    canon = [canonical_row(row) for row in rows]
+    fingerprint = fingerprint_rows(canon, _is_ordered(sql), canonical=True)
     return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
                             row_count=len(rows), wall_time=wall,
-                            preview=preview)
+                            preview=canon[:PREVIEW_ROWS])
 
 
 def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],

@@ -253,6 +253,7 @@ def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
     texts = formulate(req, LlmFormulationBackend(recorder))
     verdict = evaluate(toy_profile, "which students?", skel,
                        LlmEvaluationBackend(recorder))
+    recorder.close()
     assert texts == ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _"]
     assert verdict.verdict is True
     assert verdict.analysis == ("a", "b", "c")

@@ -573,6 +573,32 @@ def test_record_runs_write_identical_cassettes(bench_env, tmp_path):
     assert replay["records"] == reports[0]["records"] == reports[1]["records"]
 
 
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_record_run_closes_cassette_when_an_item_raises(
+        bench_env, tmp_path, monkeypatch, concurrency):
+    dataset, db_root = bench_env
+    path = tmp_path / "tape.jsonl"
+    config = GatewayConfig(endpoint="https://example.invalid/v1",
+                           model="stub")
+    gateway = LlmGateway(config, mode="record", cassette=Cassette(path),
+                         transport=TransportOracle(GOLDS), api_key="k")
+    real_run_item = bench.run_item
+
+    def failing_run_item(*args):
+        real_run_item(*args)
+        raise RuntimeError("item failed after recording")
+
+    monkeypatch.setattr(bench, "run_item", failing_run_item)
+    with pytest.raises(RuntimeError, match="item failed"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "record",
+                      settings=RunSettings(mode="record", cassette=str(path),
+                                           gateway=config,
+                                           items_concurrency=concurrency),
+                      backends=llm_backends(gateway))
+    assert gateway.cassette._handle is None
+    assert len(Cassette(path)) == len(gateway.cassette) > 0
+
+
 def test_replay_usage_has_zero_latency(bench_env, tmp_path):
     dataset, db_root = bench_env
     cassette_path, config = record_cassette(dataset, db_root, tmp_path)

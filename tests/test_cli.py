@@ -5,7 +5,10 @@ import json
 import pytest
 
 from conftest import build_school_db
+from fixtures.livestub import TransportOracle
+from skelsearch import cli, gateway
 from skelsearch.cli import main
+from skelsearch.gateway import Cassette
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 
 GOLD = "SELECT name FROM students WHERE year = 2021"
@@ -148,6 +151,31 @@ def test_search_with_gold(capsys, env):
     assert payload["leaves"]
     assert payload["leaves"][-1]["level"] == "detailed"
     assert payload["cost"]["n_d"][0] == 1
+
+
+def test_search_with_record_config_closes_cassette(capsys, env,
+                                                   monkeypatch):
+    tape = env["tmp"] / "tape.jsonl"
+    config = env["tmp"] / "record.yaml"
+    config.write_text(f"mode: record\ncassette: {tape}\n"
+                      f"gateway:\n  endpoint: https://example.invalid/v1\n",
+                      encoding="utf-8")
+    monkeypatch.setattr(gateway, "http_transport",
+                        TransportOracle({QUESTION: GOLD}))
+    built, build_backends = [], cli.build_backends
+
+    def recording_build_backends(*args):
+        built.append(build_backends(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backends", recording_build_backends)
+    code, out, _ = run_cli(capsys, "search", "--db", env["db"],
+                           "--question", QUESTION, "--config", str(config))
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["leaves"]
+    cassette = built[0].gateway.cassette
+    assert cassette._handle is None
+    assert len(Cassette(tape)) == len(cassette) > 0
 
 
 def test_search_without_gold_exits_2(capsys, env):

@@ -1,6 +1,9 @@
 """Gateway behavior: cassettes, retries, ledger conservation, hermetic replay."""
 
 import json
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -46,6 +49,7 @@ def test_record_then_replay(tmp_path):
     recorder = LlmGateway(config(), "record", path, transport=transport)
     first = recorder.complete("hello")
     second = recorder.complete("hello")
+    recorder.close()
     assert first == second == "reply to hello"
     assert calls == ["hello"]
     assert len(Cassette(path)) == 1
@@ -60,7 +64,8 @@ def test_record_then_replay(tmp_path):
 
 def test_replay_miss_is_strict(tmp_path):
     path = tmp_path / "empty.cassette"
-    Cassette(path).store(prompt_key("known"), "ok", 1, 1)
+    with Cassette(path) as cassette:
+        cassette.store(prompt_key("known"), "ok", 1, 1)
     player = LlmGateway(config(), "replay", path,
                         transport=sentinel_transport)
     with pytest.raises(CassetteMiss):
@@ -73,6 +78,7 @@ def test_cassette_reload_roundtrip(tmp_path):
     cassette.store("k1", "value one", 3, 4)
     cassette.store("k2", "value two", 5, 6)
     cassette.store("k1", "ignored duplicate", 9, 9)
+    cassette.close()
     reloaded = Cassette(path)
     assert len(reloaded) == 2
     assert reloaded.lookup("k1")["response"] == "value one"
@@ -97,6 +103,101 @@ def test_cassette_rewrite_sorted(tmp_path):
     assert sorted(lines) == sorted(appended)
     assert not list(tmp_path.glob("*.tmp"))
     assert Cassette(path).lookup("k2")["response"] == "value two"
+
+
+def cassette_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def test_store_into_empty_file_writes_header(tmp_path):
+    # an empty file is what a crash between creating it and the first
+    # write leaves behind
+    path = tmp_path / "c.cassette"
+    path.touch()
+    with Cassette(path) as cassette:
+        cassette.store("k1", "value one", 3, 4)
+    assert json.loads(cassette_lines(path)[0])["format"] == "cassette"
+    assert Cassette(path).lookup("k1")["response"] == "value one"
+
+
+def test_open_writer_shows_every_entry_to_a_reader(tmp_path):
+    path = tmp_path / "c.cassette"
+    with Cassette(path) as writer:
+        for index in range(5):
+            writer.store(f"k{index}", f"value {index}", 1, 1)
+            reader = Cassette(path)
+            assert len(reader) == index + 1
+            assert reader.lookup(f"k{index}")["response"] == f"value {index}"
+
+
+def test_store_after_rewrite_sorted_lands_in_rewritten_file(tmp_path):
+    path = tmp_path / "c.cassette"
+    with Cassette(path) as cassette:
+        cassette.store("k2", "value two", 5, 6)
+        cassette.rewrite_sorted()
+        cassette.store("k1", "value one", 3, 4)
+        cassette.store("k3", "value three", 7, 8)
+    assert len(cassette_lines(path)) == 4
+    reloaded = Cassette(path)
+    assert len(reloaded) == 3
+    assert reloaded.lookup("k3")["completion_tokens"] == 8
+
+
+def test_close_is_idempotent_and_store_reopens(tmp_path):
+    path = tmp_path / "c.cassette"
+    cassette = Cassette(path)
+    cassette.close()
+    cassette.store("k1", "value one", 3, 4)
+    cassette.close()
+    cassette.close()
+    cassette.store("k2", "value two", 5, 6)
+    cassette.close()
+    lines = cassette_lines(path)
+    assert json.loads(lines[0])["format"] == "cassette"
+    assert [json.loads(line)["key"] for line in lines[1:]] == ["k1", "k2"]
+
+
+def test_gateway_close_closes_cassette_handle(tmp_path):
+    path = tmp_path / "c.cassette"
+    recorder = LlmGateway(config(), "record", path,
+                          transport=lambda prompt, cfg, key: ("r", 1, 1))
+    recorder.complete("hello")
+    assert recorder.cassette._handle is not None
+    recorder.close()
+    recorder.close()
+    assert recorder.cassette._handle is None
+    LlmGateway(config()).close()
+
+
+def test_concurrent_stores_write_one_line_per_key(tmp_path):
+    path = tmp_path / "c.cassette"
+    workers = (os.cpu_count() or 1) + 4
+    keys = [f"k{index:03d}" for index in range(120)]
+
+    def store_all(offset):
+        for index in range(len(keys)):
+            key = keys[(index + offset) % len(keys)]
+            cassette.store(key, f"value of {key}", 1, 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Cassette(path) as cassette:
+            threads = [threading.Thread(target=store_all, args=(7 * n,))
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    lines = cassette_lines(path)
+    assert json.loads(lines[0])["format"] == "cassette"
+    entries = [json.loads(line) for line in lines[1:]]
+    assert sorted(entry["key"] for entry in entries) == keys
+    assert all(entry["response"] == f"value of {entry['key']}"
+               for entry in entries)
 
 
 def test_cassette_rejects_foreign_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sqlite3
 import threading
 
@@ -182,6 +183,31 @@ def test_execute_rows(school_profile):
     assert outcome.fingerprint.startswith("bag:")
     assert 0 < len(outcome.preview) <= 5
     assert outcome.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT student_id, course, score FROM grades",
+    "SELECT student_id, course, score FROM grades ORDER BY score",
+])
+def test_preview_and_fingerprint_come_from_result_rows(school_profile, sql):
+    conn = sqlite3.connect(school_profile.path)
+    try:
+        rows = conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+    outcome = run(school_profile, sql)
+    assert len(rows) > 5
+    assert outcome.preview == [canonical_row(row) for row in rows[:5]]
+    assert outcome.fingerprint == fingerprint_rows(rows, _is_ordered(sql))
+
+
+def test_fingerprint_of_canonical_rows_matches_raw_rows():
+    rows = [(3, "c"), (1, None), (2, 2.5)]
+    canon = [canonical_row(row) for row in rows]
+    for ordered in (False, True):
+        assert (fingerprint_rows(canon, ordered, canonical=True)
+                == fingerprint_rows(rows, ordered))
+    assert canon == [canonical_row(row) for row in rows]
 
 
 def test_equivalent_queries_share_fingerprint(school_profile):
@@ -514,6 +540,54 @@ def test_outer_order_by_is_ordered(sql):
 ])
 def test_inner_or_quoted_order_by_is_not_ordered(sql):
     assert not _is_ordered(sql)
+
+
+# The word-by-word scan that _is_ordered replaced, kept as the reference.
+_REFERENCE_SCAN = re.compile(
+    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]"
+    r"|--[^\n]*|/\*.*?(?:\*/|\Z)|[()]|\w+", re.DOTALL)
+
+
+def reference_is_ordered(sql):
+    depth, previous = 0, ""
+    for match in _REFERENCE_SCAN.finditer(sql):
+        token = match.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0 and not token.startswith(("--", "/*")):
+            token = token.upper()
+            if token == "BY" and previous == "ORDER":
+                return True
+            previous = token
+    return False
+
+
+ORDER_FRAGMENTS = st.sampled_from([
+    "ORDER", "order", "oRdEr", "BY", "by", "By", "ORDERBY", "ORDER BY",
+    "(", ")", "'", "''", "'a'", '"', '"b"', "`", "`c`", "[", "]", "[d]",
+    "--", "/*", "*/", "\n", " ", "\t", ",", ".", "-", "/", "*", "x", "_",
+    "0", "é", "ß", "\u0301", "SELECT a FROM t", "LIMIT 1"])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(ORDER_FRAGMENTS, max_size=16).map("".join))
+def test_order_check_matches_reference_scan(sql):
+    assert _is_ordered(sql) == reference_is_ordered(sql)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t ORDER, BY a",
+    "SELECT a FROM t ORDER (x) BY a",
+    "SELECT a FROM t ORDER -- note\n BY a",
+    "SELECT a) FROM t ( ORDER BY a",
+    "SELECT a FROM t ORDER 'x' BY a",
+    "SELECT a FROM t ORDERBY a",
+    "SELECT a FROM t ORDER ' BY a",
+])
+def test_order_check_quirks_match_reference_scan(sql):
+    assert _is_ordered(sql) == reference_is_ordered(sql)
 
 
 def test_ordered_cte_gets_sequence_fingerprint(school_profile):

@@ -136,11 +136,11 @@ def test_record_then_replay_identical(toy_profile, tmp_path):
     def transport(prompt, cfg, api_key):
         return "```sql\nSELECT name FROM students\n```", 5, 7
 
-    recorded = generate_sql(
-        toy_profile, QUESTION, skeleton,
-        LlmGenerationBackend(LlmGateway(config, mode="record",
-                                        cassette=Cassette(path),
-                                        transport=transport, api_key="k")))
+    recorder = LlmGateway(config, mode="record", cassette=Cassette(path),
+                          transport=transport, api_key="k")
+    recorded = generate_sql(toy_profile, QUESTION, skeleton,
+                            LlmGenerationBackend(recorder))
+    recorder.close()
     replayed = generate_sql(
         toy_profile, QUESTION, skeleton,
         LlmGenerationBackend(LlmGateway(config, mode="replay",
