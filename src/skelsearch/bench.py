@@ -3,10 +3,11 @@
 Datasets are the benchmarks' published per-item JSON records; databases
 live under {db_root}/{db_id}/{db_id}.sqlite. Each item runs the full
 pipeline, each distinct SQL text of an item (gold included) executes
-once, and a JSON checkpoint per item makes interrupted runs resumable.
-The report is a pure function of the persisted item records, so it can
-be recomputed offline and is byte-identical across item-level
-concurrency settings under replay backends.
+once, and the journal {out}/items.jsonl, keyed by item index, keeps each
+item's record so that interrupted runs resume. The report is a pure
+function of the persisted item records, so it can be recomputed offline
+and is byte-identical across item-level concurrency settings under
+replay backends.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from .agents import (
 )
 from .engine import EmptySearch, SearchConfig, run_search
 from .gateway import Cassette, GatewayConfig, LlmGateway
+from .journal import Journal
 from .schema import DatabaseProfile, profile_from_sqlite
 from .selector import (
     ExecutionLimits,
@@ -227,11 +229,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
             return run_item(item, profile, backends, settings, own)
     backends = Backends(*backends)
     record = {
-        "question_id": item.question_id,
-        "db_id": item.db_id,
-        "difficulty": item.difficulty,
-        "question": item.question,
-        "gold_sql": item.gold_sql,
+        **vars(item),
         "empty_search": False,
         "error": "",
         "final_sql": "",
@@ -253,9 +251,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         leaves, tree, cost = run_search(profile, item.question,
                                         backends.formulator,
                                         backends.evaluator, settings.search)
-        record["cost"] = {"n_d": cost.n_d, "rho": cost.rho,
-                          "depth": cost.depth, "gen_calls": cost.gen_calls,
-                          "eval_calls": cost.eval_calls}
+        record["cost"] = asdict(cost)
     except EmptySearch:
         record["empty_search"] = True
     except SqlSyntaxError as exc:  # only the gold backends parse gold SQL
@@ -334,20 +330,12 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
     }
 
 
-def _checkpoint_path(out_dir: Path, index: int) -> Path:
-    return out_dir / "items" / f"{index:05d}.json"
-
-
-def _load_checkpoint(path: Path, item: BenchmarkItem) -> dict | None:
-    if not path.is_file():
-        return None
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if record.get("question_id") != item.question_id:
-        return None
-    return record
+def _item_journal(out: Path) -> Journal:
+    """The item records of the run directory `out`, keyed by item index."""
+    if (out / "items").is_dir() and not (out / "items.jsonl").exists():
+        raise BenchConfigError(f"{out / 'items'} holds checkpoints of an "
+                               f"older layout; use a new output directory")
+    return Journal(out / "items.jsonl", "bench-items", 1)
 
 
 def run_benchmark(dataset_path, db_root, out_dir="runs",
@@ -359,11 +347,13 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     order; otherwise build_backends makes them from settings. Every item
     runs its SQL on one connection set, which keeps each worker thread's
     connection to each database open until the item pool has drained.
-    The gateway's cassette is closed once the items are done, also when
-    an item raises.
+    The cassette and the item journal are closed once the items are
+    done, also when an item raises.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)
+    out = Path(out_dir)
+    journal = _item_journal(out)
     profiles: dict[str, DatabaseProfile] = {}
     for item in items:
         if item.db_id not in profiles:
@@ -371,32 +361,31 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
                 resolve_database(db_root, item.db_id), db_id=item.db_id)
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
-    out = Path(out_dir)
-    (out / "items").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     connections = ReadOnlyConnections()
 
     def compute(index_item):
         index, item = index_item
-        path = _checkpoint_path(out, index)
-        record = _load_checkpoint(path, item)
-        if record is None:
-            record = run_item(item, profiles[item.db_id], built, settings,
-                              connections)
-            path.write_text(
-                json.dumps(record, sort_keys=True, ensure_ascii=False)
-                + "\n", encoding="utf-8")
+        entry = journal.get(index)
+        if entry is not None and all(entry["record"].get(name) == value
+                                     for name, value in vars(item).items()):
+            return entry["record"]
+        record = run_item(item, profiles[item.db_id], built, settings,
+                          connections)
+        journal.put({"key": index, "record": record})
         return record
 
     workload = list(enumerate(items))
-    # Closing the backends closes the cassette's append handle whether
-    # the pool drains or an item raises; rewrite_sorted needs no handle.
-    with connections, closing(built):
+    # Closing the backends and the journal closes their append handles
+    # whether the pool drains or an item raises; a rewrite needs none.
+    with connections, closing(built), journal:
         if settings.items_concurrency > 1 and len(workload) > 1:
             with ThreadPoolExecutor(
                     max_workers=settings.items_concurrency) as pool:
                 records = list(pool.map(compute, workload))
         else:
             records = [compute(pair) for pair in workload]
+    journal.rewrite(range(len(items)))
     usage = {}
     if built.gateway is not None:
         ledger = built.gateway.ledger
@@ -411,15 +400,11 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
 
 
 def recompute_report(out_dir) -> dict:
-    """Rebuild the report from persisted item checkpoints only."""
-    items_dir = Path(out_dir) / "items"
-    if not items_dir.is_dir():
-        raise BenchConfigError(f"no item checkpoints under {out_dir}")
-    records = []
-    for path in sorted(items_dir.glob("*.json")):
-        records.append(json.loads(path.read_text(encoding="utf-8")))
+    """Rebuild the report from the run's persisted item records only."""
+    records = [entry["record"]
+               for entry in _item_journal(Path(out_dir)).values()]
     if not records:
-        raise BenchConfigError(f"no item checkpoints under {out_dir}")
+        raise BenchConfigError(f"no item records under {out_dir}")
     previous = {}
     report_path = Path(out_dir) / "report.json"
     if report_path.is_file():

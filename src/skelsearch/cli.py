@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("replay",
-                       help="recompute a report from item checkpoints")
+                       help="recompute a report from the item journal")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(fn=cmd_replay)
 

@@ -13,8 +13,6 @@ cassette instead of silently replaying a stale response.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -22,10 +20,10 @@ from pathlib import Path
 
 import requests
 
+from .journal import Journal
+
 CASSETTE_FORMAT = "cassette"
 CASSETTE_VERSION = 1
-_HEADER_LINE = json.dumps({"format": CASSETTE_FORMAT,
-                           "version": CASSETTE_VERSION}) + "\n"
 
 
 class TransportError(RuntimeError):
@@ -88,11 +86,7 @@ class UsageLedger:
 
     def stages(self) -> list[str]:
         with self._lock:
-            seen = []
-            for e in self.entries:
-                if e.stage not in seen:
-                    seen.append(e.stage)
-        return seen
+            return list(dict.fromkeys(e.stage for e in self.entries))
 
 
 def prompt_key(prompt: str) -> str:
@@ -104,116 +98,32 @@ def estimate_tokens(text: str) -> int:
     return len(text.split())
 
 
-class Cassette:
-    """Line-delimited (prompt hash -> response) store with a header.
-
-    `store` appends each new entry as it arrives, through one append
-    handle that the first store opens and that every store flushes before
-    it returns, so a run that stops midway keeps what it recorded. The
-    header goes in whenever that handle opens on an empty file. Arrival
-    order depends on thread timing, so the owner of a run calls
-    `rewrite_sorted` at its end to give the file the same bytes whatever
-    order the calls completed in.
-
-    `rewrite_sorted` and `close` (or leaving a `with` block) close the
-    handle; a later `store` opens it again. Whoever records closes the
-    cassette when done.
-    """
+class Cassette(Journal):
+    """Prompt hash -> response journal. Arrival order depends on thread
+    timing, so the owner of a recording run calls `rewrite_sorted` at its
+    end to give the file the same bytes in any order of completion."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
-        self._appended = False
-        self._handle = None
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return
-        header = json.loads(lines[0])
-        if header.get("format") != CASSETTE_FORMAT:
-            raise ValueError(f"{self.path}: not a cassette file")
-        if header.get("version") != CASSETTE_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported cassette version "
-                f"{header.get('version')!r}")
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            self._entries[entry["key"]] = entry
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(path, CASSETTE_FORMAT, CASSETTE_VERSION)
 
     def lookup(self, key: str) -> dict:
-        with self._lock:
-            if key not in self._entries:
-                raise CassetteMiss(key)
-            return dict(self._entries[key])
+        entry = self.get(key)
+        if entry is None:
+            raise CassetteMiss(key)
+        return dict(entry)
 
     def store(self, key: str, response: str, prompt_tokens: int,
               completion_tokens: int) -> None:
-        entry = {
-            "key": key,
-            "response": response,
-            "prompt_tokens": prompt_tokens,
-            "completion_tokens": completion_tokens,
-        }
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = entry
-            self._appended = True
-            if self._handle is None:
-                self._handle = self.path.open("a", encoding="utf-8")
-                if self._handle.tell() == 0:
-                    self._handle.write(_HEADER_LINE)
-            self._handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-            self._handle.flush()
-
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def close(self) -> None:
-        """Close the append handle, if open. Safe to call again."""
-        with self._lock:
-            self._close_handle()
-
-    def __enter__(self) -> "Cassette":
-        return self
-
-    def __exit__(self, *_) -> None:
-        self.close()
+        """Keep the first response stored under `key`."""
+        self.put({"key": key, "response": response,
+                  "prompt_tokens": prompt_tokens,
+                  "completion_tokens": completion_tokens}, replace=False)
 
     def rewrite_sorted(self) -> None:
-        """Close the append handle, then rewrite the file as the header
-        and every entry sorted by key, through a temporary file and
-        `os.replace`. The rewrite does nothing when nothing was stored
-        since the cassette was opened or last sorted.
-        """
-        with self._lock:
-            self._close_handle()
-            if not self._appended:
-                return
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with tmp.open("w", encoding="utf-8") as fh:
-                fh.write(_HEADER_LINE)
-                for key in sorted(self._entries):
-                    fh.write(json.dumps(self._entries[key],
-                                        ensure_ascii=False) + "\n")
-            os.replace(tmp, self.path)
-            self._appended = False
+        """Rewrite the file in key order, unless nothing was stored since
+        the cassette was opened or last sorted."""
+        if self.appended:
+            self.rewrite()
 
 
 def http_transport(prompt: str, config: GatewayConfig,
@@ -273,14 +183,8 @@ class LlmGateway:
 
     def complete(self, prompt: str, stage: str = "default") -> str:
         key = prompt_key(prompt)
-        if self.mode == "replay":
-            entry = self.cassette.lookup(key)
-            self.ledger.record(UsageEntry(
-                stage, entry["prompt_tokens"], entry["completion_tokens"],
-                0.0))
-            return entry["response"]
-
-        if self.mode == "record" and key in self.cassette:
+        if self.mode == "replay" or (self.mode == "record"
+                                     and key in self.cassette):
             entry = self.cassette.lookup(key)
             self.ledger.record(UsageEntry(
                 stage, entry["prompt_tokens"], entry["completion_tokens"],

@@ -353,12 +353,15 @@ def test_criterion_07_replay_determinism(tmp_path):
                                settings=settings)
         assert report["ex"] == 1.0
         assert report["pass_at_k"] >= report["ex"]
-        items = {path.name: path.read_bytes()
-                 for path in sorted((out / "items").glob("*.json"))}
-        assert len(items) == 3
-        snapshots.append(((out / "report.json").read_bytes(), items))
+        journal = (out / "items.jsonl").read_bytes()
+        _header, *lines = journal.splitlines(keepends=True)
+        items = {json.loads(line)["key"]: line for line in lines}
+        assert list(items) == [0, 1, 2]
+        snapshots.append(((out / "report.json").read_bytes(), journal,
+                          items))
     assert snapshots[0][0] == snapshots[1][0]
     assert snapshots[0][1] == snapshots[1][1]
+    assert snapshots[0][2] == snapshots[1][2]
     print("PASS 7: replay runs at concurrency 1 and 8 are byte-identical "
           "(report plus 3 item traces)")
 

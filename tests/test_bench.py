@@ -193,7 +193,11 @@ def test_gold_run_is_perfect(bench_env, tmp_path):
     assert report["ex"] == 1.0
     assert report["pass_at_k"] == 1.0
     assert report["flagged"] == []
-    assert len(list((out / "items").glob("*.json"))) == 3
+    header, *lines = journal_lines(out)
+    assert header == {"format": "bench-items", "version": 1}
+    assert [line["key"] for line in lines] == [0, 1, 2]
+    assert [line["record"] for line in lines] == report["records"]
+    assert not (out / "items").exists()
     assert (out / "report.json").is_file()
     for difficulty in ("simple", "moderate", "challenging"):
         bucket = report["per_difficulty"][difficulty]
@@ -360,18 +364,27 @@ def test_unparsable_gold_sql_is_classified(bench_env, gold):
     assert record["candidate_count"] == 0
 
 
-# Checkpoints and resume
+# Item journal and resume
+
+
+def journal_lines(out):
+    """The parsed lines of a run's item journal, header first."""
+    text = (out / "items.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def write_journal(out, lines):
+    (out / "items.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
 
 
 def test_resume_reuses_checkpoints(bench_env, tmp_path):
     dataset, db_root = bench_env
     out = tmp_path / "run"
     run_benchmark(dataset, db_root, out_dir=out, backends=gold_backends())
-    checkpoint = out / "items" / "00000.json"
-    record = json.loads(checkpoint.read_text(encoding="utf-8"))
-    record["final_sql"] = "TAMPERED"
-    checkpoint.write_text(json.dumps(record, sort_keys=True),
-                          encoding="utf-8")
+    lines = journal_lines(out)
+    lines[1]["record"]["final_sql"] = "TAMPERED"
+    write_journal(out, lines)
     report = run_benchmark(dataset, db_root, out_dir=out,
                            backends=gold_backends())
     assert report["records"][0]["final_sql"] == "TAMPERED"
@@ -385,25 +398,98 @@ def test_resume_after_partial_run_matches_full_run(bench_env, tmp_path):
                   backends=gold_backends())
     run_benchmark(dataset, db_root, out_dir=partial,
                   backends=gold_backends())
-    (partial / "items" / "00001.json").unlink()
+    lines = journal_lines(partial)
+    write_journal(partial, lines[:2] + lines[3:])  # drop item 1
     run_benchmark(dataset, db_root, out_dir=partial,
                   backends=gold_backends())
     assert ((full / "report.json").read_bytes()
             == (partial / "report.json").read_bytes())
+    assert ((full / "items.jsonl").read_bytes()
+            == (partial / "items.jsonl").read_bytes())
 
 
 def test_checkpoint_for_changed_item_is_recomputed(bench_env, tmp_path):
     dataset, db_root = bench_env
     out = tmp_path / "run"
     run_benchmark(dataset, db_root, out_dir=out, backends=gold_backends())
-    checkpoint = out / "items" / "00000.json"
-    record = json.loads(checkpoint.read_text(encoding="utf-8"))
-    record["question_id"] = "other"
-    record["final_sql"] = "STALE"
-    checkpoint.write_text(json.dumps(record), encoding="utf-8")
+    lines = journal_lines(out)
+    lines[1]["record"]["question_id"] = "other"
+    lines[1]["record"]["final_sql"] = "STALE"
+    write_journal(out, lines)
     report = run_benchmark(dataset, db_root, out_dir=out,
                            backends=gold_backends())
     assert report["records"][0]["final_sql"] != "STALE"
+
+
+def test_resume_checks_every_item_field(bench_env, tmp_path):
+    # without question_id fields, ids default to the item's index, so an
+    # edited item keeps its id
+    dataset, db_root = bench_env
+    rows = json.loads(dataset.read_text(encoding="utf-8"))
+    for row in rows:
+        del row["question_id"]
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    out = tmp_path / "run"
+    run_benchmark(dataset, db_root, out_dir=out, backends=gold_backends())
+    rows[0]["question"], rows[0]["SQL"] = Q3, GOLDS[Q3]
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    report = run_benchmark(dataset, db_root, out_dir=out,
+                           backends=gold_backends())
+    record = report["records"][0]
+    assert (record["question_id"], record["question"]) == ("0", Q3)
+    assert record["gold_sql"] == GOLDS[Q3]
+    assert record["correct"] is True
+    assert journal_lines(out)[1]["record"] == record
+
+
+def test_shorter_rerun_drops_stale_records(bench_env, tmp_path):
+    dataset, db_root = bench_env
+    out = tmp_path / "run"
+    run_benchmark(dataset, db_root, out_dir=out, backends=gold_backends())
+    rows = json.loads(dataset.read_text(encoding="utf-8"))
+    shorter = tmp_path / "first_two.json"
+    shorter.write_text(json.dumps(rows[:2]), encoding="utf-8")
+    report = run_benchmark(shorter, db_root, out_dir=out,
+                           backends=gold_backends())
+    assert report["items"] == 2
+    assert recompute_report(out)["items"] == 2
+    assert [line["key"] for line in journal_lines(out)[1:]] == [0, 1]
+
+
+@pytest.mark.parametrize("cut", [1, 25, -40])
+def test_resume_after_torn_journal_matches_full_run(bench_env, tmp_path,
+                                                    cut):
+    """A run killed mid-write leaves a torn last journal line; resuming
+    drops it and gives the records of an uninterrupted run."""
+    dataset, db_root = bench_env
+    full = tmp_path / "full"
+    torn = tmp_path / "torn"
+    run_benchmark(dataset, db_root, out_dir=full, backends=gold_backends())
+    run_benchmark(dataset, db_root, out_dir=torn, backends=gold_backends())
+    data = (torn / "items.jsonl").read_bytes()
+    start = data.rindex(b"\n", 0, len(data) - 1) + 1  # item 2's line
+    (torn / "items.jsonl").write_bytes(
+        data[:start + cut % (len(data) - start)])
+    kept = bench._item_journal(torn).values()
+    assert kept == journal_lines(full)[1:3]
+    report = run_benchmark(dataset, db_root, out_dir=torn,
+                           backends=gold_backends())
+    assert report == json.loads((full / "report.json").read_text())
+    assert ((full / "items.jsonl").read_bytes()
+            == (torn / "items.jsonl").read_bytes())
+
+
+def test_old_checkpoint_layout_is_a_config_error(bench_env, tmp_path):
+    dataset, db_root = bench_env
+    out = tmp_path / "run"
+    (out / "items").mkdir(parents=True)
+    (out / "items" / "00000.json").write_text("{}", encoding="utf-8")
+    with pytest.raises(BenchConfigError, match="older layout"):
+        run_benchmark(dataset, db_root, out_dir=out,
+                      backends=gold_backends())
+    with pytest.raises(BenchConfigError, match="older layout"):
+        recompute_report(out)
+    assert sorted(path.name for path in out.iterdir()) == ["items"]
 
 
 def test_item_concurrency_keeps_report_bytes(bench_env, tmp_path):
