@@ -184,8 +184,15 @@ class Backends(NamedTuple):
     arbitrator: object = None
     gateway: LlmGateway | None = None
 
+    @property
+    def map_calls(self):
+        """How a level's model calls run: through the gateway's `map`, or
+        inline with the builtin `map` when there is no gateway."""
+        return self.gateway.map if self.gateway is not None else map
+
     def close(self) -> None:
-        """Close the gateway's cassette handle, if there is one."""
+        """Close the gateway (its call pool, then its cassette handle), if
+        there is one."""
         if self.gateway is not None:
             self.gateway.close()
 
@@ -220,7 +227,9 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
              connections: ReadOnlyConnections | None = None) -> dict:
     """One item through search -> generate -> execute -> select.
 
-    backends is a Backends or a plain tuple in its field order. SQL runs
+    backends is a Backends or a plain tuple in its field order. With a
+    gateway, the model calls of each search level and the generations run
+    through `LlmGateway.map`; without one (gold mode), inline. SQL runs
     on `connections`; without a set, the item uses one of its own and
     closes it.
     """
@@ -250,7 +259,8 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
     try:
         leaves, tree, cost = run_search(profile, item.question,
                                         backends.formulator,
-                                        backends.evaluator, settings.search)
+                                        backends.evaluator, settings.search,
+                                        backends.map_calls)
         record["cost"] = asdict(cost)
     except EmptySearch:
         record["empty_search"] = True
@@ -266,7 +276,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         return record
     try:
         candidates = generate_all(profile, item.question, leaves,
-                                  backends.generator)
+                                  backends.generator, backends.map_calls)
         outcomes = execute_all(profile, candidates, settings.limits,
                                {item.gold_sql: gold_outcome}, connections)
         tokens = [_result_token(o) for o in outcomes]

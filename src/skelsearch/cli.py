@@ -69,10 +69,9 @@ def cmd_search(args) -> int:
         backends = build_backends(settings, [])
     try:
         with closing(backends):
-            leaves, tree, cost = run_search(profile, args.question,
-                                            backends.formulator,
-                                            backends.evaluator,
-                                            settings.search)
+            leaves, tree, cost = run_search(
+                profile, args.question, backends.formulator,
+                backends.evaluator, settings.search, backends.map_calls)
     except EmptySearch as exc:
         print("empty search: every Base skeleton was pruned",
               file=sys.stderr)

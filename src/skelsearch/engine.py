@@ -13,10 +13,15 @@ The candidate set S is every Valid skeleton-bearing node without a Valid
 child: DetailedStep2 survivors plus any node whose children were all
 pruned or never materialized.
 
-Determinism: backend calls run inline, one after another, in (parent
-id, candidate index) order, so a search is a pure function of its
-backends' answers. Each model call is bounded by the gateway's own
-timeout and retries; the search adds no timeout of its own.
+Determinism: the backend calls of one round do not depend on each
+other, so the search hands each batch (one formulation per parent, then
+one evaluation per child the round creates) to a map-like callable: the
+builtin `map` runs them inline, `LlmGateway.map` side by side. Either
+way results are consumed in (parent id, candidate index) order, so node
+ids, the verdict log and the call counts are a pure function of the
+backends' answers, and the first exception in that order propagates
+with the same partial tree. Each model call is bounded by the gateway's
+own timeout and retries; the search adds no timeout of its own.
 """
 
 from __future__ import annotations
@@ -171,12 +176,13 @@ def compute_cost(tree: SearchTree, unit_gen: float,
 
 class _Engine:
     def __init__(self, schema: DatabaseProfile, question: str, formulator,
-                 evaluator, config: SearchConfig):
+                 evaluator, config: SearchConfig, map_calls):
         self.schema = schema
         self.question = question
         self.formulator = formulator
         self.evaluator = evaluator
         self.config = config
+        self.map_calls = map_calls
         self.tree = SearchTree(question, schema.db_id, config.m)
         self.gen_calls = 0
         self.eval_calls = 0
@@ -190,11 +196,13 @@ class _Engine:
         """Formulate children for each parent; normalized, deduplicated."""
         out: dict[int, list[Skeleton]] = {}
         level = phase.target_level
-        for parent in parents:
-            req = FormulationRequest(self.schema, self.question,
-                                     parent.skeleton, phase, self.config.m)
+        asks = [FormulationRequest(self.schema, self.question,
+                                   parent.skeleton, phase, self.config.m)
+                for parent in parents]
+        answers = self.map_calls(
+            lambda req: formulate(req, self.formulator), asks)
+        for parent, texts in zip(parents, answers):
             self.gen_calls += 1
-            texts = formulate(req, self.formulator)
             seen: set[str] = set()
             skeletons = []
             for text in texts:
@@ -232,19 +240,20 @@ class _Engine:
             created[parent.id] = []
             if not proposals[parent.id]:
                 stalled.append(parent)
-                continue
-            for skeleton in proposals[parent.id]:
-                self.eval_calls += 1
-                verdict = evaluate(self.schema, self.question, skeleton,
-                                   self.evaluator)
-                status = (NodeStatus.VALID if verdict.verdict
-                          else NodeStatus.PRUNED)
-                node = self.tree.add_child(parent, phase, step, skeleton,
-                                           status)
-                self.tree.verdict_log.append(VerdictRecord(
-                    node.id, verdict.verdict, verdict.reason))
-                if verdict.verdict:
-                    created[parent.id].append(node)
+        judged = [(parent, skeleton) for parent in parents
+                  for skeleton in proposals[parent.id]]
+        verdicts = self.map_calls(
+            lambda pair: evaluate(self.schema, self.question, pair[1],
+                                  self.evaluator), judged)
+        for (parent, skeleton), verdict in zip(judged, verdicts):
+            self.eval_calls += 1
+            status = (NodeStatus.VALID if verdict.verdict
+                      else NodeStatus.PRUNED)
+            node = self.tree.add_child(parent, phase, step, skeleton, status)
+            self.tree.verdict_log.append(VerdictRecord(
+                node.id, verdict.verdict, verdict.reason))
+            if verdict.verdict:
+                created[parent.id].append(node)
         return created, stalled
 
     def run(self) -> tuple[list[Skeleton], SearchTree, CostReport]:
@@ -287,9 +296,13 @@ class _Engine:
 
 
 def run_search(schema: DatabaseProfile, question: str, formulator, evaluator,
-               config: SearchConfig | None = None,
+               config: SearchConfig | None = None, map_calls=map,
                ) -> tuple[list[Skeleton], SearchTree, CostReport]:
     """Run the full three-phase search.
+
+    `map_calls(fn, items)` runs the backend calls of one level and
+    yields their results in the order of `items`, as the builtin `map`
+    (the default, inline) and `LlmGateway.map` (side by side) do.
 
     Raises:
         EmptySearch: Phase 1 pruned every Base skeleton; the partial tree
@@ -301,7 +314,7 @@ def run_search(schema: DatabaseProfile, question: str, formulator, evaluator,
     if not question or not question.strip():
         raise ValueError("question is empty")
     engine = _Engine(schema, question, formulator, evaluator,
-                     config or SearchConfig())
+                     config or SearchConfig(), map_calls)
     try:
         return engine.run()
     except EmptySearch:

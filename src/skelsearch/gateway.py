@@ -15,15 +15,18 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .journal import Journal
 
 CASSETTE_FORMAT = "cassette"
 CASSETTE_VERSION = 1
+# Threads of a gateway's call pool (`LlmGateway.map`); the calling thread
+# runs one call of each batch itself. The table in CHANGES.md gives the
+# measured latency by pool size.
+POOL_SIZE = 3
 
 
 class TransportError(RuntimeError):
@@ -129,6 +132,8 @@ class Cassette(Journal):
 def http_transport(prompt: str, config: GatewayConfig,
                    api_key: str | None = None) -> tuple[str, int, int]:
     """POST one chat completion in the common provider wire format."""
+    import requests  # only runs that reach the network pay for the import
+
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -155,9 +160,13 @@ class LlmGateway:
     """Completion client in one of three modes: live, record, replay.
 
     Record mode consults the cassette before the network, so repeated
-    prompts resolve to one stored entry and identical responses; `close`
-    closes the cassette's append handle once recording is done. Replay
-    mode never touches the transport; unknown prompts raise CassetteMiss.
+    prompts resolve to one stored entry and identical responses. Callers
+    that miss the same prompt at once share one transport call: the first
+    makes it and stores the response, and the others wait for it and then
+    read the stored entry, so every caller gets the response that replay
+    will return. Replay mode never touches the transport; unknown prompts
+    raise CassetteMiss. `close` stops the call pool and then closes the
+    cassette's append handle.
     """
 
     def __init__(self, config: GatewayConfig, mode: str = "live",
@@ -175,22 +184,77 @@ class LlmGateway:
         self.transport = transport or http_transport
         self.ledger = ledger or UsageLedger()
         self.api_key = api_key
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._flights: dict[str, threading.Event] = {}
+
+    def map(self, fn, items):
+        """Apply `fn` to each of `items`; yield the results in input order.
+
+        In live and record mode the calls run side by side: all but the
+        first go to the gateway's pool, created on first use, and the
+        calling thread runs the first. The first exception in input order
+        is raised where its result would be, once the calls still running
+        have finished and those not started are cancelled. Replay runs the
+        calls inline, as the builtin `map` does: a cassette hit never
+        waits, so a pool would only add hand-off cost.
+        """
+        items = list(items)
+        if self.mode == "replay" or len(items) < 2:
+            return map(fn, items)
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    POOL_SIZE, thread_name_prefix="skelsearch-gateway")
+            futures = [self._pool.submit(fn, item) for item in items[1:]]
+        return _in_order(fn, items[0], futures)
 
     def close(self) -> None:
-        """Close the cassette's append handle, if any."""
+        """Shut the call pool down, then close the cassette's append
+        handle: a call still in flight may yet store its response."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if self.cassette is not None:
             self.cassette.close()
 
     def complete(self, prompt: str, stage: str = "default") -> str:
         key = prompt_key(prompt)
-        if self.mode == "replay" or (self.mode == "record"
-                                     and key in self.cassette):
-            entry = self.cassette.lookup(key)
-            self.ledger.record(UsageEntry(
-                stage, entry["prompt_tokens"], entry["completion_tokens"],
-                0.0))
-            return entry["response"]
+        if self.mode == "live":
+            return self._call(key, prompt, stage)
+        if self.mode == "record":
+            flight = self._lead(key)
+            if flight is not None:
+                try:
+                    return self._call(key, prompt, stage)
+                finally:
+                    with self._lock:
+                        del self._flights[key]
+                    flight.set()
+        entry = self.cassette.lookup(key)
+        self.ledger.record(UsageEntry(
+            stage, entry["prompt_tokens"], entry["completion_tokens"], 0.0))
+        return entry["response"]
 
+    def _lead(self, key: str) -> threading.Event | None:
+        """None once the cassette holds `key`; otherwise an event that
+        makes this caller the one to call the transport for `key`, which
+        it sets when done. While another caller's call for `key` is in
+        flight, wait for it; if that call failed, the next caller leads."""
+        while True:
+            with self._lock:
+                if key in self.cassette:
+                    return None
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Event()
+                    return flight
+            flight.wait()
+
+    def _call(self, key: str, prompt: str, stage: str) -> str:
+        """One completion through the transport, with retries; record mode
+        stores the response."""
         started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
@@ -216,3 +280,17 @@ class LlmGateway:
         raise TransportError(
             f"completion failed after {self.config.retries + 1} attempts: "
             f"{last_error}") from last_error
+
+
+def _in_order(fn, first, futures):
+    """Yield fn(first), then each future's result. On an exception, or
+    when the consumer stops early, cancel the calls not yet started and
+    wait for those running, so no call outlives the batch."""
+    try:
+        yield fn(first)
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)

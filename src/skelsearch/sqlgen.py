@@ -61,9 +61,12 @@ def generate_sql(profile: DatabaseProfile, question: str,
 
 
 def generate_all(profile: DatabaseProfile, question: str,
-                 skeletons: list[Skeleton], backend) -> list[SqlCandidate]:
-    """One candidate per skeleton, ordered like the input."""
-    return [generate_sql(profile, question, s, backend) for s in skeletons]
+                 skeletons: list[Skeleton], backend,
+                 map_calls=map) -> list[SqlCandidate]:
+    """One candidate per skeleton, ordered like the input; `map_calls`
+    runs the generations, inline by default (see `engine.run_search`)."""
+    return list(map_calls(
+        lambda s: generate_sql(profile, question, s, backend), skeletons))
 
 
 class LlmGenerationBackend:

@@ -1,6 +1,7 @@
 """Shared fixtures: a small school database and its profile."""
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -59,6 +60,15 @@ def is_closed(conn) -> bool:
     except sqlite3.ProgrammingError:
         return True
     return False
+
+
+def gateway_pool_threads(threads=None) -> set:
+    """The threads of gateway call pools (`LlmGateway.map`) among
+    `threads`, by default among the live ones."""
+    if threads is None:
+        threads = threading.enumerate()
+    return {thread for thread in threads
+            if thread.name.startswith("skelsearch-gateway")}
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ a record-mode gateway at it yields a cassette that replays hermetically.
 """
 
 import re
+import threading
 
 from skelsearch.gateway import estimate_tokens
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
@@ -31,7 +32,8 @@ class TransportOracle:
     def __init__(self, golds: dict):
         self.golds = dict(golds)
         self.trees = {sql: parse_query(sql) for sql in self.golds.values()}
-        self.calls = 0
+        self.calls = 0  # under a lock: a gateway calls from pool threads
+        self._lock = threading.Lock()
 
     def _gold(self, prompt: str) -> str:
         match = _QUESTION.search(prompt)
@@ -40,7 +42,8 @@ class TransportOracle:
         return self.golds[match.group(1)]
 
     def __call__(self, prompt: str, config, api_key: str):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         kind = next((kind for prefix, kind in _STAGES
                      if prompt.startswith(prefix)), None)
         if kind is None:
@@ -61,3 +64,24 @@ class TransportOracle:
             level = GranularityLevel.from_name(kind)
             response = extract_skeleton(tree, level).text
         return response, estimate_tokens(prompt), estimate_tokens(response)
+
+
+class BranchingOracle(TransportOracle):
+    """A TransportOracle that adds two wrong Base proposals, so that each
+    search's Base evaluations come as one batch of three, and that keeps
+    the threads it was called on."""
+
+    EXTRA_BASE = "\nSELECT _ FROM _ ORDER BY _\nSELECT _ FROM _ LIMIT _"
+
+    def __init__(self, golds: dict):
+        super().__init__(golds)
+        self.threads: set[threading.Thread] = set()
+
+    def __call__(self, prompt: str, config, api_key: str):
+        with self._lock:
+            self.threads.add(threading.current_thread())
+        text, p_tokens, c_tokens = super().__call__(prompt, config, api_key)
+        if prompt.startswith(_STAGES[0][0]):
+            text += self.EXTRA_BASE
+            c_tokens = estimate_tokens(text)
+        return text, p_tokens, c_tokens

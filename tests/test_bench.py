@@ -7,13 +7,13 @@ import time
 
 import pytest
 
-from conftest import build_school_db, is_closed
+from conftest import build_school_db, gateway_pool_threads, is_closed
 from fixtures.doubles import (
     ScriptedEvaluationBackend,
     ScriptedFormulationBackend,
     ScriptedGenerationBackend,
 )
-from fixtures.livestub import TransportOracle
+from fixtures.livestub import BranchingOracle, TransportOracle
 from skelsearch import bench, selector
 from skelsearch.agents import (
     GoldFormulationBackend,
@@ -683,6 +683,43 @@ def test_record_run_closes_cassette_when_an_item_raises(
                       backends=llm_backends(gateway))
     assert gateway.cassette._handle is None
     assert len(Cassette(path)) == len(gateway.cassette) > 0
+
+
+@pytest.mark.parametrize("item_raises", [False, True])
+def test_record_run_stops_its_call_pool(bench_env, tmp_path, monkeypatch,
+                                        item_raises):
+    dataset, db_root = bench_env
+    path = tmp_path / "tape.jsonl"
+    config = GatewayConfig(endpoint="https://example.invalid/v1",
+                           model="stub")
+    oracle = BranchingOracle(GOLDS)
+    gateway = LlmGateway(config, mode="record", cassette=Cassette(path),
+                         transport=oracle, api_key="k")
+    if item_raises:
+        real_run_item = bench.run_item
+
+        def failing_run_item(*args):
+            real_run_item(*args)
+            raise RuntimeError("item failed after recording")
+
+        monkeypatch.setattr(bench, "run_item", failing_run_item)
+    before = gateway_pool_threads()
+    settings = RunSettings(mode="record", cassette=str(path),
+                           gateway=config, items_concurrency=2)
+    if item_raises:
+        with pytest.raises(RuntimeError, match="item failed"):
+            run_benchmark(dataset, db_root, out_dir=tmp_path / "record",
+                          settings=settings, backends=llm_backends(gateway))
+    else:
+        report = run_benchmark(dataset, db_root, out_dir=tmp_path / "record",
+                               settings=settings,
+                               backends=llm_backends(gateway))
+        assert report["ex"] == 1.0
+    pooled = gateway_pool_threads(oracle.threads)
+    assert pooled, "no call ran on the gateway's pool"
+    assert not any(thread.is_alive() for thread in pooled)
+    assert gateway_pool_threads() - before == set()
+    assert gateway.cassette._handle is None
 
 
 def test_replay_usage_has_zero_latency(bench_env, tmp_path):

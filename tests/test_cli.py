@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from conftest import build_school_db
-from fixtures.livestub import TransportOracle
+from conftest import build_school_db, gateway_pool_threads
+from fixtures.livestub import BranchingOracle
 from skelsearch import cli, gateway
 from skelsearch.cli import main
 from skelsearch.gateway import Cassette
@@ -160,8 +160,8 @@ def test_search_with_record_config_closes_cassette(capsys, env,
     config.write_text(f"mode: record\ncassette: {tape}\n"
                       f"gateway:\n  endpoint: https://example.invalid/v1\n",
                       encoding="utf-8")
-    monkeypatch.setattr(gateway, "http_transport",
-                        TransportOracle({QUESTION: GOLD}))
+    oracle = BranchingOracle({QUESTION: GOLD})
+    monkeypatch.setattr(gateway, "http_transport", oracle)
     built, build_backends = [], cli.build_backends
 
     def recording_build_backends(*args):
@@ -176,6 +176,9 @@ def test_search_with_record_config_closes_cassette(capsys, env,
     cassette = built[0].gateway.cassette
     assert cassette._handle is None
     assert len(Cassette(tape)) == len(cassette) > 0
+    pooled = gateway_pool_threads(oracle.threads)
+    assert pooled, "no call ran on the gateway's pool"
+    assert not any(thread.is_alive() for thread in pooled)
 
 
 def test_search_without_gold_exits_2(capsys, env):

@@ -1,5 +1,6 @@
 """Engine behavior against the hand-written Algorithm traces."""
 
+import random
 import threading
 import time
 
@@ -13,14 +14,16 @@ from skelsearch.engine import (
     compute_cost,
     run_search,
 )
+from skelsearch.gateway import GatewayConfig, LlmGateway
 from skelsearch.selector import OutcomeStatus, execute_candidate
-from skelsearch.sqlgen import SqlCandidate
+from skelsearch.sqlgen import SqlCandidate, generate_all
 
 from conftest import make_profile
 from fixtures import traces
 from fixtures.doubles import (
     ScriptedEvaluationBackend,
     ScriptedFormulationBackend,
+    ScriptedGenerationBackend,
 )
 from fixtures.traces import SCENARIOS, Scenario
 
@@ -265,3 +268,78 @@ def test_config_validation():
             SearchConfig(**bad)
     with pytest.raises(ValueError):
         run_search(make_profile(), "  ", None, None, SearchConfig())
+
+
+@pytest.fixture
+def pooled_map():
+    """`LlmGateway.map` of a live gateway: the side-by-side path that live
+    and record runs take. The gateway's pool is stopped afterwards."""
+    gateway = LlmGateway(GatewayConfig(), mode="live")
+    yield gateway.map
+    gateway.close()
+
+
+def jittered(map_calls, seed):
+    """`map_calls` with each call delayed by a random 0-2 ms, so that the
+    calls of one batch finish out of order."""
+    rng = random.Random(seed)
+
+    def run(fn, items):
+        def delayed(item):
+            time.sleep(rng.random() * 0.002)
+            return fn(item)
+        return map_calls(delayed, items)
+    return run
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", SCENARIOS, ids=lambda f: f.__name__)
+def test_side_by_side_calls_give_the_inline_result(make, seed, pooled_map):
+    scenario = make()
+
+    def search_and_generate(map_calls):
+        formulator = ScriptedFormulationBackend(scenario.formulation)
+        evaluator = ScriptedEvaluationBackend(scenario.evaluation,
+                                              default=scenario.eval_default)
+        try:
+            leaves, tree, cost = run_search(
+                make_profile(), traces.Q, formulator, evaluator,
+                SearchConfig(**scenario.config), map_calls)
+        except EmptySearch as exc:
+            return exc.tree.dump(), exc.tree.verdict_log
+        # every other leaf has SQL; the rest come back failed
+        generator = ScriptedGenerationBackend(
+            {(traces.Q, s.text): f"SELECT {n} FROM t"
+             for n, s in enumerate(leaves) if n % 2 == 0})
+        candidates = generate_all(make_profile(), traces.Q, leaves,
+                                  generator, map_calls)
+        return (tree.dump(), tree.verdict_log, [s.text for s in leaves],
+                cost, candidates)
+
+    inline = search_and_generate(map)
+    assert search_and_generate(jittered(pooled_map, seed)) == inline
+
+
+def test_raising_evaluator_leaves_the_inline_partial_tree(pooled_map):
+    scenario = traces.tri_branching()
+
+    def search(map_calls):
+        # E22 is the fifth of the nine evaluations of the Expanded round
+        evaluator = ScriptedEvaluationBackend(
+            {(traces.Q, traces.E22): KeyError("cassette miss stand-in")},
+            default=True)
+        with pytest.raises(KeyError) as info:
+            run_search(make_profile(), traces.Q,
+                       ScriptedFormulationBackend(scenario.formulation),
+                       evaluator, SearchConfig(), map_calls)
+        calls = len(evaluator.calls)
+        time.sleep(0.05)
+        assert len(evaluator.calls) == calls, "a call outlived the search"
+        tree = info.value.partial_tree
+        return tree.dump(), tree.verdict_log
+
+    inline = search(map)
+    assert [row.split("\t")[-1] for row in inline[0].splitlines()[-2:]] \
+        == [traces.E13, traces.E21]
+    for seed in range(3):
+        assert search(jittered(pooled_map, seed)) == inline

@@ -2,19 +2,27 @@
 
 import json
 import os
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import skelsearch
+from conftest import gateway_pool_threads
 from skelsearch.gateway import (
+    POOL_SIZE,
     Cassette,
     CassetteMiss,
     GatewayConfig,
     LlmGateway,
     TransportError,
     UsageLedger,
+    http_transport,
     prompt_key,
 )
 
@@ -270,3 +278,204 @@ def test_mode_validation(tmp_path):
         LlmGateway(config(), "stream")
     with pytest.raises(ValueError):
         LlmGateway(config(), "replay")
+
+
+def test_concurrent_misses_of_one_prompt_share_one_transport_call(tmp_path):
+    path = tmp_path / "c.cassette"
+    calls = []
+    lock = threading.Lock()
+
+    def transport(prompt, cfg, api_key=None):
+        with lock:  # a live model: each call answers differently
+            calls.append(prompt)
+            answer = f"answer {len(calls)}"
+        time.sleep(0.05)
+        return answer, 4, 2
+
+    recorder = LlmGateway(config(), "record", path, transport=transport)
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def ask(_):
+        barrier.wait(timeout=30)
+        return recorder.complete("the same prompt", stage="evaluate")
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        answers = list(pool.map(ask, range(workers)))
+    recorder.close()
+    stored = Cassette(path).lookup(prompt_key("the same prompt"))
+    assert answers == [stored["response"]] * workers
+    assert calls == ["the same prompt"]
+    totals = recorder.ledger.totals("evaluate")
+    assert totals["calls"] == workers
+    assert totals["prompt_tokens"] == 4 * workers
+
+
+def test_waiters_lead_the_next_call_when_the_first_fails(tmp_path):
+    attempts = []
+    lock = threading.Lock()
+
+    def transport(prompt, cfg, api_key=None):
+        with lock:
+            attempts.append(prompt)
+            first = len(attempts) == 1
+        time.sleep(0.05)
+        if first:
+            raise ConnectionError("down")
+        return "recovered", 1, 1
+
+    recorder = LlmGateway(config(retries=0), "record",
+                          tmp_path / "c.cassette", transport=transport)
+    barrier = threading.Barrier(2)
+
+    def ask(_):
+        barrier.wait(timeout=30)
+        try:
+            return recorder.complete("p")
+        except TransportError:
+            return "failed"
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        answers = sorted(pool.map(ask, range(2)))
+    recorder.close()
+    assert answers == ["failed", "recovered"]
+    assert len(attempts) == 2
+    assert recorder.cassette.lookup(prompt_key("p"))["response"] == \
+        "recovered"
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_map_runs_calls_side_by_side_and_yields_in_order(tmp_path, mode):
+    gateway = LlmGateway(config(), mode, tmp_path / "c.cassette",
+                         transport=sentinel_transport)
+    threads, workers = {}, set()
+
+    def slow_square(n):
+        threads[n] = threading.current_thread()
+        time.sleep(0.002 * (5 - n))  # later items finish first
+        return n * n
+
+    try:
+        assert list(gateway.map(slow_square, range(5))) == \
+            [0, 1, 4, 9, 16]
+        assert threads[0] is threading.current_thread()
+        workers = {threads[n] for n in range(1, 5)}
+        assert threading.current_thread() not in workers
+        assert len(workers) <= POOL_SIZE
+        assert list(gateway.map(slow_square, [])) == []
+    finally:
+        gateway.close()
+    assert not gateway_pool_threads() & workers
+
+
+def test_replay_map_runs_inline(tmp_path):
+    path = tmp_path / "c.cassette"
+    Cassette(path).close()
+    player = LlmGateway(config(), "replay", path,
+                        transport=sentinel_transport)
+    names = list(player.map(lambda n: threading.current_thread(), range(4)))
+    assert names == [threading.current_thread()] * 4
+    assert player._pool is None
+
+
+def test_map_raises_the_first_error_in_input_order():
+    gateway = LlmGateway(config(), transport=sentinel_transport)
+    finished = []
+
+    def judge(n):
+        time.sleep(0.002 * (4 - n))
+        if n in (1, 3):
+            raise KeyError(n)
+        finished.append(n)
+        return n
+
+    results = gateway.map(judge, range(4))
+    try:
+        assert next(results) == 0
+        with pytest.raises(KeyError) as info:
+            next(results)
+        assert info.value.args == (1,)
+        done = sorted(finished)
+        time.sleep(0.02)
+        assert sorted(finished) == done, "a call outlived the batch"
+    finally:
+        gateway.close()
+
+
+def test_close_stops_the_pool_before_closing_the_cassette(tmp_path):
+    path = tmp_path / "c.cassette"
+    release = threading.Event()
+
+    def transport(prompt, cfg, api_key=None):
+        release.wait(timeout=30)
+        return f"reply to {prompt}", 1, 1
+
+    recorder = LlmGateway(config(), "record", path, transport=transport)
+    # the first call of a batch runs when its result is read: never here
+    pending = recorder.map(recorder.complete, ["a", "b", "c"])
+    timer = threading.Timer(0.05, release.set)
+    timer.start()
+    recorder.close()
+    timer.join(timeout=10)
+    assert recorder.cassette._handle is None
+    assert not gateway_pool_threads()
+    assert sorted(e["response"] for e in Cassette(path).values()) == \
+        ["reply to b", "reply to c"]
+    del pending
+
+
+def test_cli_and_bench_import_without_requests():
+    src = str(Path(skelsearch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skelsearch.cli, skelsearch.bench; "
+         "print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_http_transport_posts_one_chat_completion(monkeypatch):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy",
+                 "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    received = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            received.append((json.loads(self.rfile.read(length)),
+                             self.headers.get("Authorization")))
+            body = json.dumps({
+                "choices": [{"message": {"content": "VERDICT: True"}}],
+                "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+            }).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        cfg = config(endpoint=f"http://127.0.0.1:{server.server_port}/v1",
+                     timeout=10)
+        assert http_transport("judge this", cfg, "secret") == \
+            ("VERDICT: True", 7, 3)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    payload, authorization = received[0]
+    assert payload["messages"] == [{"role": "user", "content": "judge this"}]
+    assert payload["model"] == "test-model"
+    assert authorization == "Bearer secret"
