@@ -372,6 +372,8 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
     out.mkdir(parents=True, exist_ok=True)
+    # report.json exists only when the directory's last run finished
+    (out / "report.json").unlink(missing_ok=True)
     connections = ReadOnlyConnections()
 
     def compute(index_item):
@@ -403,10 +405,19 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
         if built.gateway.cassette is not None:
             built.gateway.cassette.rewrite_sorted()
     report = aggregate(records, usage)
-    (out / "report.json").write_text(
+    # written whole or not at all, so that its presence means a finished run
+    tmp = out / "report.json.tmp"
+    tmp.write_text(
         json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
         + "\n", encoding="utf-8")
+    os.replace(tmp, out / "report.json")
     return report
+
+
+def run_complete(out_dir) -> bool:
+    """Whether the last run in `out_dir` finished: `run_benchmark` removes
+    the report before its first item and writes it after its last."""
+    return (Path(out_dir) / "report.json").is_file()
 
 
 def recompute_report(out_dir) -> dict:

@@ -23,6 +23,7 @@ from .bench import (
     recompute_report,
     resolve_database,
     run_benchmark,
+    run_complete,
 )
 from .engine import EmptySearch, run_search
 from .schema import profile_from_sqlite, render_mschema
@@ -186,7 +187,8 @@ def cmd_build_sft_data(args) -> int:
 
 def cmd_stats(args) -> int:
     report = recompute_report(args.run_dir)
-    _emit({"items": report["items"], "ex": report["ex"],
+    _emit({"items": report["items"],
+           "complete": run_complete(args.run_dir), "ex": report["ex"],
            "pass_at_k": report["pass_at_k"],
            "per_difficulty": report["per_difficulty"]})
     return 0
@@ -194,8 +196,10 @@ def cmd_stats(args) -> int:
 
 def cmd_replay(args) -> int:
     report = recompute_report(args.run_dir)
-    _emit({key: report[key] for key in
-           ("items", "ex", "pass_at_k", "flagged", "per_difficulty")})
+    _emit({"items": report["items"],
+           "complete": run_complete(args.run_dir)}
+          | {key: report[key] for key in
+             ("ex", "pass_at_k", "flagged", "per_difficulty")})
     return 0
 
 

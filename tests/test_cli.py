@@ -6,7 +6,8 @@ import pytest
 
 from conftest import build_school_db, gateway_pool_threads
 from fixtures.livestub import BranchingOracle
-from skelsearch import cli, gateway
+from skelsearch import bench, cli, gateway
+from skelsearch.bench import run_benchmark
 from skelsearch.cli import main
 from skelsearch.gateway import Cassette
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
@@ -90,6 +91,37 @@ def test_run_and_stats_and_replay(capsys, env):
     code, out, _ = run_cli(capsys, "replay", "--run-dir", out_dir)
     assert code == 0
     assert json.loads(out)["pass_at_k"] == 1.0
+
+
+def test_stats_and_replay_say_when_a_run_is_incomplete(capsys, env,
+                                                       monkeypatch):
+    """A run stopped after its first item leaves a journal cut short and
+    no report, also where an earlier run had finished: both commands
+    print the partial aggregate and `complete` false."""
+    out_dir = env["tmp"] / "run"
+    assert run_cli(capsys, "run", "--dataset", env["dataset"], "--db-root",
+                   env["db_root"], "--out", str(out_dir))[0] == 0
+    for command in ("stats", "replay"):
+        payload = json.loads(run_cli(capsys, command, "--run-dir",
+                                     str(out_dir))[1])
+        assert (payload["items"], payload["complete"]) == (2, True)
+    journal = out_dir / "items.jsonl"
+    journal.write_bytes(b"".join(journal.read_bytes()
+                                 .splitlines(keepends=True)[:2]))
+
+    def stopped(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench, "run_item", stopped)
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(env["dataset"], env["db_root"], out_dir=out_dir)
+    assert not (out_dir / "report.json").exists()
+    for command in ("stats", "replay"):
+        code, out, _ = run_cli(capsys, command, "--run-dir", str(out_dir))
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["items"], payload["complete"]) == (1, False)
+        assert payload["ex"] == 1.0
 
 
 def test_run_bad_dataset_exits_2(capsys, env):
