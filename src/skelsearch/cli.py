@@ -90,7 +90,7 @@ def cmd_search(args) -> int:
 def cmd_extract_skeleton(args) -> int:
     try:
         tree = parse_query(args.sql)
-    except (SqlSyntaxError, ValueError) as exc:
+    except SqlSyntaxError as exc:
         raise BenchConfigError(f"cannot parse SQL: {exc}") from exc
     levels = LEVELS if args.level == "all" else (args.level,)
     for name in levels:
@@ -105,7 +105,7 @@ def cmd_generate(args) -> int:
         raise BenchConfigError("offline generation needs --gold SQL")
     try:
         tree = parse_query(args.gold)
-    except (SqlSyntaxError, ValueError) as exc:
+    except SqlSyntaxError as exc:
         raise BenchConfigError(f"cannot parse gold SQL: {exc}") from exc
     skeletons = [extract_skeleton(tree, level) for level in (
         GranularityLevel.BASE, GranularityLevel.EXPANDED,
@@ -143,7 +143,7 @@ def _candidate_skeleton(sql: str, level_name: str):
     level = GranularityLevel.from_name(level_name)
     try:
         return extract_skeleton(parse_query(sql), level)
-    except (SqlSyntaxError, ValueError):
+    except SqlSyntaxError:
         return extract_skeleton(parse_query("SELECT a FROM t"), level)
 
 

@@ -1,9 +1,9 @@
 """Chat-completion gateway with deterministic replay.
 
 One client fronts every model call in the pipeline. It enforces greedy
-decoding defaults, retries transient transport failures, meters token and
-latency usage, and can record live responses into a cassette file or
-replay them hermetically (no network) later.
+decoding defaults, retries transient transport failures, meters calls and
+tokens, and can record live responses into a cassette file or replay them
+hermetically (no network) later.
 
 Cassette entries are keyed by the sha256 of the raw prompt bytes. Hashing
 the exact bytes keeps template drift visible: any prompt change misses the
@@ -62,7 +62,6 @@ class UsageEntry:
     stage: str
     prompt_tokens: int
     completion_tokens: int
-    latency: float
 
 
 class UsageLedger:
@@ -84,7 +83,6 @@ class UsageLedger:
             "calls": len(rows),
             "prompt_tokens": sum(e.prompt_tokens for e in rows),
             "completion_tokens": sum(e.completion_tokens for e in rows),
-            "latency": sum(e.latency for e in rows),
         }
 
     def stages(self) -> list[str]:
@@ -234,7 +232,7 @@ class LlmGateway:
                     flight.set()
         entry = self.cassette.lookup(key)
         self.ledger.record(UsageEntry(
-            stage, entry["prompt_tokens"], entry["completion_tokens"], 0.0))
+            stage, entry["prompt_tokens"], entry["completion_tokens"]))
         return entry["response"]
 
     def _lead(self, key: str) -> threading.Event | None:
@@ -255,7 +253,6 @@ class LlmGateway:
     def _call(self, key: str, prompt: str, stage: str) -> str:
         """One completion through the transport, with retries; record mode
         stores the response."""
-        started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
             if attempt and self.config.backoff_base > 0:
@@ -267,16 +264,12 @@ class LlmGateway:
             except Exception as exc:
                 last_error = exc
                 continue
-            latency = time.monotonic() - started
-            self.ledger.record(UsageEntry(stage, p_tokens, c_tokens,
-                                          latency))
+            self.ledger.record(UsageEntry(stage, p_tokens, c_tokens))
             if self.mode == "record":
                 self.cassette.store(key, text, p_tokens, c_tokens)
             return text
 
-        latency = time.monotonic() - started
-        self.ledger.record(UsageEntry(stage, estimate_tokens(prompt), 0,
-                                      latency))
+        self.ledger.record(UsageEntry(stage, estimate_tokens(prompt), 0))
         raise TransportError(
             f"completion failed after {self.config.retries + 1} attempts: "
             f"{last_error}") from last_error

@@ -102,7 +102,7 @@ def normalize(agent_text: str,
 
     try:
         tree = parse_query(text, lexed)
-    except (A.SqlSyntaxError, ValueError):
+    except A.SqlSyntaxError:
         return NormalizationReport(
             NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
 

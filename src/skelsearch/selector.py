@@ -349,9 +349,12 @@ def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
 class VoteGroup:
     fingerprint: str
     members: list[SqlCandidate]
-    size: int
     row_count: int = 0
     preview: list[str] = field(default_factory=list)
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 @dataclass
@@ -387,12 +390,11 @@ def group_candidates(candidates: list[SqlCandidate],
         group = groups.get(outcome.fingerprint)
         if group is None:
             groups[outcome.fingerprint] = VoteGroup(
-                outcome.fingerprint, [candidate], 1,
+                outcome.fingerprint, [candidate],
                 row_count=outcome.row_count,
                 preview=list(outcome.preview))
         else:
             group.members.append(candidate)
-            group.size += 1
     return list(groups.values())
 
 

@@ -361,7 +361,7 @@ def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
             continue
         try:
             parse_query(text)
-        except (SqlSyntaxError, ValueError):
+        except SqlSyntaxError:
             continue
         return text, recipe
     raise CorruptionError(

@@ -18,6 +18,11 @@ tokens, and spaced parentheses, so string equality coincides with tree
 equality. Skeleton text re-parses under the same grammar (placeholders are
 ordinary leaves), which makes erasing a fine skeleton to a coarser level
 the same operation as extracting from full SQL.
+
+The clause tree is what `sqlast.parse` returns: besides the statement it
+carries the facts the parser noted on its one pass, namely the nesting
+depth, whether a `_` stands for a SELECT arm, and which nodes hold a
+subquery. Rendering reads those instead of walking the tree for them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from enum import IntEnum
 from functools import cached_property
 
 from . import sqlast as A
+from .sqlast import ClauseTree
 
 
 class GranularityLevel(IntEnum):
@@ -50,50 +56,6 @@ class GranularityLevel(IntEnum):
 
 class LevelOrderError(ValueError):
     """Raised when a refinement check is asked with the levels reversed."""
-
-
-@dataclass
-class ClauseTree:
-    """A parsed statement and the text it was parsed from."""
-
-    stmt: A.SelectStmt
-    text: str
-
-    @cached_property
-    def _walk(self) -> tuple[dict[int, int], bool]:
-        """One walk of the tree, on first use: `depths` and
-        `has_placeholder_query` both read it."""
-        depths: dict[int, int] = {}
-        placeholder_query = False
-
-        def visit(node) -> int:
-            nonlocal placeholder_query
-            depth = 0
-            for child in A.children(node):
-                below = visit(child) + isinstance(child, A.SelectStmt)
-                if below > depth:
-                    depth = below
-            if type(node) is A.PlaceholderQuery:
-                placeholder_query = True
-            depths[id(node)] = depth
-            return depth
-
-        visit(self.stmt)
-        return depths, placeholder_query
-
-    @cached_property
-    def depths(self) -> dict[int, int]:
-        """Subquery nesting depth below each node, keyed by `id(node)`.
-
-        A node holds a subquery iff its depth is positive; the
-        statement's own entry is its nesting depth.
-        """
-        return self._walk[0]
-
-    @cached_property
-    def has_placeholder_query(self) -> bool:
-        """Whether a `_` stands for a whole SELECT arm anywhere."""
-        return self._walk[1]
 
 
 @dataclass
@@ -128,17 +90,15 @@ def parse_query(text: str,
             the text, so it is not lexed again.
 
     Raises:
-        SqlSyntaxError: when the text does not parse, with a byte offset.
-        ValueError: when the text is empty.
+        SqlSyntaxError: when the text is empty or does not parse, with a
+            byte offset.
     """
-    if not text or not text.strip():
-        raise ValueError("query text is empty")
-    return ClauseTree(A.parse(text, tokens), text)
+    return A.parse(text, tokens)
 
 
 def nesting_depth(tree: ClauseTree) -> int:
     """Maximum subquery nesting depth; 0 for flat queries."""
-    return tree.depths[id(tree.stmt)]
+    return tree.nesting_depth
 
 
 def extract_skeleton(tree: ClauseTree, level: GranularityLevel) -> Skeleton:
@@ -150,7 +110,7 @@ def extract_skeleton(tree: ClauseTree, level: GranularityLevel) -> Skeleton:
     if level is GranularityLevel.BASE:
         return Skeleton(level, _render_base(tree.stmt), 0)
     return Skeleton(level, _Renderer(tree, level).query(tree.stmt),
-                    nesting_depth(tree))
+                    tree.nesting_depth)
 
 
 def refinement_check(coarse: Skeleton, fine: Skeleton) -> bool:
@@ -202,12 +162,12 @@ def _render_base(stmt: A.SelectStmt) -> str:
 class _Renderer:
     """Expanded or Detailed text of one clause tree.
 
-    Whether a node holds a subquery is read from the tree's depth cache,
-    so no subtree is walked twice.
+    Whether a node holds a subquery is read from the marks the parser
+    left on the tree, so no subtree is walked to find out.
     """
 
     def __init__(self, tree: ClauseTree, level: GranularityLevel):
-        self.depths = tree.depths
+        self.marks = tree.marks
         self.detailed = level is GranularityLevel.DETAILED
 
     def query(self, stmt: A.SelectStmt) -> str:
@@ -253,7 +213,7 @@ class _Renderer:
         rendered = []
         in_run = False
         for e in exprs:
-            if self.depths[id(e)]:
+            if id(e) in self.marks:
                 if in_run:
                     rendered.append("_")
                     in_run = False
@@ -265,12 +225,12 @@ class _Renderer:
         return " , ".join(rendered)
 
     def slot(self, e) -> str:
-        if self.detailed or self.depths[id(e)]:
+        if self.detailed or id(e) in self.marks:
             return self.expr(e)
         return "_"
 
     def from_(self, chain: A.JoinChain) -> str:
-        if not self.detailed and not self.depths[id(chain)]:
+        if not self.detailed and id(chain) not in self.marks:
             return "_"
         parts = [self.source(chain.first)]
         for join in chain.joins:
@@ -282,7 +242,7 @@ class _Renderer:
                 elif join.using:
                     parts.append("ON " + " AND ".join(
                         "[col] = [col]" for _ in join.using))
-            elif join.on is not None and self.depths[id(join.on)]:
+            elif join.on is not None and id(join.on) in self.marks:
                 parts.append("ON " + self.expr(join.on))
         return " ".join(parts)
 
@@ -303,14 +263,14 @@ class _Renderer:
             for child in A.children(node):
                 if isinstance(child, A.SelectStmt):
                     subqueries.append(child)
-                elif self.depths[id(child)]:
+                elif id(child) in self.marks:
                     collect(child)
 
         collect(e)
         return " AND ".join("( " + self.query(q) + " )" for q in subqueries)
 
     def expr(self, e) -> str:
-        has = self.depths[id(e)] > 0
+        has = id(e) in self.marks
         detailed = self.detailed
         if not detailed and not has:
             return "_"

@@ -401,10 +401,9 @@ _TYPE_TAGS = {_IDENTIFIER: "identifier", _STRING: "string",
 _LOOKAHEAD = 2
 # How many nodes tall a parse tree may be; deeper input is a syntax error
 # at the token that passes the bound. Nested calls take the parser 4
-# frames a level; the tree walks take fewer (Detailed rendering 2, the
-# one `ClauseTree` walk 1). So 150 levels need 600 frames of the default
-# recursion limit of 1000 and leave the caller 400. The test corpus tops
-# out at 13.
+# frames a level; skeleton rendering takes fewer (Detailed 2). So 150
+# levels need 600 frames of the default recursion limit of 1000 and
+# leave the caller 400. The test corpus tops out at 13.
 MAX_HEIGHT = 150
 _TOO_DEEP = f"query nested deeper than {MAX_HEIGHT} levels"
 
@@ -441,6 +440,14 @@ class Parser:
     the deepest level that the innermost open expression's subtree
     reaches. An infix operator puts a new node above everything its
     expression has parsed so far, so it pushes `deepest` one level down.
+
+    On the way the parser notes what skeleton rendering asks of a tree.
+    `selects` counts the SELECTs finished so far: an expression or
+    FROM-chain node holds a subquery iff the count has grown between the
+    node's first token and its construction, and then its id goes into
+    `marks`. `level` is the subquery level of the innermost open SELECT
+    (the statement's own is 0), `nesting` the deepest level opened, and
+    `placeholder_query` whether a `_` stood for a whole SELECT arm.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -452,6 +459,10 @@ class Parser:
             for tok in self.tokens]
         self.i = 0
         self.depth = self.deepest = 0
+        self.marks: set[int] = set()
+        self.selects = self.nesting = 0
+        self.level = -1
+        self.placeholder_query = False
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -518,6 +529,9 @@ class Parser:
         # sit above the expressions and sources it holds.
         outer = self.depth
         self.depth = self.reach(outer + 3)
+        level = self.level = self.level + 1
+        if level > self.nesting:
+            self.nesting = level
         arms = [self.select_arm()]
         ops: list[str] = []
         while True:
@@ -541,11 +555,14 @@ class Parser:
             elif self.eat(","):
                 offset, limit = limit, self.expr()
         self.depth = outer
+        self.level = level - 1
+        self.selects += 1
         return SelectStmt(arms, ops, order_by, limit, offset)
 
     def select_arm(self):
         if self.at("_") and self.tags[self.i + 1] in _ARM_ENDS:
             self.i += 1
+            self.placeholder_query = True
             return PlaceholderQuery()
         return self.select_core()
 
@@ -596,6 +613,7 @@ class Parser:
     # FROM clause
 
     def from_clause(self) -> JoinChain:
+        start = self.selects
         chain = JoinChain(self.source())
         while True:
             if self.eat(","):
@@ -603,6 +621,8 @@ class Parser:
                 continue
             kind = self._join_kind()
             if kind is None:
+                if self.selects != start:
+                    self.marks.add(id(chain))
                 return chain
             source = self.source()
             on = None
@@ -685,6 +705,7 @@ class Parser:
         and after `IN (...)` a tighter one must not extend the result.
         """
         tags = self.tags
+        start = self.selects
         outer_deepest = self.deepest
         depth = self.depth + 1
         if depth > MAX_HEIGHT:
@@ -699,6 +720,8 @@ class Parser:
             left = self._unary()
             ceiling = _MUL
         while True:
+            if self.selects != start:
+                self.marks.add(id(left))
             tag = tags[self.i]
             bind = _INFIX.get(tag)
             if bind is None or bind < level or bind > ceiling:
@@ -721,7 +744,13 @@ class Parser:
             elif tag in _LIKE_OPS:
                 right = self.expr(_ADD)
                 if self.eat("ESCAPE"):
+                    # The operand is dropped, and so is what it noted.
+                    noted = (self.marks, self.selects, self.nesting,
+                             self.placeholder_query)
+                    self.marks = set()
                     self.expr(_ADD)
+                    (self.marks, self.selects, self.nesting,
+                     self.placeholder_query) = noted
                 left = LikeOp(tag, negated, left, right)
             elif tag == "IS":
                 is_negated = self.eat("NOT")
@@ -751,9 +780,13 @@ class Parser:
         if tag == "+" or tag == "-":
             self.i += 1
             return Unary(tag, self.expr(_SIGNED))
+        start = self.selects
         expr = _PRIMARY.get(tag, Parser._unexpected)(self)
         while self.eat("COLLATE"):
             self.reach(self.deepest + 1)
+            # `expr()` marks the outermost Collate; this, the nodes below
+            if self.selects != start:
+                self.marks.add(id(expr))
             expr = Collate(expr, self._name("collation"))
         return expr
 
@@ -900,7 +933,23 @@ _PRIMARY = {
 }
 
 
-def parse(text: str, tokens: list[Token] | None = None) -> SelectStmt:
+@dataclass
+class ClauseTree:
+    """A parsed statement, the text it was parsed from, and what the
+    parser noted about its subqueries.
+
+    `marks` holds the ids of the expression and `JoinChain` nodes that
+    hold a SELECT at any depth; no other node kind is marked.
+    """
+
+    stmt: SelectStmt
+    text: str
+    nesting_depth: int  # subquery levels below the statement; 0 if flat
+    has_placeholder_query: bool  # a `_` stands for a whole SELECT arm
+    marks: set[int] = field(compare=False, repr=False)
+
+
+def parse(text: str, tokens: list[Token] | None = None) -> ClauseTree:
     """Parse one SELECT statement, raising SqlSyntaxError on bad input.
 
     `tokens`, when given, must be `Lexer(text).tokens()` (EOF included);
@@ -911,4 +960,7 @@ def parse(text: str, tokens: list[Token] | None = None) -> SelectStmt:
         raise SqlSyntaxError("empty statement", 0)
     if tokens is None:
         tokens = Lexer(text).tokens()
-    return Parser(tokens).parse_statement()
+    parser = Parser(tokens)
+    stmt = parser.parse_statement()
+    return ClauseTree(stmt, text, parser.nesting, parser.placeholder_query,
+                      parser.marks)

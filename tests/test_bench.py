@@ -722,17 +722,48 @@ def test_record_run_stops_its_call_pool(bench_env, tmp_path, monkeypatch,
     assert gateway.cassette._handle is None
 
 
-def test_replay_usage_has_zero_latency(bench_env, tmp_path):
+def test_record_runs_write_identical_reports(bench_env, tmp_path):
+    """A record run's report is a function of its records: two runs whose
+    transport answers with different delays write the same bytes."""
+    dataset, db_root = bench_env
+    config = GatewayConfig(endpoint="https://example.invalid/v1",
+                           model="stub")
+    reports = []
+    for run, delay in enumerate((0.0, 0.003)):
+        oracle = TransportOracle(GOLDS)
+
+        def transport(prompt, config, api_key, delay=delay):
+            time.sleep(delay)
+            return oracle(prompt, config, api_key)
+
+        path = tmp_path / f"tape{run}.jsonl"
+        gateway = LlmGateway(config, mode="record", cassette=Cassette(path),
+                             transport=transport, api_key="k")
+        out = tmp_path / f"record{run}"
+        run_benchmark(dataset, db_root, out_dir=out,
+                      settings=RunSettings(mode="record", cassette=str(path),
+                                           gateway=config,
+                                           items_concurrency=2),
+                      backends=llm_backends(gateway))
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_replay_usage_matches_record_usage(bench_env, tmp_path):
     dataset, db_root = bench_env
     cassette_path, config = record_cassette(dataset, db_root, tmp_path)
+    recorded = json.loads(
+        (tmp_path / "record" / "report.json").read_text(encoding="utf-8"))
     settings = RunSettings(mode="replay", cassette=str(cassette_path),
                            gateway=config)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "replay",
                            settings=settings)
+    assert report["usage"] == recorded["usage"]
     assert report["usage"]
-    for stage, totals in report["usage"].items():
-        assert totals["latency"] == 0.0
+    for totals in report["usage"].values():
+        assert set(totals) == {"calls", "prompt_tokens", "completion_tokens"}
         assert totals["calls"] >= 1
+        assert totals["prompt_tokens"] >= totals["calls"]
 
 
 # Report recomputation

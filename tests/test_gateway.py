@@ -67,7 +67,8 @@ def test_record_then_replay(tmp_path):
     assert player.complete("hello") == "reply to hello"
     entry = player.ledger.entries[0]
     assert (entry.prompt_tokens, entry.completion_tokens) == (10, 5)
-    assert entry.latency == 0.0
+    assert player.ledger.totals() == {
+        "calls": 1, "prompt_tokens": 10, "completion_tokens": 5}
 
 
 def test_replay_miss_is_strict(tmp_path):

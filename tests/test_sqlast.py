@@ -13,14 +13,19 @@ Two references pin the front end's observable output:
 * `ReferenceLexer` below is the character-dispatch lexer that the
   master-pattern lexer replaced, kept as an oracle for a differential
   test on generated text.
+
+`reference_walk` below, the post-parse tree walk that the parser's
+subquery marks replaced, is the oracle for a third differential test.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 import sqlite3
+import sys
 import threading
 from pathlib import Path
 
@@ -31,6 +36,7 @@ from hypothesis import strategies as st
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch import sqlast
 from skelsearch.normalize import NormalizationReport, normalize
+from skelsearch.sftdata import CorruptionError, corrupt_skeleton
 from skelsearch.sqlast import KEYWORDS, SqlSyntaxError, Token, TokenType
 
 from fixtures.corpus import CORPUS
@@ -51,7 +57,7 @@ def _lex_outcome(text: str) -> str:
 
 def _parse_outcome(text: str) -> str:
     try:
-        return repr(sqlast.parse(text))
+        return repr(sqlast.parse(text).stmt)
     except SqlSyntaxError as exc:
         return repr(("error", str(exc), exc.offset))
 
@@ -125,7 +131,7 @@ def sexpr(node) -> str:
     ("SELECT a IS NOT b = c IN (1)", "(IN (= (IS NOT a b) c) 1)"),
 ])
 def test_precedence(text, expected):
-    assert sexpr(sqlast.parse(text).arms[0].items[0].expr) == expected
+    assert sexpr(sqlast.parse(text).stmt.arms[0].items[0].expr) == expected
 
 
 @pytest.mark.parametrize("text,message", [
@@ -321,7 +327,7 @@ def test_trivia_and_operator_spellings():
 
 
 def test_cast_type_size_is_skipped():
-    cast = sqlast.parse("SELECT CAST(a AS VARCHAR(20)) FROM t") \
+    cast = sqlast.parse("SELECT CAST(a AS VARCHAR(20)) FROM t").stmt \
         .arms[0].items[0].expr
     assert cast == sqlast.Cast(sqlast.ColumnRef(None, "a"), "VARCHAR")
 
@@ -367,7 +373,7 @@ def test_sqlite_hex_literals_and_digit_names(sql, expected):
         conn.execute(sql).fetchall()  # valid SQLite
     finally:
         conn.close()
-    core = sqlast.parse(sql).arms[0]
+    core = sqlast.parse(sql).stmt.arms[0]
     assert expected in (core.where, core.items[0])
 
 
@@ -482,6 +488,206 @@ def test_trees_up_to_the_bound_parse(form):
         extract_skeleton(tree, level)
     with pytest.raises(SqlSyntaxError):
         parse_query(_statement(_nest("1", form, times + 1), "select", 1))
+
+
+def _recursion_depth() -> int:
+    """The caller's recursion depth as the interpreter counts it, C-level
+    entries included: the limit less the nested calls still free."""
+    def free(n: int) -> int:
+        try:
+            return free(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - free(0)
+
+
+# Recursion budget, above the caller's depth, that parsing and extracting
+# at all three levels a tree exactly MAX_HEIGHT tall needed when
+# `ClauseTree` still walked each tree after the parse: the smallest that
+# let each form through.
+_FRAME_BUDGETS = {"not": 298, "call": 594, " OR ": 298}
+
+
+@pytest.mark.parametrize("form", sorted(_FRAME_BUDGETS))
+def test_max_height_frame_budget_does_not_grow(form):
+    text = _statement(_nest("1", form, sqlast.MAX_HEIGHT - 4), "select", 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + _FRAME_BUDGETS[form])
+    try:
+        tree = parse_query(text)
+        for level in GranularityLevel:
+            extract_skeleton(tree, level)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# Parser marks against the post-parse walk they replaced
+
+
+def reference_walk(stmt) -> tuple[dict[int, int], bool]:
+    """`ClauseTree._walk` as it stood before the parser marked subquery
+    holders, verbatim: each node's subquery depth keyed by id, and
+    whether a `_` stands for a whole SELECT arm."""
+    depths: dict[int, int] = {}
+    placeholder_query = False
+
+    def visit(node) -> int:
+        nonlocal placeholder_query
+        depth = 0
+        for child in sqlast.children(node):
+            below = visit(child) + isinstance(child, sqlast.SelectStmt)
+            if below > depth:
+                depth = below
+        if type(node) is sqlast.PlaceholderQuery:
+            placeholder_query = True
+        depths[id(node)] = depth
+        return depth
+
+    visit(stmt)
+    return depths, placeholder_query
+
+
+# The node kinds the parser marks: every expression, and FROM chains.
+MARKED_KINDS = (
+    sqlast.Literal, sqlast.ColumnRef, sqlast.Star, sqlast.Placeholder,
+    sqlast.FuncCall, sqlast.Unary, sqlast.Binary, sqlast.Grouping,
+    sqlast.InList, sqlast.InSelect, sqlast.Exists, sqlast.Between,
+    sqlast.LikeOp, sqlast.IsOp, sqlast.Case, sqlast.Cast, sqlast.Collate,
+    sqlast.Subquery, sqlast.JoinChain,
+)
+
+
+def check_marks(tree) -> int:
+    """Assert that the tree's noted facts equal the reference walk's;
+    returns the number of marked-kind nodes checked."""
+    depths, placeholder_query = reference_walk(tree.stmt)
+    assert tree.nesting_depth == depths[id(tree.stmt)]
+    assert tree.has_placeholder_query is placeholder_query
+    nodes, stack = [], [tree.stmt]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(sqlast.children(node))
+    kinds = [node for node in nodes if isinstance(node, MARKED_KINDS)]
+    assert tree.marks <= {id(node) for node in kinds}
+    for node in kinds:
+        assert (id(node) in tree.marks) == (depths[id(node)] > 0), node
+    return len(kinds)
+
+
+def marked_texts(sql: str) -> list[str]:
+    """A corpus query, its three skeletons, and corruptions of these."""
+    texts = corpus_texts(sql)
+    tree = parse_query(sql)
+    for level in GranularityLevel:
+        gold = extract_skeleton(tree, level)
+        for seed in range(3):
+            try:
+                texts.append(corrupt_skeleton(gold, random.Random(seed))[0])
+            except CorruptionError:
+                pass
+    return texts
+
+
+@pytest.mark.parametrize("sql", CORPUS)
+def test_marks_match_reference_walk_on_corpus(sql):
+    for text in marked_texts(sql):
+        check_marks(sqlast.parse(text))
+
+
+def test_corpus_marks_span_the_holder_kinds():
+    seen = set()
+    for sql in CORPUS:
+        tree = sqlast.parse(sql)
+        stack = [tree.stmt]
+        while stack:
+            node = stack.pop()
+            if id(node) in tree.marks:
+                seen.add(type(node))
+            stack.extend(sqlast.children(node))
+    assert {sqlast.Subquery, sqlast.InSelect, sqlast.Exists, sqlast.Binary,
+            sqlast.FuncCall, sqlast.JoinChain} <= seen
+
+
+@pytest.mark.parametrize("sql,depth,placeholder_query", [
+    # the ESCAPE operand is parsed and dropped, with what it noted
+    ("SELECT a FROM t WHERE a LIKE b ESCAPE (SELECT c FROM u)", 0, False),
+    ("SELECT a FROM t WHERE a LIKE b ESCAPE (x IN ( _ UNION _ ))", 0, False),
+    ("SELECT a FROM t WHERE a LIKE (SELECT b FROM u) ESCAPE "
+     "(SELECT c FROM (SELECT c FROM v))", 1, False),
+    # here the IN applies to the whole LIKE and is kept
+    ("SELECT a FROM t WHERE a LIKE b ESCAPE x IN ( _ UNION _ )", 1, True),
+    ("SELECT (SELECT a FROM u) COLLATE nocase COLLATE binary FROM t",
+     1, False),
+    ("SELECT a FROM t WHERE b COLLATE nocase = (SELECT c FROM u) "
+     "COLLATE binary", 1, False),
+    ("SELECT a FROM t JOIN (u JOIN (SELECT b FROM v) AS w ON u.k = w.k) "
+     "ON t.k = u.k", 1, False),
+    ("SELECT a FROM (t JOIN u ON t.k = u.k), (v JOIN (SELECT b FROM "
+     "(SELECT b FROM x)) AS w ON v.k = w.k)", 2, False),
+    # a lone `_` in IN ( ) is a list item, not a SELECT arm
+    ("SELECT a FROM t WHERE b IN ( _ )", 0, False),
+])
+def test_marks_on_explicit_cases(sql, depth, placeholder_query):
+    tree = sqlast.parse(sql)
+    assert tree.nesting_depth == depth
+    assert tree.has_placeholder_query is placeholder_query
+    check_marks(tree)
+
+
+# Expressions, FROM clauses and statements with subqueries anywhere,
+# drawn from a seed: each `{}` is filled with a smaller expression.
+_LEAVES = ["a", "t.b", "1", "'s'", "NULL", "_", "[col]", "[val]"]
+_FORMS = [
+    "(SELECT {} FROM u)", "EXISTS (SELECT {} FROM u WHERE {})",
+    "{} NOT IN (SELECT {} FROM u)", "{} IN ({}, 2)", "{} IN ( _ UNION _ )",
+    "{} = {}", "{} + {}", "{} * {}", "{} || {}", "{} AND {}", "{} OR {}",
+    "{} < {}", "NOT {}", "- {}", "({})", "{} COLLATE nocase",
+    "{} LIKE {} ESCAPE {}", "{} BETWEEN {} AND {}", "{} IS NOT {}",
+    "CASE WHEN {} THEN {} ELSE {} END", "CAST({} AS INT)", "f({}, {})",
+    "COUNT(DISTINCT {})",
+]
+_SOURCES = [
+    "t", "_", "(SELECT {} FROM v) AS d", "t LEFT JOIN u ON {}",
+    "t JOIN (u JOIN (SELECT {} FROM v) AS w ON {}) ON t.k = u.k",
+    "(t JOIN u ON {}), v",
+]
+_STATEMENT = ("SELECT {}, {} FROM {} WHERE {} GROUP BY a HAVING {}{} "
+              "ORDER BY {} LIMIT {}")
+_TAILS = ["", " UNION _", " EXCEPT SELECT {} FROM t"]
+
+
+def _fill(rnd: random.Random, form: str, height: int) -> str:
+    return form.format(*(_random_expr(rnd, height - 1)
+                         for _ in range(form.count("{}"))))
+
+
+def _random_expr(rnd: random.Random, height: int) -> str:
+    if height <= 0 or rnd.random() < 0.3:
+        return rnd.choice(_LEAVES)
+    return _fill(rnd, rnd.choice(_FORMS), height)
+
+
+def _random_statement(seed: int) -> str:
+    rnd = random.Random(seed)
+    parts = [_random_expr(rnd, 3) for _ in range(2)]
+    parts.append(_fill(rnd, rnd.choice(_SOURCES), 3))
+    parts += [_random_expr(rnd, 3) for _ in range(2)]
+    parts.append(_fill(rnd, rnd.choice(_TAILS), 3))
+    parts += [_random_expr(rnd, 3) for _ in range(2)]
+    return _STATEMENT.format(*parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**32 - 1).map(_random_statement),
+                 sql_like, any_text))
+def test_marks_match_reference_walk_on_generated_text(text):
+    try:
+        tree = sqlast.parse(text)
+    except SqlSyntaxError:
+        return
+    check_marks(tree)
 
 if __name__ == "__main__":
     print(json.dumps({sql: outcome_digest(sql) for sql in CORPUS},
