@@ -4,23 +4,22 @@ Datasets are the benchmarks' published per-item JSON records; databases
 live under {db_root}/{db_id}/{db_id}.sqlite. Each item runs the full
 pipeline, each distinct SQL text of an item (gold included) executes
 once, and the journal {out}/items.jsonl, keyed by item index, keeps each
-item's record so that interrupted runs resume. The report is a pure
-function of the persisted item records, so it can be recomputed offline
-and is byte-identical across item-level concurrency settings under
-replay backends.
+item's record so that interrupted runs resume; it is the only file that
+holds the records. The run summary {out}/report.json is a pure function
+of them, so it can be recomputed offline and is byte-identical across
+item-level concurrency settings under replay backends.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
-
-import yaml
 
 from .agents import (
     GoldFormulationBackend,
@@ -91,6 +90,8 @@ class RunSettings:
 
 def load_settings(path) -> RunSettings:
     """Parse the YAML run config; every key is optional."""
+    import yaml  # only runs that read a config file pay for the import
+
     try:
         with open(path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle) or {}
@@ -164,6 +165,16 @@ def resolve_database(db_root, db_id: str) -> str:
     if not path.is_file():
         raise BenchConfigError(f"no database for {db_id!r} at {path}")
     return str(path)
+
+
+def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
+    """The profile of the database file at `path`; a file that SQLite
+    cannot open or read is a BenchConfigError that names it."""
+    try:
+        return profile_from_sqlite(path, db_id=db_id)
+    except (OSError, sqlite3.Error) as exc:
+        raise BenchConfigError(f"cannot open database {path}: {exc}") \
+            from exc
 
 
 def _result_token(outcome: ExecutionOutcome) -> str | None:
@@ -297,7 +308,8 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
 
 
 def aggregate(records: list[dict], usage: dict | None = None) -> dict:
-    """Report content from item records alone (recomputable offline)."""
+    """The run summary that report.json holds, from item records alone
+    (recomputable offline)."""
     total = len(records)
     correct = sum(bool(r["correct"]) for r in records)
     hits = sum(bool(r["pass_hit"]) for r in records)
@@ -336,7 +348,6 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
                           if r["empty_search"] or r["error"]),
         "per_difficulty": stats,
         "usage": usage or {},
-        "records": records,
     }
 
 
@@ -351,7 +362,12 @@ def _item_journal(out: Path) -> Journal:
 def run_benchmark(dataset_path, db_root, out_dir="runs",
                   settings: RunSettings | None = None,
                   backends=None) -> dict:
-    """Full run; returns the report dict and persists it under out_dir.
+    """Full run; returns the report dict, which is the run summary plus
+    the item records under "records".
+
+    The records go to the journal {out_dir}/items.jsonl and the summary
+    alone to {out_dir}/report.json, so the journal is the one file that
+    holds the records.
 
     backends, when given, is a Backends or a plain tuple in its field
     order; otherwise build_backends makes them from settings. Every item
@@ -367,7 +383,7 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     profiles: dict[str, DatabaseProfile] = {}
     for item in items:
         if item.db_id not in profiles:
-            profiles[item.db_id] = profile_from_sqlite(
+            profiles[item.db_id] = open_profile(
                 resolve_database(db_root, item.db_id), db_id=item.db_id)
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
@@ -404,14 +420,14 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
         usage = {stage: ledger.totals(stage) for stage in ledger.stages()}
         if built.gateway.cassette is not None:
             built.gateway.cassette.rewrite_sorted()
-    report = aggregate(records, usage)
+    summary = aggregate(records, usage)
     # written whole or not at all, so that its presence means a finished run
     tmp = out / "report.json.tmp"
     tmp.write_text(
-        json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
+        json.dumps(summary, sort_keys=True, ensure_ascii=False, indent=2)
         + "\n", encoding="utf-8")
     os.replace(tmp, out / "report.json")
-    return report
+    return summary | {"records": records}
 
 
 def run_complete(out_dir) -> bool:
@@ -421,7 +437,9 @@ def run_complete(out_dir) -> bool:
 
 
 def recompute_report(out_dir) -> dict:
-    """Rebuild the report from the run's persisted item records only."""
+    """Rebuild the report dict that `run_benchmark` returned from the
+    run's item journal; only `usage` comes from report.json, when the run
+    finished."""
     records = [entry["record"]
                for entry in _item_journal(Path(out_dir)).values()]
     if not records:
@@ -430,4 +448,5 @@ def recompute_report(out_dir) -> dict:
     report_path = Path(out_dir) / "report.json"
     if report_path.is_file():
         previous = json.loads(report_path.read_text(encoding="utf-8"))
-    return aggregate(records, previous.get("usage") or {})
+    return aggregate(records, previous.get("usage") or {}) \
+        | {"records": records}

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 on success (including runs with failed items, which are
-recorded in the report), 2 on configuration errors such as bad paths,
-bad config files, unparsable SQL arguments, or invalid flag values.
+recorded in the item journal and flagged in the report), 2 on
+configuration errors such as bad paths, unreadable databases, bad config
+files, unparsable SQL arguments, or invalid flag values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sqlite3
 import sys
 from contextlib import closing
 
@@ -20,13 +20,14 @@ from .bench import (
     build_backends,
     load_items,
     load_settings,
+    open_profile,
     recompute_report,
     resolve_database,
     run_benchmark,
     run_complete,
 )
 from .engine import EmptySearch, run_search
-from .schema import profile_from_sqlite, render_mschema
+from .schema import render_mschema
 from .selector import ExecutionLimits, execute_all, select_final
 from .sftdata import DatasetBuildError, build_dataset
 from .skeleton import GranularityLevel, extract_skeleton, parse_query
@@ -38,13 +39,6 @@ LEVELS = ("base", "expanded", "detailed")
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-
-
-def _profile(db_path, db_id=None):
-    try:
-        return profile_from_sqlite(db_path, db_id=db_id)
-    except (OSError, sqlite3.Error) as exc:
-        raise BenchConfigError(f"cannot open database: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -59,7 +53,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    profile = _profile(args.db)
+    profile = open_profile(args.db)
     settings = load_settings(args.config) if args.config else RunSettings()
     if args.gold:
         item = BenchmarkItem("", args.question, profile.db_id, args.gold)
@@ -100,7 +94,7 @@ def cmd_extract_skeleton(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    profile = _profile(args.db)
+    profile = open_profile(args.db)
     if not args.gold:
         raise BenchConfigError("offline generation needs --gold SQL")
     try:
@@ -148,7 +142,7 @@ def _candidate_skeleton(sql: str, level_name: str):
 
 
 def cmd_select(args) -> int:
-    profile = _profile(args.db)
+    profile = open_profile(args.db)
     records = _load_candidate_records(args.candidates)
     candidates = [SqlCandidate(sql, _candidate_skeleton(sql, level))
                   for sql, level in records]
@@ -168,7 +162,7 @@ def cmd_build_sft_data(args) -> int:
     corpus = []
     for item in load_items(args.corpus):
         if item.db_id not in profiles:
-            profiles[item.db_id] = _profile(
+            profiles[item.db_id] = open_profile(
                 resolve_database(args.db_root, item.db_id), db_id=item.db_id)
         corpus.append((item.question, item.gold_sql, profiles[item.db_id]))
     try:
@@ -204,7 +198,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_schema(args) -> int:
-    print(render_mschema(_profile(args.db)), end="")
+    print(render_mschema(open_profile(args.db)), end="")
     return 0
 
 

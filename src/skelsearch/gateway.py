@@ -57,37 +57,33 @@ class GatewayConfig:
             raise ValueError("timeout must be positive")
 
 
-@dataclass
-class UsageEntry:
-    stage: str
-    prompt_tokens: int
-    completion_tokens: int
-
-
 class UsageLedger:
-    """Thread-safe accumulator of per-call usage."""
+    """Thread-safe per-stage sums of calls, prompt tokens and completion
+    tokens, with stages in the order of their first call."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.entries: list[UsageEntry] = []
+        # stage -> (calls, prompt tokens, completion tokens)
+        self._sums: dict[str, tuple[int, int, int]] = {}
 
-    def record(self, entry: UsageEntry) -> None:
+    def record(self, stage: str, prompt_tokens: int,
+               completion_tokens: int) -> None:
         with self._lock:
-            self.entries.append(entry)
+            calls, prompt, completion = self._sums.get(stage, (0, 0, 0))
+            self._sums[stage] = (calls + 1, prompt + prompt_tokens,
+                                 completion + completion_tokens)
 
     def totals(self, stage: str | None = None) -> dict:
         with self._lock:
-            rows = [e for e in self.entries
-                    if stage is None or e.stage == stage]
-        return {
-            "calls": len(rows),
-            "prompt_tokens": sum(e.prompt_tokens for e in rows),
-            "completion_tokens": sum(e.completion_tokens for e in rows),
-        }
+            rows = [sums for name, sums in self._sums.items()
+                    if stage is None or name == stage]
+        return {"calls": sum(row[0] for row in rows),
+                "prompt_tokens": sum(row[1] for row in rows),
+                "completion_tokens": sum(row[2] for row in rows)}
 
     def stages(self) -> list[str]:
         with self._lock:
-            return list(dict.fromkeys(e.stage for e in self.entries))
+            return list(self._sums)
 
 
 def prompt_key(prompt: str) -> str:
@@ -231,8 +227,8 @@ class LlmGateway:
                         del self._flights[key]
                     flight.set()
         entry = self.cassette.lookup(key)
-        self.ledger.record(UsageEntry(
-            stage, entry["prompt_tokens"], entry["completion_tokens"]))
+        self.ledger.record(stage, entry["prompt_tokens"],
+                           entry["completion_tokens"])
         return entry["response"]
 
     def _lead(self, key: str) -> threading.Event | None:
@@ -264,12 +260,12 @@ class LlmGateway:
             except Exception as exc:
                 last_error = exc
                 continue
-            self.ledger.record(UsageEntry(stage, p_tokens, c_tokens))
+            self.ledger.record(stage, p_tokens, c_tokens)
             if self.mode == "record":
                 self.cassette.store(key, text, p_tokens, c_tokens)
             return text
 
-        self.ledger.record(UsageEntry(stage, estimate_tokens(prompt), 0))
+        self.ledger.record(stage, estimate_tokens(prompt), 0)
         raise TransportError(
             f"completion failed after {self.config.retries + 1} attempts: "
             f"{last_error}") from last_error

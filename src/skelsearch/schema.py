@@ -213,6 +213,15 @@ def _sample_values(conn: sqlite3.Connection,
     return flat
 
 
+def read_only_uri(path: str | Path) -> str:
+    """The SQLite URI that opens the database file at `path` read-only.
+
+    The path is percent-encoded, so that a `#`, `?` or `%` in it names
+    the file instead of starting a fragment, a query or an escape.
+    """
+    return Path(path).resolve().as_uri() + "?mode=ro"
+
+
 def profile_from_sqlite(path: str | Path,
                         db_id: str | None = None) -> DatabaseProfile:
     """Introspect a sqlite file into a profile.
@@ -224,7 +233,7 @@ def profile_from_sqlite(path: str | Path,
     path = Path(path)
     if db_id is None:
         db_id = path.stem
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn = sqlite3.connect(read_only_uri(path), uri=True)
     try:
         listed = conn.execute(
             "SELECT type, name, tbl_name FROM sqlite_master "

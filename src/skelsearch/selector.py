@@ -33,7 +33,7 @@ from enum import Enum
 
 from .agents import BackendError, load_template
 from .gateway import LlmGateway, TransportError
-from .schema import DatabaseProfile
+from .schema import DatabaseProfile, read_only_uri
 # Unused here, but the perfbench tracer patches `selector.parse_query`, so
 # the name must stay importable from this module.
 from .skeleton import parse_query  # noqa: F401
@@ -228,7 +228,7 @@ class ReadOnlyConnections:
         if conn is not None:
             cache.move_to_end(path)
             return conn
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+        conn = sqlite3.connect(read_only_uri(path), uri=True,
                                check_same_thread=False, cached_statements=0)
         conn.set_authorizer(_authorize)
         cache[path] = conn

@@ -474,7 +474,9 @@ def test_resume_after_torn_journal_matches_full_run(bench_env, tmp_path,
     assert kept == journal_lines(full)[1:3]
     report = run_benchmark(dataset, db_root, out_dir=torn,
                            backends=gold_backends())
-    assert report == json.loads((full / "report.json").read_text())
+    assert report == (json.loads((full / "report.json").read_text())
+                      | {"records": [line["record"]
+                                     for line in journal_lines(full)[1:]]})
     assert ((full / "items.jsonl").read_bytes()
             == (torn / "items.jsonl").read_bytes())
 
@@ -502,8 +504,9 @@ def test_item_concurrency_keeps_report_bytes(bench_env, tmp_path):
     run_benchmark(dataset, db_root, out_dir=threaded,
                   settings=RunSettings(items_concurrency=8),
                   backends=gold_backends())
-    assert ((serial / "report.json").read_bytes()
-            == (threaded / "report.json").read_bytes())
+    for name in ("report.json", "items.jsonl"):
+        assert ((serial / name).read_bytes()
+                == (threaded / name).read_bytes()), name
 
 
 def opened_connections(monkeypatch) -> list:
@@ -617,7 +620,8 @@ def test_record_then_replay_reports_identical(bench_env, tmp_path):
                                gateway=config, items_concurrency=caps)
         report = run_benchmark(dataset, db_root, out_dir=out,
                                settings=settings)
-        reports.append((out / "report.json").read_bytes())
+        reports.append(((out / "report.json").read_bytes(),
+                        (out / "items.jsonl").read_bytes()))
         assert report["ex"] == 1.0
         assert report["pass_at_k"] == 1.0
     assert reports[0] == reports[1]
@@ -724,7 +728,8 @@ def test_record_run_stops_its_call_pool(bench_env, tmp_path, monkeypatch,
 
 def test_record_runs_write_identical_reports(bench_env, tmp_path):
     """A record run's report is a function of its records: two runs whose
-    transport answers with different delays write the same bytes."""
+    transport answers with different delays write the same report and
+    item journal bytes."""
     dataset, db_root = bench_env
     config = GatewayConfig(endpoint="https://example.invalid/v1",
                            model="stub")
@@ -745,7 +750,8 @@ def test_record_runs_write_identical_reports(bench_env, tmp_path):
                                            gateway=config,
                                            items_concurrency=2),
                       backends=llm_backends(gateway))
-        reports.append((out / "report.json").read_bytes())
+        reports.append(((out / "report.json").read_bytes(),
+                        (out / "items.jsonl").read_bytes()))
     assert reports[0] == reports[1]
 
 
@@ -781,9 +787,39 @@ def test_recompute_report_matches_run(bench_env, tmp_path):
 
 def test_aggregate_is_pure_function_of_records(bench_env, tmp_path):
     dataset, db_root = bench_env
-    report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+    out = tmp_path / "run"
+    report = run_benchmark(dataset, db_root, out_dir=out,
                            backends=gold_backends())
-    assert aggregate(report["records"], report["usage"]) == report
+    summary = aggregate(report["records"], report["usage"])
+    assert summary == json.loads((out / "report.json").read_text())
+    assert summary | {"records": report["records"]} == report
+
+
+SUMMARY_KEYS = {"format", "version", "items", "ex", "pass_at_k", "flagged",
+                "per_difficulty", "usage"}
+
+
+def test_report_file_holds_the_summary_only(bench_env, tmp_path):
+    """report.json holds the run summary and no records: the item journal
+    is the only file that holds them. The returned dict adds them."""
+    dataset, db_root = bench_env
+    cassette_path, config = record_cassette(dataset, db_root, tmp_path)
+    out = tmp_path / "replay"
+    report = run_benchmark(dataset, db_root, out_dir=out,
+                           settings=RunSettings(mode="replay",
+                                                cassette=str(cassette_path),
+                                                gateway=config))
+    text = (out / "report.json").read_text(encoding="utf-8")
+    on_disk = json.loads(text)
+    assert set(on_disk) == SUMMARY_KEYS
+    assert on_disk["usage"]
+    assert set(report) == SUMMARY_KEYS | {"records"}
+    assert {key: report[key] for key in SUMMARY_KEYS} == on_disk
+    assert text == json.dumps(on_disk, sort_keys=True, ensure_ascii=False,
+                              indent=2) + "\n"
+    assert report["records"] == [line["record"]
+                                 for line in journal_lines(out)[1:]]
+    assert recompute_report(out) == report
 
 
 def test_aggregate_empty():

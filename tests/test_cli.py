@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, file side effects."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,39 @@ def test_run_and_stats_and_replay(capsys, env):
     assert json.loads(out)["pass_at_k"] == 1.0
 
 
+def test_stats_and_replay_print_the_numbers_of_the_records(capsys, env):
+    """`stats` and `replay` print the aggregate of the journal's records
+    (pinned from a run whose report.json also held the records); the
+    report file, now the summary alone, adds no number to them."""
+    rows = json.loads(Path(env["dataset"]).read_text(encoding="utf-8"))
+    rows.append({"question_id": 2, "question": "Which value?",
+                 "db_id": "school", "difficulty": "hard",
+                 "SQL": "WITH x AS (SELECT 1) SELECT * FROM x"})
+    dataset = env["tmp"] / "three.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    out_dir = str(env["tmp"] / "run")
+    assert run_cli(capsys, "run", "--dataset", str(dataset), "--db-root",
+                   env["db_root"], "--out", out_dir)[0] == 0
+    per_difficulty = {
+        "hard": {"count": 1, "ex": 0.0, "pass_at_k": 0.0,
+                 "mean_candidates": 0.0,
+                 "granularity": {"base": 0.0, "expanded": 0.0,
+                                 "detailed": 0.0}},
+        "simple": {"count": 2, "ex": 1.0, "pass_at_k": 1.0,
+                   "mean_candidates": 1.0,
+                   "granularity": {"base": 0.0, "expanded": 0.0,
+                                   "detailed": 1.0}},
+    }
+    stats = {"items": 3, "complete": True, "ex": 2 / 3, "pass_at_k": 2 / 3,
+             "per_difficulty": per_difficulty}
+    for command, expected in (("stats", stats),
+                              ("replay", stats | {"flagged": ["2"]})):
+        code, out, _ = run_cli(capsys, command, "--run-dir", out_dir)
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True,
+                                 ensure_ascii=False) + "\n", command
+
+
 def test_stats_and_replay_say_when_a_run_is_incomplete(capsys, env,
                                                        monkeypatch):
     """A run stopped after its first item leaves a journal cut short and
@@ -143,6 +177,22 @@ def test_run_empty_dataset_exits_2(capsys, env):
     assert "no items" in err
     assert out == ""
     assert not (out_dir / "report.json").exists()
+
+
+def test_run_unreadable_database_exits_2(capsys, env):
+    """A database file that SQLite cannot read is a configuration error
+    that names the database, raised before the run writes anything."""
+    database = env["tmp"] / "databases" / "school" / "school.sqlite"
+    database.write_bytes(b"not a database" * 100)
+    out_dir = env["tmp"] / "run"
+    code, out, err = run_cli(capsys, "run", "--dataset", env["dataset"],
+                             "--db-root", env["db_root"],
+                             "--out", str(out_dir))
+    assert code == 2
+    assert f"cannot open database {database}" in err
+    assert out == ""
+    assert not (out_dir / "items.jsonl").exists()
+    assert not out_dir.exists()
 
 
 def test_run_bad_config_exits_2(capsys, env):

@@ -65,8 +65,6 @@ def test_record_then_replay(tmp_path):
     player = LlmGateway(config(), "replay", path,
                         transport=sentinel_transport)
     assert player.complete("hello") == "reply to hello"
-    entry = player.ledger.entries[0]
-    assert (entry.prompt_tokens, entry.completion_tokens) == (10, 5)
     assert player.ledger.totals() == {
         "calls": 1, "prompt_tokens": 10, "completion_tokens": 5}
 
@@ -255,7 +253,7 @@ def test_ledger_conserved_under_concurrency():
     assert totals["calls"] == 200
     assert totals["prompt_tokens"] == 400
     assert totals["completion_tokens"] == 600
-    assert len(gateway.ledger.entries) == 200
+    assert gateway.ledger.totals() == totals
 
 
 def test_ledger_stage_split():
@@ -432,9 +430,9 @@ def test_cli_and_bench_import_without_requests():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, skelsearch.cli, skelsearch.bench; "
-         "print('requests' in sys.modules)"],
+         "print('requests' in sys.modules, 'yaml' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_http_transport_posts_one_chat_completion(monkeypatch):

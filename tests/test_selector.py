@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from skelsearch import selector
 from skelsearch.gateway import TransportError
-from skelsearch.schema import DatabaseProfile
+from skelsearch.schema import (
+    DatabaseProfile,
+    profile_from_sqlite,
+    read_only_uri,
+)
 from skelsearch.selector import (
     ArbitrationError,
     DecisionTrace,
@@ -279,6 +283,28 @@ def test_missing_database_file_errors(tmp_path):
                               path=str(tmp_path / "gone.sqlite"))
     outcome = execute_candidate(profile, cand("SELECT 1"))
     assert outcome.status is OutcomeStatus.ERROR
+
+
+@pytest.mark.parametrize("name", ["a#b", "p?q", "c%41d", "a b"])
+def test_database_paths_with_uri_characters(tmp_path, name):
+    """A `#`, `?`, `%XX` or space in a database's path names the file: it
+    profiles with its tables, candidates run on it to rows, the read-only
+    open stays read-only, and no file appears beside its directory."""
+    directory = tmp_path / name
+    directory.mkdir()
+    path = build_school_db(directory / "school.sqlite")
+    profile = profile_from_sqlite(path, db_id="school")
+    assert [table.name for table in profile.tables] == ["grades", "students"]
+    outcome = run(profile, "SELECT name FROM students")
+    assert (outcome.status, outcome.row_count) == (OutcomeStatus.ROWS, 4)
+    conn = sqlite3.connect(read_only_uri(path), uri=True)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("CREATE TABLE extra (a)")
+    finally:
+        conn.close()
+    assert [entry.name for entry in tmp_path.iterdir()] == [name]
+    assert [entry.name for entry in directory.iterdir()] == ["school.sqlite"]
 
 
 def test_row_cap(school_profile):
