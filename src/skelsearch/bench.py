@@ -210,7 +210,8 @@ class Backends(NamedTuple):
 
 def build_backends(settings: RunSettings,
                    items: list[BenchmarkItem]) -> Backends:
-    """The backends that settings.mode calls for."""
+    """The backends that settings.mode calls for; replay needs its
+    cassette file to exist."""
     if settings.mode == "gold":
         golds: dict[tuple[str, str], str] = {}
         for item in items:
@@ -222,6 +223,9 @@ def build_backends(settings: RunSettings,
         return Backends(GoldFormulationBackend(golds),
                         GoldOracleEvaluationBackend(golds),
                         GoldEchoGenerationBackend(golds))
+    if settings.mode == "replay" and not Path(settings.cassette).is_file():
+        # every call would miss, and each item would fail on its own
+        raise BenchConfigError(f"no cassette at {settings.cassette}")
     cassette = Cassette(settings.cassette) if settings.cassette else None
     api_key = os.environ.get(settings.gateway.api_key_env, "")
     gateway = LlmGateway(settings.gateway, mode=settings.mode,

@@ -17,20 +17,20 @@ file) and rendered into the M-Schema layout used by every prompt:
 
 Sample values: each column shows its three smallest distinct non-null
 values in the column's collation (NOCASE 'a' and 'A' are one value),
-each spelled as the per-column query `SELECT DISTINCT c FROM t WHERE c
-IS NOT NULL ORDER BY c LIMIT 3` returned it: as the first row in the
-order SQLite reads the table, or the index that query reads. Profiling
-reads them in three rounds of one statement each. Round one takes
-`MIN(c)` of every column; rounds two and three take the `MIN(c)` above
-the value found last. A table without an index is one UNION ALL arm
-that scans it once a round for all its columns (`MIN(c) FILTER (WHERE c
-> ?)`). A table with an index gets one arm per column (`MIN(c) ... WHERE
-c > ?`), so that SQLite picks the access path, and with it the row that
-spells each value, as it did for the per-column query. A profile thus
-costs at most three plain scans per table (per column where indexed),
-no sort, and 1 + 2 per table + 3 statements whatever the number of
-rows; the per-column query ran 1 + 2 per table + 1 per column
-statements, each sorting its whole column.
+each spelled as the first row in table order that holds it, whatever
+indexes or ANALYZE statistics the database has. Profiling reads them in
+three rounds of one statement each. Every table is one UNION ALL arm
+that scans it `NOT INDEXED` once a round for all its columns: round one
+takes `MIN(c)` of every column, rounds two and three take `MIN(c)
+FILTER (WHERE c > ?)` above the value found last. A profile thus costs
+at most three plain scans per table, no sort, and 1 + 2 per table + 3
+statements whatever the number of rows.
+
+A WITHOUT ROWID table has no rowid order, and SQLite 3.40.1 still plans
+`SCAN t USING COVERING INDEX i` for it under `NOT INDEXED`. For such a
+table the spelling of collation-equal values (NOCASE 'a' and 'A', RTRIM
+'a' and 'a ', 1 and 1.0 in an untyped column) can follow that index;
+the values themselves do not.
 """
 
 from __future__ import annotations
@@ -157,43 +157,35 @@ _ARMS_PER_STATEMENT = 200
 
 
 def _sample_values(conn: sqlite3.Connection,
-                   groups: list[tuple[str, list[str]]]) -> list[list]:
-    """The sample values of the columns of `groups`, a list of (table,
+                   tables: list[tuple[str, list[str]]]) -> list[list]:
+    """The sample values of the columns of `tables`, a list of (table,
     columns): one list per column, in order (see the module docstring).
 
-    Each round is one UNION ALL with an aggregate arm per group. An arm
-    of several columns scans its table once; an arm of one column asks
-    `MIN(c) ... WHERE c > ?`, which SQLite plans as it planned that
-    column's old query. A column that has run out of values is asked
-    for values above NULL, so that the second and third rounds are one
-    text, prepared once. When a statement fails, each column is sampled
-    on its own, and a column that fails alone gets no samples, as with
-    the old query.
+    Each round is one UNION ALL with one arm per table. A column that
+    has run out of values is asked for values above NULL, so that the
+    second and third rounds are one text, prepared once. When a
+    statement fails, each column is sampled on its own, and a column
+    that fails alone gets no samples.
     """
-    if len(groups) > _ARMS_PER_STATEMENT:
+    if len(tables) > _ARMS_PER_STATEMENT:
         return [samples
-                for start in range(0, len(groups), _ARMS_PER_STATEMENT)
+                for start in range(0, len(tables), _ARMS_PER_STATEMENT)
                 for samples in _sample_values(
-                    conn, groups[start:start + _ARMS_PER_STATEMENT])]
-    found = [[[] for _ in columns] for _, columns in groups]
-    flat = [have for per_group in found for have in per_group]
-    width = max((len(columns) for _, columns in groups), default=0)
+                    conn, tables[start:start + _ARMS_PER_STATEMENT])]
+    found = [[[] for _ in columns] for _, columns in tables]
+    flat = [have for per_table in found for have in per_table]
+    width = max((len(columns) for _, columns in tables), default=0)
     first, after = [], []  # the arms of the first and of later rounds
-    for index, (table, columns) in enumerate(groups):
+    for index, (table, columns) in enumerate(tables):
         names = [_quote(column) for column in columns]
         pad = ["NULL"] * (width - len(names))
-        source = f" FROM {_quote(table)}"
+        source = f" FROM {_quote(table)} NOT INDEXED"
         first.append(f"SELECT {index}, "
                      + ", ".join([f"MIN({name})" for name in names] + pad)
                      + source)
-        if len(names) == 1:
-            after.append(f"SELECT {index}, "
-                         + ", ".join([f"MIN({names[0]})"] + pad)
-                         + f"{source} WHERE {names[0]} > ?")
-        else:
-            after.append(f"SELECT {index}, " + ", ".join(
-                [f"MIN({name}) FILTER (WHERE {name} > ?)" for name in names]
-                + pad) + source)
+        after.append(f"SELECT {index}, " + ", ".join(
+            [f"MIN({name}) FILTER (WHERE {name} > ?)" for name in names]
+            + pad) + source)
     texts = [" UNION ALL ".join(first), " UNION ALL ".join(after)]
     try:
         for depth in range(SAMPLE_VALUES_PER_COLUMN):
@@ -208,7 +200,7 @@ def _sample_values(conn: sqlite3.Connection,
     except sqlite3.Error:
         if len(flat) == 1:
             return [[]]
-        return [samples for table, columns in groups for column in columns
+        return [samples for table, columns in tables for column in columns
                 for samples in _sample_values(conn, [(table, [column])])]
     return flat
 
@@ -235,20 +227,14 @@ def profile_from_sqlite(path: str | Path,
         db_id = path.stem
     conn = sqlite3.connect(read_only_uri(path), uri=True)
     try:
-        listed = conn.execute(
-            "SELECT type, name, tbl_name FROM sqlite_master "
-            "WHERE type = 'index' OR type = 'table' "
-            "AND name NOT LIKE 'sqlite_%' ORDER BY name").fetchall()
-        indexed = {table for kind, _, table in listed if kind == "index"}
-        names = [name for kind, name, _ in listed if kind == "table"]
+        names = [name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "AND name NOT LIKE 'sqlite_%' ORDER BY name")]
         infos = [conn.execute(f"PRAGMA table_info({_quote(name)})").fetchall()
                  for name in names]
-        groups = []
-        for name, info in zip(names, infos):
-            columns = [row[1] for row in info]
-            groups += ([(name, [column]) for column in columns]
-                       if name in indexed else [(name, columns)])
-        samples = iter(_sample_values(conn, groups))
+        samples = iter(_sample_values(conn, [
+            (name, [row[1] for row in info])
+            for name, info in zip(names, infos)]))
         tables = []
         fks = []
         for name, info in zip(names, infos):

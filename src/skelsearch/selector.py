@@ -37,6 +37,7 @@ from .schema import DatabaseProfile, read_only_uri
 # Unused here, but the perfbench tracer patches `selector.parse_query`, so
 # the name must stay importable from this module.
 from .skeleton import parse_query  # noqa: F401
+from .sqlast import QUOTED_OR_COMMENT
 from .sqlgen import SqlCandidate
 
 FETCH_CHUNK = 2048
@@ -46,13 +47,10 @@ EXACT_INT_MIN = 10_000_000
 PREVIEW_ROWS = 5
 CHOICE_MARKER = re.compile(r"^\s*CHOICE:\s*(\d+)\s*$",
                            re.MULTILINE | re.IGNORECASE)
-# Quoted strings and identifiers (group 1) and comments: enough of
-# SQLite's lexical grammar to blank them out, so that the parentheses and
-# words left are SQL, before looking for ORDER BY outside every
-# parenthesis.
-_ORDER_NOISE = re.compile(
-    r"('(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\])"
-    r"|--[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
+# Quoted strings and names, and comments, blanked out so that the
+# parentheses and words left are SQL, before looking for ORDER BY outside
+# every parenthesis.
+_ORDER_NOISE = re.compile(QUOTED_OR_COMMENT, re.DOTALL)
 _PARENS = re.compile(r"([()])")
 _ORDER_BY = re.compile(r"(?<!\w)ORDER(?!\w)\W*BY(?!\w)", re.IGNORECASE)
 _AUTHORIZED = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
@@ -160,7 +158,7 @@ def fingerprint_rows(rows, ordered: bool, *, canonical: bool = False) -> str:
 
 def _blank(match: re.Match) -> str:
     # A literal or quoted name stays a word of its own; a comment is space.
-    return " 0 " if match.group(1) else " "
+    return " " if match.group()[0] in "-/" else " 0 "
 
 
 def _is_ordered(sql: str) -> bool:

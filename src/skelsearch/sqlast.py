@@ -88,6 +88,16 @@ _TOKEN_RE = re.compile(r"""
       | (?P<end>\Z)
     )""", re.VERBOSE)
 
+# SQLite's quoted strings and names, then its comments, as regex text:
+# enough of the lexical grammar for a scan that does not lex to tell the
+# SQL around them from what they hold (`sqlgen.extract_statement`,
+# `selector._is_ordered`). A match that starts with `-` or `/` is a
+# comment; under re.DOTALL one never closed runs to the end. The text
+# has no group, so that `re` skips ahead to a character that can start
+# a match.
+QUOTED_OR_COMMENT = (r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`"
+                     r"|\[[^\]]*\]|--[^\n]*|/\*.*?(?:\*/|\Z)")
+
 _OP_SPELLINGS = {"==": "=", "<>": "!="}
 # A `bad` character that opens a string or quoted name was never closed.
 _UNTERMINATED = {"'": "unterminated string",

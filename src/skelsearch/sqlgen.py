@@ -10,6 +10,7 @@ with S.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .agents import BackendError, GoldBackend, load_template
@@ -17,6 +18,10 @@ from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
 from .skeleton import Skeleton
+from .sqlast import QUOTED_OR_COMMENT
+
+# A quoted string or name, a comment, or the `;` that ends a statement.
+_QUOTED_COMMENT_OR_END = re.compile(f"{QUOTED_OR_COMMENT}|;", re.DOTALL)
 
 
 @dataclass
@@ -37,12 +42,37 @@ def build_generation_prompt(profile: DatabaseProfile, question: str,
 
 
 def extract_statement(response: str) -> str:
-    """First complete statement of a response, fences and labels removed."""
+    """First complete statement of a response, fences and labels removed.
+
+    Quoted strings and names stay as written; each run of whitespace and
+    comments outside them becomes one space, and the statement ends at
+    the first `;` outside them.
+    """
     body, _ = _strip_wrapping(response)
     if body.upper().startswith("SQL:"):
-        body = body[4:].strip()
-    statement = body.split(";")[0].strip()
-    return " ".join(statement.split())
+        body = body[4:]
+    pieces, plain, start = [], "", 0
+    for match in _QUOTED_COMMENT_OR_END.finditer(body):
+        plain += body[start:match.start()]
+        start = match.end()
+        text = match.group()
+        if text == ";":
+            break
+        if text[0] in "-/":  # a comment
+            plain += " "
+        else:
+            pieces += (_squeeze(plain), text)
+            plain = ""
+    else:
+        plain += body[start:]
+    pieces.append(_squeeze(plain))
+    return "".join(pieces).strip()
+
+
+def _squeeze(text: str) -> str:
+    """`text` with each run of whitespace as one space."""
+    return " ".join([""] * text[:1].isspace() + text.split()
+                    + [""] * text[-1:].isspace())
 
 
 def generate_sql(profile: DatabaseProfile, question: str,

@@ -218,6 +218,25 @@ def test_run_gateway_concurrency_key_exits_2(capsys, env):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "search"])
+def test_replay_without_cassette_exits_2(capsys, env, command):
+    """A replay whose cassette file does not exist is a configuration
+    error, raised before the run writes anything."""
+    config = env["tmp"] / "config.yaml"
+    config.write_text("mode: replay\ncassette: nope.jsonl\n",
+                      encoding="utf-8")
+    out_dir = env["tmp"] / "run"
+    argv = (["run", "--dataset", env["dataset"], "--db-root",
+             env["db_root"], "--out", str(out_dir)] if command == "run"
+            else ["search", "--db", env["db"], "--question", QUESTION])
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert "no cassette at nope.jsonl" in err
+    assert out == ""
+    assert not out_dir.exists()
+    assert not Path("nope.jsonl").exists()
+
+
 def test_stats_missing_run_dir_exits_2(capsys, env):
     code, _, _ = run_cli(capsys, "stats", "--run-dir",
                          str(env["tmp"] / "nowhere"))

@@ -1,6 +1,7 @@
 """Profile construction and M-Schema rendering."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -177,29 +178,13 @@ def databases(draw):
     return statements, inserts, draw(st.booleans())
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                 HealthCheck.too_slow])
-@given(database=databases())
-# A covering index orders the rows of one NOCASE value by its next
-# column: the old query read them in that order, not in rowid order.
-@example(database=(
-    ["CREATE TABLE t0 (c0 TEXT COLLATE NOCASE, c1 INTEGER)",
-     "CREATE INDEX t0_0 ON t0 (c0, c1)"],
-    [("t0", ["a", 2]), ("t0", ["A", 1]), ("t0", ["b", 2]), ("t0", ["B", 1])],
-    False))
-@example(database=(
-    ["CREATE TABLE t0 (c0, c1 TEXT COLLATE NOCASE, c2)",
-     "CREATE INDEX t0_0 ON t0 (c0, c1)"],
-    [("t0", [2, "a", 1]), ("t0", [1, "A", 1]), ("t0", [3, "b", 1])],
-    False))
-def test_samples_match_the_old_query(tmp_path, database):
-    """Bounded sampling returns what the per-column DISTINCT sort returned,
-    value for value and type for type: on collation-equal classes, mixed
-    storage classes, NULL-only and empty tables, WITHOUT ROWID tables,
-    indexed tables and tables of hundreds of rows."""
-    statements, inserts, analyze = database
-    path = tmp_path / "drawn.sqlite"
+def _collation(column: str) -> str:
+    """The collation named in a drawn column definition."""
+    return column.split(" COLLATE ")[1] if " COLLATE " in column \
+        else "BINARY"
+
+
+def _build(path, statements, inserts, analyze) -> None:
     path.unlink(missing_ok=True)
     conn = sqlite3.connect(path)
     try:
@@ -211,15 +196,117 @@ def test_samples_match_the_old_query(tmp_path, database):
         if analyze:
             conn.execute("ANALYZE")
         conn.commit()
-        profile = profile_from_sqlite(path)
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def drawn(tmp_path):
+    """A function that builds a drawn database and its index-free copy
+    (the same tables and rows, no CREATE INDEX, no ANALYZE) and returns
+    (the copy's statements, profile, copy's profile, copy's path)."""
+    def build(database):
+        statements, inserts, analyze = database
+        plain = [s for s in statements if not s.startswith("CREATE INDEX")]
+        path, copy = tmp_path / "drawn.sqlite", tmp_path / "copy.sqlite"
+        _build(path, statements, inserts, analyze)
+        _build(copy, plain, inserts, False)
+        return plain, profile_from_sqlite(path), profile_from_sqlite(copy), \
+            copy
+
+    return build
+
+
+def sampling_property(test):
+    """Runs `test` over drawn databases, with the cases that once showed
+    an index changing a sample's spelling pinned as examples."""
+    for database in [
+        # A covering index orders the rows of one NOCASE value by its
+        # next column: the per-column sort read them in that order.
+        (["CREATE TABLE t0 (c0 TEXT COLLATE NOCASE, c1 INTEGER)",
+          "CREATE INDEX t0_0 ON t0 (c0, c1)"],
+         [("t0", ["a", 2]), ("t0", ["A", 1]), ("t0", ["b", 2]),
+          ("t0", ["B", 1])],
+         False),
+        (["CREATE TABLE t0 (c0, c1 TEXT COLLATE NOCASE, c2)",
+          "CREATE INDEX t0_0 ON t0 (c0, c1)"],
+         [("t0", [2, "a", 1]), ("t0", [1, "A", 1]), ("t0", [3, "b", 1])],
+         False),
+        # With this index and ANALYZE, the per-column sampler showed
+        # [0, 1] where the same rows without the index show [0, 1.0].
+        (["CREATE TABLE t0 (c0, c1, c2, c3)",
+          "CREATE INDEX t0_0 ON t0 (c1, c0, c2, c3)"],
+         [("t0", [0, None, None, None]), ("t0", [1.0, None, None, 0]),
+          ("t0", [1, None, None, None])] * 40,
+         True),
+        # An RTRIM column behind an index's leading column: the
+        # per-column sampler showed 'b  ' where the sort showed 'b'.
+        (["CREATE TABLE t0 (c0 COLLATE RTRIM, c1, c2, c3)",
+          "CREATE INDEX t0_0 ON t0 (c1, c0, c2, c3)"],
+         [("t0", [0, None, None, None]), ("t0", ["b", None, None, 0]),
+          ("t0", ["b  ", None, None, None])] * 40,
+         True),
+    ]:
+        test = example(database=database)(test)
+    return settings(max_examples=200, deadline=None,
+                    suppress_health_check=[
+                        HealthCheck.function_scoped_fixture,
+                        HealthCheck.too_slow])(
+        given(database=databases())(test))
+
+
+@sampling_property
+def test_samples_without_indexes_match_the_old_query(drawn, database):
+    """On a database without indexes, bounded sampling returns what the
+    per-column DISTINCT sort returned, value for value and type for
+    type: on collation-equal classes, mixed storage classes, NULL-only
+    and empty tables, WITHOUT ROWID tables and tables of hundreds of
+    rows."""
+    _, _, profile, path = drawn(database)
+    with closing(sqlite3.connect(path)) as conn:
         for table in profile.tables:
             for column in table.columns:
                 expected = old_samples(conn, table.name, column.name)
                 assert column.samples == expected, (table.name, column.name)
                 assert ([type(v) for v in column.samples]
                         == [type(v) for v in expected])
-    finally:
-        conn.close()
+
+
+@sampling_property
+def test_rowid_tables_render_the_same_with_indexes(drawn, database):
+    """Indexes and ANALYZE do not change the M-Schema text of a rowid
+    table: each sample is spelled as its first row in rowid order."""
+    statements, profile, copy, _ = drawn(database)
+    rowid = {s.split()[2] for s in statements
+             if not s.endswith("WITHOUT ROWID")}
+
+    def text(of):
+        return render_mschema(DatabaseProfile("drawn", [
+            table for table in of.tables if table.name in rowid]))
+
+    assert text(profile) == text(copy)
+
+
+@sampling_property
+def test_without_rowid_samples_are_collation_equal(drawn, database):
+    """On a WITHOUT ROWID table an index can pick the spelling of a
+    sample (see the `schema` docstring), but each sample still equals
+    the index-free copy's under its column's collation."""
+    statements, profile, copy, _ = drawn(database)
+    tables = [s for s in statements if s.endswith("WITHOUT ROWID")]
+    with closing(sqlite3.connect(":memory:")) as conn:
+        for statement in tables:
+            name = statement.split()[2]
+            definitions = statement[statement.index("(") + 1:
+                                    statement.rindex(")")].split(", ")
+            for column, definition, plain in zip(
+                    profile.table(name).columns, definitions,
+                    copy.table(name).columns):
+                assert len(column.samples) == len(plain.samples), column.name
+                for value, expected in zip(column.samples, plain.samples):
+                    assert conn.execute(
+                        f"SELECT ? = ? COLLATE {_collation(definition)}",
+                        (value, expected)).fetchone() == (1,), column.name
 
 
 def test_names_with_quotes_are_profiled(tmp_path):

@@ -1,6 +1,12 @@
 """SQL generation: prompt build, response cleanup, candidate alignment."""
 
+import sqlite3
 import time
+from contextlib import closing
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures.doubles import ScriptedGenerationBackend
 from skelsearch.agents import BackendError
@@ -44,6 +50,68 @@ def test_extract_statement_takes_first_statement():
 
 def test_extract_statement_collapses_whitespace():
     assert extract_statement("SELECT  a\n\tFROM   t") == "SELECT a FROM t"
+
+
+@pytest.mark.parametrize("response, statement", [
+    # a line comment ends at its newline; the WHERE stays outside it
+    ("SELECT name FROM t -- pick names\nWHERE age > 30",
+     "SELECT name FROM t WHERE age > 30"),
+    ("SELECT a /* one; two */ FROM t; SELECT b", "SELECT a FROM t"),
+    # a `;` in a literal or a quoted name does not end the statement
+    ("SELECT name FROM t WHERE name = 'a;b'",
+     "SELECT name FROM t WHERE name = 'a;b'"),
+    ('SELECT "x;y" FROM t; SELECT 2', 'SELECT "x;y" FROM t'),
+    ("SELECT `a;b`, [c;d] FROM t", "SELECT `a;b`, [c;d] FROM t"),
+    # spaces inside a literal are data
+    ("SELECT id FROM t WHERE city = 'New  York'",
+     "SELECT id FROM t WHERE city = 'New  York'"),
+    ("SELECT 'it''s  --  /*'  FROM t", "SELECT 'it''s  --  /*' FROM t"),
+    ("SELECT a - b, a / b FROM t", "SELECT a - b, a / b FROM t"),
+])
+def test_extract_statement_keeps_quoted_text(response, statement):
+    assert extract_statement(response) == statement
+
+
+def test_extract_statement_keeps_the_where_clause():
+    sql = extract_statement("SELECT name FROM t -- pick names\n"
+                            "WHERE age > 30")
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.execute("CREATE TABLE t (name TEXT, age INTEGER)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)",
+                         [("a", 20), ("b", 40)])
+        assert conn.execute(sql).fetchall() == [("b",)]
+
+
+# Text that a naive cut or whitespace collapse would change.
+_TRICKY = st.lists(st.sampled_from(["a", "b", ";", "--", "/*", "*/", "  ",
+                                    "'", '"', "\n"]),
+                   max_size=8).map("".join)
+_SEPARATORS = st.sampled_from([
+    " ", "  ", "\n", "\n\t ", " -- note; x /* y\n", "/* ; -- 'q */",
+    " /* a\n b */ -- c\n  "])
+
+
+def _literal(text: str) -> str:
+    return "'" + text.replace("'", "''") + "'"
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_TRICKY, other=_TRICKY, seps=st.lists(_SEPARATORS, min_size=4,
+                                                   max_size=4))
+def test_extract_statement_keeps_the_rows(value, other, seps):
+    """The first statement of a response returns the rows of the SQL the
+    model wrote, whatever its literals and comments hold."""
+    sql = (f'SELECT name, "odd;  --name", {_literal(other)} AS "a;b"'
+           f"{seps[0]}FROM t{seps[1]}WHERE name = {_literal(value)}"
+           f"{seps[2]}OR name = {_literal(other + ';')}{seps[3]}ORDER BY 2")
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.execute('CREATE TABLE t (name TEXT, "odd;  --name" INTEGER)')
+        conn.executemany("INSERT INTO t VALUES (?, ?)",
+                         [(value, 1), (other, 2), (value + " ", 3)])
+        expected = conn.execute(sql).fetchall()
+        assert expected  # the WHERE clause matched the row holding `value`
+        assert conn.execute(
+            extract_statement(sql + "; SELECT 2")).fetchall() == expected
 
 
 def test_prompt_contains_schema_question_skeleton(toy_profile):
