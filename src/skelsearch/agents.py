@@ -6,7 +6,8 @@ skeleton against the question with a True/False verdict. Both are modeled
 as swappable backends behind small protocols:
 
 * live LLM backends (prompt templates + gateway),
-* gold oracles (string equality against the gold SQL's extraction).
+* a gold oracle (string equality against the gold SQL's extraction),
+  which also writes gold mode's SQL.
 
 Replay is not a separate backend: an LLM backend over a gateway in replay
 mode is hermetic by construction.
@@ -212,50 +213,43 @@ class LlmEvaluationBackend:
         return self.gateway.complete(prompt, stage="evaluate")
 
 
-class GoldBackend:
-    """Base of the gold oracles: a (db_id, question) -> gold SQL dict."""
-
-    def __init__(self, golds: dict[tuple[str, str], str]):
-        self.golds = golds
-
-    def _gold(self, schema: DatabaseProfile, question: str) -> str:
-        return self.golds[(schema.db_id, question)]
-
-
-class _GoldTreeBackend(GoldBackend):
-    """A gold oracle that reads the gold SQL's parse tree.
+class GoldOracle:
+    """The gold backend of every role, from a (db_id, question) -> gold
+    SQL dict: it proposes the gold SQL's own skeleton at the phase's
+    target level, judges a skeleton true iff it equals the gold
+    extraction at its level, and writes the gold SQL whatever the
+    skeleton (the oracle upper bound).
 
     It keeps the tree of the last gold text it parsed. A search asks
-    about one question throughout, so each item's gold is parsed once
-    per backend, and a whole dataset run holds one tree per backend.
-    The (text, tree) pair is replaced in one assignment, so an item
-    thread never reads a tree that belongs to another text.
+    about one question throughout, so each item's gold is parsed once,
+    and a whole dataset run holds one tree. The (text, tree) pair is
+    replaced in one assignment, so an item thread never reads a tree
+    that belongs to another text.
     """
 
     _last: tuple[str, ClauseTree] | None = None
 
+    def __init__(self, golds: dict[tuple[str, str], str]):
+        self.golds = golds
+
     def _gold_tree(self, schema: DatabaseProfile,
                    question: str) -> ClauseTree:
-        gold = self._gold(schema, question)
+        gold = self.golds[(schema.db_id, question)]
         last = self._last
         if last is None or last[0] != gold:
             last = self._last = (gold, parse_query(gold))
         return last[1]
 
-
-class GoldFormulationBackend(_GoldTreeBackend):
-    """Echoes the gold SQL's own skeleton at the phase's target level."""
-
     def propose(self, req: FormulationRequest) -> list[str]:
         tree = self._gold_tree(req.schema, req.question)
         return [extract_skeleton(tree, req.phase.target_level).text]
-
-
-class GoldOracleEvaluationBackend(_GoldTreeBackend):
-    """True iff the candidate equals the gold extraction at its level."""
 
     def judge(self, schema: DatabaseProfile, question: str,
               candidate: Skeleton) -> str:
         gold = extract_skeleton(self._gold_tree(schema, question),
                                 candidate.level)
         return f"VERDICT: {candidate.text == gold.text}"
+
+    def write_sql(self, profile: DatabaseProfile, question: str,
+                  skeleton: Skeleton) -> str:
+        return self.golds[(profile.db_id, question)]

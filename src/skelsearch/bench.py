@@ -12,6 +12,7 @@ item-level concurrency settings under replay backends.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -21,12 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .agents import (
-    GoldFormulationBackend,
-    GoldOracleEvaluationBackend,
-    LlmEvaluationBackend,
-    LlmFormulationBackend,
-)
+from .agents import GoldOracle, LlmEvaluationBackend, LlmFormulationBackend
 from .engine import EmptySearch, SearchConfig, run_search
 from .gateway import Cassette, GatewayConfig, LlmGateway
 from .journal import Journal
@@ -42,8 +38,7 @@ from .selector import (
     select_final,
 )
 from .sqlast import SqlSyntaxError
-from .sqlgen import GoldEchoGenerationBackend, LlmGenerationBackend, \
-    SqlCandidate, generate_all
+from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 
 REPORT_FORMAT = "bench-report"
 REPORT_VERSION = 1
@@ -77,8 +72,10 @@ class RunSettings:
         if self.mode not in MODES:
             raise BenchConfigError(f"unknown mode {self.mode!r}; "
                                    f"expected one of {MODES}")
-        if self.items_concurrency < 1:
-            raise BenchConfigError("items_concurrency must be at least 1")
+        if (type(self.items_concurrency) is not int
+                or self.items_concurrency < 1):
+            raise BenchConfigError("items_concurrency must be an integer "
+                                   "of at least 1")
         if self.arbitration not in ("none", "llm"):
             raise BenchConfigError("arbitration must be 'none' or 'llm'")
         if self.mode in ("record", "replay") and not self.cassette:
@@ -220,9 +217,8 @@ def build_backends(settings: RunSettings,
                 raise BenchConfigError(
                     f"two gold SQL texts for question {item.question!r} "
                     f"on {item.db_id!r}")
-        return Backends(GoldFormulationBackend(golds),
-                        GoldOracleEvaluationBackend(golds),
-                        GoldEchoGenerationBackend(golds))
+        oracle = GoldOracle(golds)
+        return Backends(oracle, oracle, oracle)
     if settings.mode == "replay" and not Path(settings.cassette).is_file():
         # every call would miss, and each item would fail on its own
         raise BenchConfigError(f"no cassette at {settings.cassette}")
@@ -238,20 +234,14 @@ def build_backends(settings: RunSettings,
 
 
 def run_item(item: BenchmarkItem, profile: DatabaseProfile,
-             backends, settings: RunSettings,
-             connections: ReadOnlyConnections | None = None) -> dict:
+             backends: Backends, settings: RunSettings,
+             connections: ReadOnlyConnections) -> dict:
     """One item through search -> generate -> execute -> select.
 
-    backends is a Backends or a plain tuple in its field order. With a
-    gateway, the model calls of each search level and the generations run
-    through `LlmGateway.map`; without one (gold mode), inline. SQL runs
-    on `connections`; without a set, the item uses one of its own and
-    closes it.
+    With a gateway, the model calls of each search level and the
+    generations run through `LlmGateway.map`; without one (gold mode),
+    inline. SQL runs on `connections`, which the caller owns.
     """
-    if connections is None:
-        with ReadOnlyConnections() as own:
-            return run_item(item, profile, backends, settings, own)
-    backends = Backends(*backends)
     record = {
         **vars(item),
         "empty_search": False,
@@ -279,7 +269,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         record["cost"] = asdict(cost)
     except EmptySearch:
         record["empty_search"] = True
-    except SqlSyntaxError as exc:  # only the gold backends parse gold SQL
+    except SqlSyntaxError as exc:  # only the gold oracle parses gold SQL
         record["error"] = f"unparsable gold SQL: {exc}"
         return record
     except Exception as exc:
@@ -293,7 +283,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         candidates = generate_all(profile, item.question, leaves,
                                   backends.generator, backends.map_calls)
         outcomes = execute_all(profile, candidates, settings.limits,
-                               {item.gold_sql: gold_outcome}, connections)
+                               connections, {item.gold_sql: gold_outcome})
         tokens = [_result_token(o) for o in outcomes]
         record["k"] = sum(token is not None for token in tokens)
         if gold_token is not None:
@@ -355,6 +345,15 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
     }
 
 
+def _settings_digest(settings: RunSettings) -> str:
+    """sha256 of the settings that shape a record: every RunSettings
+    field but items_concurrency, as sorted-key JSON."""
+    fields = asdict(settings)
+    del fields["items_concurrency"]
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
 def _item_journal(out: Path) -> Journal:
     """The item records of the run directory `out`, keyed by item index."""
     if (out / "items").is_dir() and not (out / "items.jsonl").exists():
@@ -374,11 +373,14 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     holds the records.
 
     backends, when given, is a Backends or a plain tuple in its field
-    order; otherwise build_backends makes them from settings. Every item
-    runs its SQL on one connection set, which keeps each worker thread's
-    connection to each database open until the item pool has drained.
-    The cassette and the item journal are closed once the items are
-    done, also when an item raises.
+    order; otherwise build_backends makes them from settings. Each
+    journal entry holds the digest of the settings that made its record,
+    and resume reuses an entry only when that digest and all five item
+    fields match; any other item runs again. Every item runs its SQL on
+    one connection set, which keeps each worker thread's connection to
+    each database open until the item pool has drained. The cassette and
+    the item journal are closed once the items are done, also when an
+    item raises.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)
@@ -395,16 +397,18 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     # report.json exists only when the directory's last run finished
     (out / "report.json").unlink(missing_ok=True)
     connections = ReadOnlyConnections()
+    digest = _settings_digest(settings)
 
     def compute(index_item):
         index, item = index_item
         entry = journal.get(index)
-        if entry is not None and all(entry["record"].get(name) == value
-                                     for name, value in vars(item).items()):
+        if (entry is not None and entry.get("settings") == digest
+                and all(entry["record"].get(name) == value
+                        for name, value in vars(item).items())):
             return entry["record"]
         record = run_item(item, profiles[item.db_id], built, settings,
                           connections)
-        journal.put({"key": index, "record": record})
+        journal.put({"key": index, "settings": digest, "record": record})
         return record
 
     workload = list(enumerate(items))

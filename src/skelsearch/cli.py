@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import closing
 
+from .agents import GoldOracle
 from .bench import (
     BenchConfigError,
     BenchmarkItem,
@@ -28,11 +29,16 @@ from .bench import (
 )
 from .engine import EmptySearch, run_search
 from .schema import render_mschema
-from .selector import ExecutionLimits, execute_all, select_final
+from .selector import (
+    ExecutionLimits,
+    ReadOnlyConnections,
+    execute_all,
+    select_final,
+)
 from .sftdata import DatasetBuildError, build_dataset
 from .skeleton import GranularityLevel, extract_skeleton, parse_query
 from .sqlast import SqlSyntaxError
-from .sqlgen import GoldEchoGenerationBackend, SqlCandidate, generate_all
+from .sqlgen import SqlCandidate, generate_all
 
 LEVELS = ("base", "expanded", "detailed")
 
@@ -104,8 +110,7 @@ def cmd_generate(args) -> int:
     skeletons = [extract_skeleton(tree, level) for level in (
         GranularityLevel.BASE, GranularityLevel.EXPANDED,
         GranularityLevel.DETAILED)]
-    backend = GoldEchoGenerationBackend(
-        {(profile.db_id, args.question): args.gold})
+    backend = GoldOracle({(profile.db_id, args.question): args.gold})
     candidates = generate_all(profile, args.question, skeletons, backend)
     _emit([{"skeleton": c.skeleton.text, "sql": c.sql,
             "failed": c.failed, "error": c.error} for c in candidates])
@@ -147,7 +152,8 @@ def cmd_select(args) -> int:
     candidates = [SqlCandidate(sql, _candidate_skeleton(sql, level))
                   for sql, level in records]
     limits = ExecutionLimits(timeout=args.timeout, row_cap=args.row_cap)
-    outcomes = execute_all(profile, candidates, limits)
+    with ReadOnlyConnections() as connections:
+        outcomes = execute_all(profile, candidates, limits, connections)
     winner, trace = select_final(candidates, outcomes,
                                  question=args.question or "")
     _emit({"final_sql": winner.sql, "trace": trace.to_dict(),

@@ -79,10 +79,10 @@ class SearchConfig:
     expanded_cap: int = 5
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("branching bound m must be >= 1")
-        if self.expanded_cap < 1:
-            raise ValueError("expanded-phase cap must be >= 1")
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError("branching bound m must be an integer >= 1")
+        if type(self.expanded_cap) is not int or self.expanded_cap < 1:
+            raise ValueError("expanded-phase cap must be an integer >= 1")
 
 
 @dataclass

@@ -13,6 +13,7 @@ cassette instead of silently replaying a stale response.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -51,10 +52,14 @@ class GatewayConfig:
     api_key_env: str = "LLM_API_KEY"
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ValueError("max_tokens must be an integer of at least 1")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError("retries must be an integer >= 0")
 
 
 class UsageLedger:
@@ -164,7 +169,7 @@ class LlmGateway:
     """
 
     def __init__(self, config: GatewayConfig, mode: str = "live",
-                 cassette: Cassette | str | Path | None = None,
+                 cassette: Cassette | None = None,
                  transport=None, ledger: UsageLedger | None = None,
                  api_key: str | None = None):
         if mode not in ("live", "record", "replay"):
@@ -173,8 +178,7 @@ class LlmGateway:
             raise ValueError(f"{mode} mode requires a cassette")
         self.config = config
         self.mode = mode
-        self.cassette = (cassette if isinstance(cassette, Cassette)
-                         or cassette is None else Cassette(cassette))
+        self.cassette = cassette
         self.transport = transport or http_transport
         self.ledger = ledger or UsageLedger()
         self.api_key = api_key

@@ -23,6 +23,7 @@ candidate order never changes the winning fingerprint.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import sqlite3
 import threading
@@ -73,10 +74,11 @@ class ExecutionLimits:
     row_cap: int = 100_000
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.row_cap < 1:
-            raise ValueError("row_cap must be at least 1")
+        # NaN fails every comparison, so it would switch the deadline off
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
+        if type(self.row_cap) is not int or self.row_cap < 1:
+            raise ValueError("row_cap must be an integer of at least 1")
 
 
 @dataclass
@@ -141,13 +143,9 @@ def canonical_row(row) -> str:
     return "\x1f".join([canonical_cell(cell) for cell in row])
 
 
-def fingerprint_rows(rows, ordered: bool, *, canonical: bool = False) -> str:
-    """Hash of the result set; sequence-sensitive only when ordered.
-
-    rows are result rows, or their canonical_row strings when canonical
-    is true.
-    """
-    canon = rows if canonical else [canonical_row(row) for row in rows]
+def fingerprint_rows(canon: list[str], ordered: bool) -> str:
+    """Hash of the result set, given as the canonical_row string of each
+    row; sequence-sensitive only when ordered."""
     if not ordered:
         canon = sorted(canon)
     prefix = "seq" if ordered else "bag"
@@ -248,17 +246,10 @@ class ReadOnlyConnections:
 
 
 def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
-                      limits: ExecutionLimits | None = None,
-                      connections: ReadOnlyConnections | None = None
-                      ) -> ExecutionOutcome:
-    """Run one candidate read-only under the configured limits.
-
-    Without a connection set, the call uses one of its own and closes it.
-    """
-    if connections is None:
-        with ReadOnlyConnections() as own:
-            return execute_candidate(profile, candidate, limits, own)
-    limits = limits or ExecutionLimits()
+                      limits: ExecutionLimits,
+                      connections: ReadOnlyConnections) -> ExecutionOutcome:
+    """Run one candidate read-only under `limits`, on this thread's
+    connection from `connections`."""
     if candidate.failed:
         return ExecutionOutcome(OutcomeStatus.ERROR,
                                 error=candidate.error or "generation failed")
@@ -304,16 +295,15 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     if not rows:
         return ExecutionOutcome(OutcomeStatus.EMPTY, wall_time=wall)
     canon = [canonical_row(row) for row in rows]
-    fingerprint = fingerprint_rows(canon, _is_ordered(sql), canonical=True)
+    fingerprint = fingerprint_rows(canon, _is_ordered(sql))
     return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
                             row_count=len(rows), wall_time=wall,
                             preview=canon[:PREVIEW_ROWS])
 
 
 def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
-                limits: ExecutionLimits | None = None,
-                known: dict[str, ExecutionOutcome] | None = None,
-                connections: ReadOnlyConnections | None = None
+                limits: ExecutionLimits, connections: ReadOnlyConnections,
+                known: dict[str, ExecutionOutcome] | None = None
                 ) -> list[ExecutionOutcome]:
     """Outcomes aligned with the candidate list.
 
@@ -321,12 +311,8 @@ def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
     one outcome object. `known` maps SQL text to the outcome of an earlier
     run against the same profile under the same limits; it is read first
     and filled with every new run. A failed candidate never runs SQL and
-    keeps its own error outcome. Without a connection set, the call uses
-    one of its own and closes it.
+    keeps its own error outcome.
     """
-    if connections is None:
-        with ReadOnlyConnections() as own:
-            return execute_all(profile, candidates, limits, known, own)
     known = {} if known is None else known
     outcomes = []
     for candidate in candidates:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .agents import BackendError, GoldBackend, load_template
+from .agents import BackendError, load_template
 from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
@@ -109,11 +109,3 @@ class LlmGenerationBackend:
                   skeleton: Skeleton) -> str:
         prompt = build_generation_prompt(profile, question, skeleton)
         return self.gateway.complete(prompt, stage="generate")
-
-
-class GoldEchoGenerationBackend(GoldBackend):
-    """Echoes the gold SQL regardless of skeleton (oracle upper bound)."""
-
-    def write_sql(self, profile: DatabaseProfile, question: str,
-                  skeleton: Skeleton) -> str:
-        return self._gold(profile, question)

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small school database and its profile."""
+"""Shared fixtures: a small school database, its profile, and a
+connection set for running SQL on it."""
 
 import sqlite3
 import threading
@@ -13,6 +14,7 @@ from skelsearch.schema import (
     TableProfile,
     profile_from_sqlite,
 )
+from skelsearch.selector import ReadOnlyConnections
 
 SCHOOL_DDL = [
     "CREATE TABLE students (id INTEGER PRIMARY KEY, name TEXT, year INTEGER)",
@@ -97,6 +99,13 @@ def make_profile(db_id="toy"):
         ],
         foreign_keys=[ForeignKey("u", "t_id", "t", "id")],
     )
+
+
+@pytest.fixture
+def connections():
+    """A connection set for the test's SQL, closed when the test ends."""
+    with ReadOnlyConnections() as connection_set:
+        yield connection_set
 
 
 @pytest.fixture

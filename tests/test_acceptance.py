@@ -30,11 +30,8 @@ from fixtures.livestub import TransportOracle
 from fixtures.sftcorpus import build_corpus
 from fixtures.traces import SCENARIOS
 from oracle_skeleton import oracle_depth, oracle_extract
-from skelsearch.agents import (
-    GoldFormulationBackend,
-    GoldOracleEvaluationBackend,
-)
-from skelsearch.bench import RunSettings, run_benchmark
+from skelsearch.agents import GoldOracle
+from skelsearch.bench import Backends, RunSettings, run_benchmark
 from skelsearch.engine import (
     NodeStatus,
     SearchConfig,
@@ -48,6 +45,7 @@ from skelsearch.selector import (
     ArbitrationError,
     ExecutionOutcome,
     OutcomeStatus,
+    canonical_row,
     fingerprint_rows,
     select_final,
 )
@@ -58,7 +56,7 @@ from skelsearch.skeleton import (
     parse_query,
     refinement_check,
 )
-from skelsearch.sqlgen import GoldEchoGenerationBackend, SqlCandidate
+from skelsearch.sqlgen import SqlCandidate
 
 LEVELS = tuple(GranularityLevel)
 
@@ -264,8 +262,9 @@ def test_criterion_05_voting_correctness():
         assert len(repeats) == 1
     assert ties >= 1
 
-    rows = [(i, f"name{i % 7}", i * 0.5, None if i % 11 == 0 else i % 3,
-             bytes([i % 251])) for i in range(40)]
+    rows = [canonical_row((i, f"name{i % 7}", i * 0.5,
+                           None if i % 11 == 0 else i % 3, bytes([i % 251])))
+            for i in range(40)]
     reference = fingerprint_rows(rows, ordered=False)
     rnd = random.Random(5)
     mismatches = 0
@@ -415,9 +414,8 @@ def test_criterion_09_greedy_metric_sanity(tmp_path):
     every difficulty bucket, and Pass@k >= EX."""
     dataset, db_root = _bench_fixture(tmp_path)
     golds = {("school", q): sql for q, sql in BENCH_GOLDS.items()}
-    backends = (GoldFormulationBackend(golds),
-                GoldOracleEvaluationBackend(golds),
-                GoldEchoGenerationBackend(golds), None)
+    oracle = GoldOracle(golds)
+    backends = Backends(oracle, oracle, oracle)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
                            settings=RunSettings(search=SearchConfig(m=1)),
                            backends=backends)

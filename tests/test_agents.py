@@ -10,8 +10,7 @@ from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.agents import (
     BackendError,
     FormulationRequest,
-    GoldFormulationBackend,
-    GoldOracleEvaluationBackend,
+    GoldOracle,
     LlmEvaluationBackend,
     LlmFormulationBackend,
     SearchPhase,
@@ -178,7 +177,7 @@ def test_evaluate_missing_marker_is_false(toy_profile):
 
 
 def test_gold_oracle_accepts_gold_extractions(toy_profile):
-    backend = GoldOracleEvaluationBackend({("toy", "q"): GOLD})
+    backend = GoldOracle({("toy", "q"): GOLD})
     for level in GranularityLevel:
         gold = skeleton_of(GOLD, level)
         assert evaluate(toy_profile, "q", gold, backend).verdict is True
@@ -187,7 +186,7 @@ def test_gold_oracle_accepts_gold_extractions(toy_profile):
 
 
 def test_gold_formulation_echoes_extraction(toy_profile):
-    backend = GoldFormulationBackend({("toy", "q"): GOLD})
+    backend = GoldOracle({("toy", "q"): GOLD})
     req = FormulationRequest(toy_profile, "q", None, SearchPhase.BASE, 3)
     assert formulate(req, backend) == [
         skeleton_of(GOLD, GranularityLevel.BASE).text]
@@ -198,29 +197,27 @@ def test_gold_formulation_echoes_extraction(toy_profile):
         skeleton_of(GOLD, GranularityLevel.EXPANDED).text]
 
 
-def test_gold_search_parses_each_gold_text_once_per_backend(
-        parse_counts, school_profile):
-    formulator = GoldFormulationBackend({("school", "q"): GOLD})
-    evaluator = GoldOracleEvaluationBackend({("school", "q"): GOLD})
+def test_gold_search_parses_each_gold_text_once(parse_counts,
+                                                school_profile):
+    oracle = GoldOracle({("school", "q"): GOLD})
 
     def search_parses():
         parse_counts.update(parse=0, lex=0)
-        _, tree, _ = run_search(school_profile, "q", formulator, evaluator,
+        _, tree, _ = run_search(school_profile, "q", oracle, oracle,
                                 SearchConfig())
         assert len(tree.verdict_log) > 1
         return parse_counts["parse"]
 
     first, again = search_parses(), search_parses()
     # The engine parses the same skeleton texts in both searches; only
-    # the first parses GOLD, once in each backend.
-    assert first - again == 2
+    # the first parses GOLD, once for both roles.
+    assert first - again == 1
 
 
 def test_gold_backends_follow_the_question(toy_profile):
     other = "SELECT a FROM t GROUP BY b"
     golds = {("toy", "q"): GOLD, ("toy", "r"): other}
-    formulator = GoldFormulationBackend(golds)
-    evaluator = GoldOracleEvaluationBackend(golds)
+    formulator = evaluator = GoldOracle(golds)
     level = GranularityLevel.BASE
     for question in ["q", "r", "q", "q", "r"]:
         gold = skeleton_of(golds[("toy", question)], level)
@@ -247,7 +244,8 @@ def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
 
     config = GatewayConfig(endpoint="http://x.invalid", model="m",
                            backoff_base=0.0)
-    recorder = LlmGateway(config, "record", path, transport=transport)
+    recorder = LlmGateway(config, "record", Cassette(path),
+                          transport=transport)
     req = base_request(toy_profile)
     skel = skeleton_of("SELECT a FROM t WHERE b > 1", GranularityLevel.BASE)
     texts = formulate(req, LlmFormulationBackend(recorder))

@@ -14,14 +14,14 @@ from fixtures.doubles import (
     ScriptedGenerationBackend,
 )
 from fixtures.livestub import BranchingOracle, TransportOracle
-from skelsearch import bench, selector
+from skelsearch import agents, bench, selector
 from skelsearch.agents import (
-    GoldFormulationBackend,
-    GoldOracleEvaluationBackend,
+    GoldOracle,
     LlmEvaluationBackend,
     LlmFormulationBackend,
 )
 from skelsearch.bench import (
+    Backends,
     BenchConfigError,
     BenchmarkItem,
     RunSettings,
@@ -36,10 +36,7 @@ from skelsearch.bench import (
 from skelsearch.engine import SearchConfig
 from skelsearch.gateway import Cassette, GatewayConfig, LlmGateway
 from skelsearch.schema import profile_from_sqlite
-from skelsearch.sqlgen import (
-    GoldEchoGenerationBackend,
-    LlmGenerationBackend,
-)
+from skelsearch.sqlgen import LlmGenerationBackend
 
 Q1 = "Which students enrolled in 2021?"
 Q2 = "How many grades does each course have?"
@@ -72,12 +69,11 @@ def bench_env(tmp_path):
     return dataset, db_root
 
 
-def gold_backends():
-    golds = {("school", q): sql for q, sql in GOLDS.items()}
-    return (GoldFormulationBackend(golds),
-            GoldOracleEvaluationBackend(golds),
-            GoldEchoGenerationBackend(golds),
-            None)
+def gold_backends(golds=None):
+    if golds is None:
+        golds = {("school", q): sql for q, sql in GOLDS.items()}
+    oracle = GoldOracle(golds)
+    return Backends(oracle, oracle, oracle)
 
 
 # Loading
@@ -248,10 +244,9 @@ def test_gold_mode_rejects_two_golds_for_one_question(tmp_path):
 def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
     dataset, db_root = bench_env
     golds = {("school", q): sql for q, sql in GOLDS.items()}
-    backends = (GoldFormulationBackend(golds),
-                ScriptedEvaluationBackend({}, default=False),
-                GoldEchoGenerationBackend(golds),
-                None)
+    oracle = GoldOracle(golds)
+    backends = Backends(oracle, ScriptedEvaluationBackend({}, default=False),
+                        oracle)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
                            backends=backends)
     assert report["ex"] == 0.0
@@ -262,7 +257,7 @@ def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
         assert record["candidate_count"] == 0
 
 
-def test_pass_at_k_counts_candidate_voting_missed(bench_env):
+def test_pass_at_k_counts_candidate_voting_missed(bench_env, connections):
     _, db_root = bench_env
     profile = profile_from_sqlite(resolve_database(db_root, "school"),
                                   db_id="school")
@@ -277,8 +272,8 @@ def test_pass_at_k_counts_candidate_voting_missed(bench_env):
         (Q1, bases[1]): "SELECT name FROM students WHERE year = 2022",
         (Q1, bases[2]): "SELECT name FROM students WHERE id = 2",
     })
-    record = run_item(item, profile, (formulator, evaluator, genb, None),
-                      RunSettings())
+    record = run_item(item, profile, Backends(formulator, evaluator, genb),
+                      RunSettings(), connections)
     assert record["candidate_count"] == 3
     assert record["k"] == 3
     assert record["pass_hit"] is True
@@ -286,7 +281,8 @@ def test_pass_at_k_counts_candidate_voting_missed(bench_env):
     assert record["trace"]["rule"] == "majority"
 
 
-def test_gold_text_executes_once_per_item(bench_env, monkeypatch):
+def test_gold_text_executes_once_per_item(bench_env, monkeypatch,
+                                          connections):
     _, db_root = bench_env
     profile = profile_from_sqlite(resolve_database(db_root, "school"),
                                   db_id="school")
@@ -294,49 +290,63 @@ def test_gold_text_executes_once_per_item(bench_env, monkeypatch):
     bases = ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _",
              "SELECT _ FROM _ ORDER BY _"]
     other = "SELECT name FROM students WHERE year = 2022"
-    backends = (
+    backends = Backends(
         ScriptedFormulationBackend({(Q1, "base", None): bases}),
         ScriptedEvaluationBackend({(Q1, text): True for text in bases}),
         ScriptedGenerationBackend({(Q1, bases[0]): GOLDS[Q1],
                                    (Q1, bases[1]): other,
-                                   (Q1, bases[2]): GOLDS[Q1]}),
-        None)
+                                   (Q1, bases[2]): GOLDS[Q1]}))
 
-    def execute_each(profile, candidates, limits=None, known=None,
-                     connections=None):
+    def execute_each(profile, candidates, limits, connections, known=None):
         return [selector.execute_candidate(profile, c, limits, connections)
                 for c in candidates]
 
     with monkeypatch.context() as patch:
         patch.setattr(bench, "execute_all", execute_each)
-        unshared = run_item(item, profile, backends, RunSettings())
+        unshared = run_item(item, profile, backends, RunSettings(),
+                            connections)
     executed = []
     for module in (bench, selector):
-        def counted(profile, candidate, limits=None, connections=None,
+        def counted(profile, candidate, limits, connections,
                     original=module.execute_candidate):
             executed.append(candidate.sql)
             return original(profile, candidate, limits, connections)
         monkeypatch.setattr(module, "execute_candidate", counted)
-    record = run_item(item, profile, backends, RunSettings())
+    record = run_item(item, profile, backends, RunSettings(), connections)
     assert sorted(executed) == sorted([GOLDS[Q1], other])
     assert record == unshared
     assert record["k"] == 3
     assert record["correct"] is True
 
 
-def test_gold_execution_error_is_not_correct(bench_env):
+def test_gold_mode_parses_each_gold_text_once_per_item(bench_env, tmp_path,
+                                                       monkeypatch):
+    """One gold oracle answers for formulation, evaluation and generation,
+    so an item's gold SQL is parsed once for all three."""
+    dataset, db_root = bench_env
+    parsed = []
+    parse_query = agents.parse_query
+
+    def counted(text):
+        parsed.append(text)
+        return parse_query(text)
+
+    monkeypatch.setattr(agents, "parse_query", counted)
+    report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
+    assert report["ex"] == 1.0
+    assert sorted(parsed) == sorted(GOLDS.values())
+
+
+def test_gold_execution_error_is_not_correct(bench_env, connections):
     _, db_root = bench_env
     profile = profile_from_sqlite(resolve_database(db_root, "school"),
                                   db_id="school")
     question = "broken gold"
     gold = "SELECT ghost FROM students"
     item = BenchmarkItem("0", question, "school", gold)
-    golds = {("school", question): gold}
     record = run_item(item, profile,
-                      (GoldFormulationBackend(golds),
-                       GoldOracleEvaluationBackend(golds),
-                       GoldEchoGenerationBackend(golds), None),
-                      RunSettings())
+                      gold_backends({("school", question): gold}),
+                      RunSettings(), connections)
     assert record["gold_status"] == "error"
     assert record["correct"] is False
     assert record["pass_hit"] is False
@@ -347,17 +357,14 @@ def test_gold_execution_error_is_not_correct(bench_env):
     "SELECT name FROM students WHERE year = ?",
     "SELECT name FROM students WHERE year ISNULL",
 ], ids=["cte", "parameter", "isnull"])
-def test_unparsable_gold_sql_is_classified(bench_env, gold):
+def test_unparsable_gold_sql_is_classified(bench_env, gold, connections):
     _, db_root = bench_env
     profile = profile_from_sqlite(resolve_database(db_root, "school"),
                                   db_id="school")
     question = "gold the parser rejects"
-    golds = {("school", question): gold}
     record = run_item(BenchmarkItem("0", question, "school", gold), profile,
-                      (GoldFormulationBackend(golds),
-                       GoldOracleEvaluationBackend(golds),
-                       GoldEchoGenerationBackend(golds), None),
-                      RunSettings())
+                      gold_backends({("school", question): gold}),
+                      RunSettings(), connections)
     assert record["error"].startswith("unparsable gold SQL: ")
     assert "offset" in record["error"]
     assert record["correct"] is False
@@ -440,6 +447,43 @@ def test_resume_checks_every_item_field(bench_env, tmp_path):
     assert record["gold_sql"] == GOLDS[Q3]
     assert record["correct"] is True
     assert journal_lines(out)[1]["record"] == record
+
+
+def test_resume_reruns_records_made_under_other_settings(bench_env,
+                                                        tmp_path):
+    dataset, db_root = bench_env
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    wide = run_benchmark(dataset, db_root, out_dir=out,
+                         settings=RunSettings(search=SearchConfig(m=3)))
+    greedy = RunSettings(search=SearchConfig(m=1))
+    resumed = run_benchmark(dataset, db_root, out_dir=out, settings=greedy)
+    expected = run_benchmark(dataset, db_root, out_dir=fresh,
+                             settings=greedy)
+    assert wide["records"] != expected["records"]
+    assert resumed == expected
+    assert ((out / "items.jsonl").read_bytes()
+            == (fresh / "items.jsonl").read_bytes())
+
+
+def test_resume_under_other_item_concurrency_runs_no_item(bench_env,
+                                                          tmp_path,
+                                                          monkeypatch):
+    dataset, db_root = bench_env
+    out = tmp_path / "run"
+    first = run_benchmark(dataset, db_root, out_dir=out,
+                          settings=RunSettings(items_concurrency=1))
+    ran = []
+    run_item = bench.run_item
+
+    def counted(item, *args):
+        ran.append(item.question_id)
+        return run_item(item, *args)
+
+    monkeypatch.setattr(bench, "run_item", counted)
+    again = run_benchmark(dataset, db_root, out_dir=out,
+                          settings=RunSettings(items_concurrency=2))
+    assert ran == []
+    assert again == first
 
 
 def test_shorter_rerun_drops_stale_records(bench_env, tmp_path):
@@ -741,7 +785,9 @@ def test_record_runs_write_identical_reports(bench_env, tmp_path):
             time.sleep(delay)
             return oracle(prompt, config, api_key)
 
-        path = tmp_path / f"tape{run}.jsonl"
+        # one cassette path, so that both runs have the same settings
+        path = tmp_path / "tape.jsonl"
+        path.unlink(missing_ok=True)
         gateway = LlmGateway(config, mode="record", cassette=Cassette(path),
                              transport=transport, api_key="k")
         out = tmp_path / f"record{run}"

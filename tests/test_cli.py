@@ -218,6 +218,38 @@ def test_run_gateway_concurrency_key_exits_2(capsys, env):
     assert out == ""
 
 
+@pytest.mark.parametrize("snippet", [
+    "limits: {timeout: .nan}",
+    "limits: {timeout: .inf}",
+    "limits: {row_cap: 2.5}",
+    "search: {m: 2.5}",
+    "search: {m: true}",
+    "search: {expanded_cap: 1.5}",
+    "items_concurrency: 1.5",
+    "items_concurrency: true",
+    "gateway: {temperature: .nan}",
+    "gateway: {timeout: .nan}",
+    "gateway: {timeout: .inf}",
+    "gateway: {max_tokens: 0}",
+    "gateway: {max_tokens: 1.5}",
+    "gateway: {retries: -1}",
+    "gateway: {retries: true}",
+])
+def test_run_config_value_out_of_range_exits_2(capsys, env, snippet):
+    """A value that would switch a limit off or fail every item is a
+    configuration error, raised before the run writes anything."""
+    config = env["tmp"] / "config.yaml"
+    config.write_text(snippet + "\n", encoding="utf-8")
+    out_dir = env["tmp"] / "run"
+    code, out, err = run_cli(capsys, "run", "--dataset", env["dataset"],
+                             "--db-root", env["db_root"],
+                             "--out", str(out_dir), "--config", str(config))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "search"])
 def test_replay_without_cassette_exits_2(capsys, env, command):
     """A replay whose cassette file does not exist is a configuration

@@ -15,7 +15,11 @@ from skelsearch.engine import (
     run_search,
 )
 from skelsearch.gateway import GatewayConfig, LlmGateway
-from skelsearch.selector import OutcomeStatus, execute_candidate
+from skelsearch.selector import (
+    ExecutionLimits,
+    OutcomeStatus,
+    execute_candidate,
+)
 from skelsearch.sqlgen import SqlCandidate, generate_all
 
 from conftest import make_profile
@@ -224,7 +228,8 @@ def test_no_backend_call_after_search_raises():
     assert evaluator.calls == 1
 
 
-def test_search_and_execution_start_no_thread(monkeypatch, school_profile):
+def test_search_and_execution_start_no_thread(monkeypatch, school_profile,
+                                              connections):
     def refuse(thread):
         raise AssertionError(f"thread started: {thread!r}")
 
@@ -232,7 +237,8 @@ def test_search_and_execution_start_no_thread(monkeypatch, school_profile):
     (leaves, _, _), _, _ = run_scenario(traces.spec_example())
     assert leaves
     outcome = execute_candidate(
-        school_profile, SqlCandidate("SELECT name FROM students", None))
+        school_profile, SqlCandidate("SELECT name FROM students", None),
+        ExecutionLimits(), connections)
     assert outcome.status is OutcomeStatus.ROWS
 
 

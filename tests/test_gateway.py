@@ -54,7 +54,8 @@ def test_record_then_replay(tmp_path):
         calls.append(prompt)
         return f"reply to {prompt}", 10, 5
 
-    recorder = LlmGateway(config(), "record", path, transport=transport)
+    recorder = LlmGateway(config(), "record", Cassette(path),
+                          transport=transport)
     first = recorder.complete("hello")
     second = recorder.complete("hello")
     recorder.close()
@@ -62,7 +63,7 @@ def test_record_then_replay(tmp_path):
     assert calls == ["hello"]
     assert len(Cassette(path)) == 1
 
-    player = LlmGateway(config(), "replay", path,
+    player = LlmGateway(config(), "replay", Cassette(path),
                         transport=sentinel_transport)
     assert player.complete("hello") == "reply to hello"
     assert player.ledger.totals() == {
@@ -73,7 +74,7 @@ def test_replay_miss_is_strict(tmp_path):
     path = tmp_path / "empty.cassette"
     with Cassette(path) as cassette:
         cassette.store(prompt_key("known"), "ok", 1, 1)
-    player = LlmGateway(config(), "replay", path,
+    player = LlmGateway(config(), "replay", Cassette(path),
                         transport=sentinel_transport)
     with pytest.raises(CassetteMiss):
         player.complete("unknown")
@@ -166,7 +167,7 @@ def test_close_is_idempotent_and_store_reopens(tmp_path):
 
 def test_gateway_close_closes_cassette_handle(tmp_path):
     path = tmp_path / "c.cassette"
-    recorder = LlmGateway(config(), "record", path,
+    recorder = LlmGateway(config(), "record", Cassette(path),
                           transport=lambda prompt, cfg, key: ("r", 1, 1))
     recorder.complete("hello")
     assert recorder.cassette._handle is not None
@@ -291,7 +292,8 @@ def test_concurrent_misses_of_one_prompt_share_one_transport_call(tmp_path):
         time.sleep(0.05)
         return answer, 4, 2
 
-    recorder = LlmGateway(config(), "record", path, transport=transport)
+    recorder = LlmGateway(config(), "record", Cassette(path),
+                          transport=transport)
     workers = 8
     barrier = threading.Barrier(workers)
 
@@ -324,7 +326,8 @@ def test_waiters_lead_the_next_call_when_the_first_fails(tmp_path):
         return "recovered", 1, 1
 
     recorder = LlmGateway(config(retries=0), "record",
-                          tmp_path / "c.cassette", transport=transport)
+                          Cassette(tmp_path / "c.cassette"),
+                          transport=transport)
     barrier = threading.Barrier(2)
 
     def ask(_):
@@ -345,7 +348,7 @@ def test_waiters_lead_the_next_call_when_the_first_fails(tmp_path):
 
 @pytest.mark.parametrize("mode", ["live", "record"])
 def test_map_runs_calls_side_by_side_and_yields_in_order(tmp_path, mode):
-    gateway = LlmGateway(config(), mode, tmp_path / "c.cassette",
+    gateway = LlmGateway(config(), mode, Cassette(tmp_path / "c.cassette"),
                          transport=sentinel_transport)
     threads, workers = {}, set()
 
@@ -370,7 +373,7 @@ def test_map_runs_calls_side_by_side_and_yields_in_order(tmp_path, mode):
 def test_replay_map_runs_inline(tmp_path):
     path = tmp_path / "c.cassette"
     Cassette(path).close()
-    player = LlmGateway(config(), "replay", path,
+    player = LlmGateway(config(), "replay", Cassette(path),
                         transport=sentinel_transport)
     names = list(player.map(lambda n: threading.current_thread(), range(4)))
     assert names == [threading.current_thread()] * 4
@@ -409,7 +412,8 @@ def test_close_stops_the_pool_before_closing_the_cassette(tmp_path):
         release.wait(timeout=30)
         return f"reply to {prompt}", 1, 1
 
-    recorder = LlmGateway(config(), "record", path, transport=transport)
+    recorder = LlmGateway(config(), "record", Cassette(path),
+                          transport=transport)
     # the first call of a batch runs when its result is read: never here
     pending = recorder.map(recorder.complete, ["a", "b", "c"])
     timer = threading.Timer(0.05, release.set)

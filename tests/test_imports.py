@@ -1,0 +1,49 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skelsearch"
+# Imported but unused on purpose: the perfbench tracer patches these
+# names in these modules, where their callers would look them up.
+KEPT = {("selector", "parse_query")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that the module `source` imports and never reads, less the
+    names it lists in `__all__`."""
+    tree = ast.parse(source)
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name)
+                      and target.id == "__all__"
+                      for target in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_scan_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path\nimport json as codec\n"
+              "from a import b, c as d\nfrom e import f\n"
+              "__all__ = ['f']\nprint(b, os.sep)\n")
+    assert unused_imports(source) == ["codec", "d"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_module_uses_every_import(path):
+    kept = sorted(name for module, name in KEPT if module == path.stem)
+    assert unused_imports(path.read_text(encoding="utf-8")) == kept

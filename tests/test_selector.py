@@ -61,8 +61,20 @@ EMPTY = ExecutionOutcome(OutcomeStatus.EMPTY)
 ERROR = ExecutionOutcome(OutcomeStatus.ERROR, error="boom")
 
 
-def run(profile, sql, limits=None):
-    return execute_candidate(profile, cand(sql), limits)
+LIMITS = ExecutionLimits()
+
+
+@pytest.fixture
+def run(connections):
+    """Runs one SQL text as a candidate on the test's connection set."""
+    def run(profile, sql, limits=LIMITS):
+        return execute_candidate(profile, cand(sql), limits, connections)
+    return run
+
+
+def fingerprint_of(rows, ordered):
+    """fingerprint_rows of result rows, canonicalized as execution does."""
+    return fingerprint_rows([canonical_row(row) for row in rows], ordered)
 
 
 # Cell and fingerprint canonicalization
@@ -80,25 +92,25 @@ def test_canonical_cells():
 
 def test_bag_fingerprint_is_order_insensitive():
     rows = [(1, "a"), (2, "b"), (None, "c"), (2, "b")]
-    baseline = fingerprint_rows(rows, ordered=False)
+    baseline = fingerprint_of(rows, ordered=False)
     rnd = random.Random(7)
     for _ in range(50):
         shuffled = list(rows)
         rnd.shuffle(shuffled)
-        assert fingerprint_rows(shuffled, ordered=False) == baseline
+        assert fingerprint_of(shuffled, ordered=False) == baseline
 
 
 def test_sequence_fingerprint_is_order_sensitive():
     rows = [(1,), (2,)]
-    assert (fingerprint_rows(rows, ordered=True)
-            != fingerprint_rows(list(reversed(rows)), ordered=True))
-    assert fingerprint_rows(rows, ordered=True).startswith("seq:")
-    assert fingerprint_rows(rows, ordered=False).startswith("bag:")
+    assert (fingerprint_of(rows, ordered=True)
+            != fingerprint_of(list(reversed(rows)), ordered=True))
+    assert fingerprint_of(rows, ordered=True).startswith("seq:")
+    assert fingerprint_of(rows, ordered=False).startswith("bag:")
 
 
 def test_multiset_keeps_duplicates():
-    assert (fingerprint_rows([(1,), (1,)], ordered=False)
-            != fingerprint_rows([(1,)], ordered=False))
+    assert (fingerprint_of([(1,), (1,)], ordered=False)
+            != fingerprint_of([(1,)], ordered=False))
 
 
 CELLS = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -112,8 +124,8 @@ ROWS = st.lists(st.tuples(CELLS, CELLS), max_size=8)
 def test_bag_fingerprint_ignores_row_permutations(data):
     rows = data.draw(ROWS)
     shuffled = data.draw(st.permutations(rows))
-    assert (fingerprint_rows(shuffled, ordered=False)
-            == fingerprint_rows(rows, ordered=False))
+    assert (fingerprint_of(shuffled, ordered=False)
+            == fingerprint_of(rows, ordered=False))
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,8 +139,8 @@ def test_integral_float_matches_its_integer(value):
 def test_negative_zero_does_not_change_fingerprints(rows):
     flipped = [tuple(-0.0 if isinstance(cell, (int, float)) and cell == 0
                      else cell for cell in row) for row in rows]
-    assert (fingerprint_rows(flipped, ordered=True)
-            == fingerprint_rows(rows, ordered=True))
+    assert (fingerprint_of(flipped, ordered=True)
+            == fingerprint_of(rows, ordered=True))
 
 
 @settings(max_examples=500, deadline=None)
@@ -137,8 +149,8 @@ def test_distinct_integers_get_distinct_fingerprints(a, offset):
     assume(offset != 0)
     b = a + offset
     assert canonical_cell(a) != canonical_cell(b)
-    assert (fingerprint_rows([(a,)], ordered=False)
-            != fingerprint_rows([(b,)], ordered=False))
+    assert (fingerprint_of([(a,)], ordered=False)
+            != fingerprint_of([(b,)], ordered=False))
 
 
 def reference_cell(value) -> str:
@@ -180,7 +192,7 @@ def test_canonical_row_joins_canonical_cells(row):
 # Execution against sqlite
 
 
-def test_execute_rows(school_profile):
+def test_execute_rows(school_profile, run):
     outcome = run(school_profile, "SELECT name FROM students")
     assert outcome.status is OutcomeStatus.ROWS
     assert outcome.row_count == 4
@@ -193,7 +205,8 @@ def test_execute_rows(school_profile):
     "SELECT student_id, course, score FROM grades",
     "SELECT student_id, course, score FROM grades ORDER BY score",
 ])
-def test_preview_and_fingerprint_come_from_result_rows(school_profile, sql):
+def test_preview_and_fingerprint_come_from_result_rows(school_profile, sql,
+                                                       run):
     conn = sqlite3.connect(school_profile.path)
     try:
         rows = conn.execute(sql).fetchall()
@@ -202,25 +215,16 @@ def test_preview_and_fingerprint_come_from_result_rows(school_profile, sql):
     outcome = run(school_profile, sql)
     assert len(rows) > 5
     assert outcome.preview == [canonical_row(row) for row in rows[:5]]
-    assert outcome.fingerprint == fingerprint_rows(rows, _is_ordered(sql))
+    assert outcome.fingerprint == fingerprint_of(rows, _is_ordered(sql))
 
 
-def test_fingerprint_of_canonical_rows_matches_raw_rows():
-    rows = [(3, "c"), (1, None), (2, 2.5)]
-    canon = [canonical_row(row) for row in rows]
-    for ordered in (False, True):
-        assert (fingerprint_rows(canon, ordered, canonical=True)
-                == fingerprint_rows(rows, ordered))
-    assert canon == [canonical_row(row) for row in rows]
-
-
-def test_equivalent_queries_share_fingerprint(school_profile):
+def test_equivalent_queries_share_fingerprint(school_profile, run):
     a = run(school_profile, "SELECT name FROM students")
     b = run(school_profile, "SELECT name FROM students WHERE year < 9999")
     assert a.fingerprint == b.fingerprint
 
 
-def test_order_by_switches_to_sequence(school_profile):
+def test_order_by_switches_to_sequence(school_profile, run):
     plain = run(school_profile, "SELECT name FROM students")
     asc = run(school_profile, "SELECT name FROM students ORDER BY name")
     desc = run(school_profile,
@@ -230,7 +234,7 @@ def test_order_by_switches_to_sequence(school_profile):
     assert asc.fingerprint != plain.fingerprint
 
 
-def test_numeric_bucketing_in_execution(school_profile):
+def test_numeric_bucketing_in_execution(school_profile, run):
     a = run(school_profile, "SELECT 0.1 + 0.2 FROM students LIMIT 1")
     b = run(school_profile, "SELECT 0.3 FROM students LIMIT 1")
     c = run(school_profile, "SELECT 1 FROM students LIMIT 1")
@@ -239,7 +243,7 @@ def test_numeric_bucketing_in_execution(school_profile):
     assert c.fingerprint == d.fingerprint
 
 
-def test_null_zero_empty_string_distinct(school_profile):
+def test_null_zero_empty_string_distinct(school_profile, run):
     tokens = [run(school_profile, sql).fingerprint for sql in (
         "SELECT NULL FROM students LIMIT 1",
         "SELECT 0 FROM students LIMIT 1",
@@ -248,14 +252,14 @@ def test_null_zero_empty_string_distinct(school_profile):
     assert len(set(tokens)) == 3
 
 
-def test_execute_empty(school_profile):
+def test_execute_empty(school_profile, run):
     outcome = run(school_profile, "SELECT name FROM students WHERE year > 9000")
     assert outcome.status is OutcomeStatus.EMPTY
     assert outcome.fingerprint is None
     assert outcome.row_count == 0
 
 
-def test_execute_error(school_profile):
+def test_execute_error(school_profile, run):
     outcome = run(school_profile, "SELECT nope FROM students")
     assert outcome.status is OutcomeStatus.ERROR
     assert "nope" in outcome.error
@@ -263,30 +267,30 @@ def test_execute_error(school_profile):
     assert run(school_profile, "SELEC").status is OutcomeStatus.ERROR
 
 
-def test_failed_candidate_short_circuits(school_profile):
+def test_failed_candidate_short_circuits(school_profile, connections):
     failed = SqlCandidate("", cand("x").skeleton, failed=True,
                           error="generation failed: boom")
-    outcome = execute_candidate(school_profile, failed)
+    outcome = execute_candidate(school_profile, failed, LIMITS, connections)
     assert outcome.status is OutcomeStatus.ERROR
     assert outcome.error == "generation failed: boom"
 
 
-def test_pathless_profile_errors():
+def test_pathless_profile_errors(run):
     profile = DatabaseProfile("toy", tables=[], foreign_keys=[])
-    outcome = execute_candidate(profile, cand("SELECT 1 FROM t"))
+    outcome = run(profile, "SELECT 1 FROM t")
     assert outcome.status is OutcomeStatus.ERROR
     assert "no database file" in outcome.error
 
 
-def test_missing_database_file_errors(tmp_path):
+def test_missing_database_file_errors(tmp_path, run):
     profile = DatabaseProfile("gone", tables=[], foreign_keys=[],
                               path=str(tmp_path / "gone.sqlite"))
-    outcome = execute_candidate(profile, cand("SELECT 1"))
+    outcome = run(profile, "SELECT 1")
     assert outcome.status is OutcomeStatus.ERROR
 
 
 @pytest.mark.parametrize("name", ["a#b", "p?q", "c%41d", "a b"])
-def test_database_paths_with_uri_characters(tmp_path, name):
+def test_database_paths_with_uri_characters(tmp_path, name, run):
     """A `#`, `?`, `%XX` or space in a database's path names the file: it
     profiles with its tables, candidates run on it to rows, the read-only
     open stays read-only, and no file appears beside its directory."""
@@ -307,14 +311,14 @@ def test_database_paths_with_uri_characters(tmp_path, name):
     assert [entry.name for entry in directory.iterdir()] == ["school.sqlite"]
 
 
-def test_row_cap(school_profile):
+def test_row_cap(school_profile, run):
     limits = ExecutionLimits(timeout=30.0, row_cap=3)
     outcome = run(school_profile, "SELECT * FROM grades", limits)
     assert outcome.status is OutcomeStatus.ERROR
     assert "row cap exceeded" in outcome.error
 
 
-def test_timeout_interrupts(school_profile):
+def test_timeout_interrupts(school_profile, run):
     sql = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL "
            "SELECT x + 1 FROM c LIMIT 30000000) SELECT count(*) FROM c")
     outcome = run(school_profile, sql, ExecutionLimits(timeout=0.1))
@@ -330,12 +334,12 @@ def test_limits_validation():
         ExecutionLimits(row_cap=0)
 
 
-def test_execute_all_alignment(school_profile):
+def test_execute_all_alignment(school_profile, connections, run):
     sqls = ["SELECT name FROM students", "SELEC",
             "SELECT name FROM students WHERE year > 9000",
             "SELECT course FROM grades"]
     candidates = [cand(s) for s in sqls]
-    outcomes = execute_all(school_profile, candidates)
+    outcomes = execute_all(school_profile, candidates, LIMITS, connections)
     assert [o.status for o in outcomes] == [
         OutcomeStatus.ROWS, OutcomeStatus.ERROR,
         OutcomeStatus.EMPTY, OutcomeStatus.ROWS]
@@ -348,7 +352,7 @@ def counted_executions(monkeypatch):
     calls = []
     original = selector.execute_candidate
 
-    def counted(profile, candidate, limits=None, connections=None):
+    def counted(profile, candidate, limits, connections):
         calls.append(candidate.sql)
         return original(profile, candidate, limits, connections)
 
@@ -362,44 +366,48 @@ def same_outcome(a, b):
 
 
 def test_execute_all_runs_each_distinct_sql_once(school_profile,
-                                                  monkeypatch):
+                                                  monkeypatch, connections,
+                                                  run):
     sqls = ["SELECT name FROM students", "SELEC",
             "SELECT name FROM students", "SELECT course FROM grades",
             "SELEC", "SELECT name FROM students WHERE year > 9000",
             "SELECT name FROM students"]
     alone = [run(school_profile, sql) for sql in sqls]
     calls = counted_executions(monkeypatch)
-    outcomes = execute_all(school_profile, [cand(s) for s in sqls])
+    outcomes = execute_all(school_profile, [cand(s) for s in sqls], LIMITS,
+                           connections)
     assert sorted(calls) == sorted(set(sqls))
     assert len(outcomes) == len(sqls)
     for outcome, expected in zip(outcomes, alone):
         assert same_outcome(outcome, expected)
 
 
-def test_execute_all_reads_and_fills_known(school_profile, monkeypatch):
+def test_execute_all_reads_and_fills_known(school_profile, monkeypatch,
+                                           connections, run):
     known_sql = "SELECT name FROM students WHERE year = 2021"
     known = {known_sql: run(school_profile, known_sql)}
     calls = counted_executions(monkeypatch)
     outcomes = execute_all(school_profile,
-                           [cand(known_sql), cand("SELECT 1")],
-                           known=known)
+                           [cand(known_sql), cand("SELECT 1")], LIMITS,
+                           connections, known=known)
     assert calls == ["SELECT 1"]
     assert outcomes[0] is known[known_sql]
     assert known["SELECT 1"] is outcomes[1]
 
 
-def test_failed_candidate_keeps_its_own_error(school_profile):
+def test_failed_candidate_keeps_its_own_error(school_profile, connections):
     sql = "SELECT name FROM students"
     failed = SqlCandidate(sql, cand(sql).skeleton, failed=True,
                           error="generation failed: boom")
     known = {}
     outcomes = execute_all(school_profile, [cand(sql), failed, cand(sql)],
-                           known=known)
+                           LIMITS, connections, known=known)
     assert [o.status for o in outcomes] == [
         OutcomeStatus.ROWS, OutcomeStatus.ERROR, OutcomeStatus.ROWS]
     assert outcomes[1].error == "generation failed: boom"
     assert known[sql].status is OutcomeStatus.ROWS
-    outcomes = execute_all(school_profile, [failed], known=known)
+    outcomes = execute_all(school_profile, [failed], LIMITS, connections,
+                           known=known)
     assert outcomes[0].error == "generation failed: boom"
 
 
@@ -438,7 +446,7 @@ def test_no_read_lock_outlives_a_query(school_profile, sql, limits, error):
         commit_a_write(school_profile.path)
         after = execute_candidate(
             school_profile, cand("SELECT name FROM students WHERE id = 99"),
-            None, connections)
+            LIMITS, connections)
     assert after.row_count == 1
 
 
@@ -451,10 +459,10 @@ def test_denied_statement_leaves_the_connection_usable(school_profile,
                                                        denied):
     with ReadOnlyConnections() as connections:
         conn = connections.get(school_profile.path)
-        refused = execute_candidate(school_profile, cand(denied), None,
+        refused = execute_candidate(school_profile, cand(denied), LIMITS,
                                     connections)
         outcome = execute_candidate(school_profile,
-                                    cand("SELECT name FROM students"), None,
+                                    cand("SELECT name FROM students"), LIMITS,
                                     connections)
         assert connections.get(school_profile.path) is conn
     assert refused.status is OutcomeStatus.ERROR
@@ -498,11 +506,11 @@ def test_missing_database_is_not_kept(tmp_path):
     profile = DatabaseProfile("later", tables=[], foreign_keys=[],
                               path=str(missing))
     with ReadOnlyConnections() as connections:
-        first = execute_candidate(profile, cand("SELECT 1"), None,
+        first = execute_candidate(profile, cand("SELECT 1"), LIMITS,
                                   connections)
         build_school_db(missing)
         second = execute_candidate(profile,
-                                   cand("SELECT name FROM students"), None,
+                                   cand("SELECT name FROM students"), LIMITS,
                                    connections)
     assert first.status is OutcomeStatus.ERROR
     assert second.status is OutcomeStatus.ROWS
@@ -511,7 +519,7 @@ def test_missing_database_is_not_kept(tmp_path):
 # Sandbox: only reads run
 
 
-def test_attach_is_denied_and_creates_no_file(school_profile, tmp_path):
+def test_attach_is_denied_and_creates_no_file(school_profile, tmp_path, run):
     target = tmp_path / "x.db"
     outcome = run(school_profile,
                   f"ATTACH DATABASE 'file:{target}?mode=rwc' AS x")
@@ -523,7 +531,7 @@ def test_attach_is_denied_and_creates_no_file(school_profile, tmp_path):
     "PRAGMA table_info(students)",
     "SELECT * FROM pragma_table_info('students')",
 ])
-def test_pragmas_are_denied(school_profile, sql):
+def test_pragmas_are_denied(school_profile, sql, run):
     assert run(school_profile, sql).status is OutcomeStatus.ERROR
 
 
@@ -534,7 +542,7 @@ def test_pragmas_are_denied(school_profile, sql):
     "SELECT name, ROW_NUMBER() OVER (ORDER BY year) FROM students",
     "SELECT n FROM (SELECT COUNT(*) AS n FROM grades) g",
 ])
-def test_reads_still_run(school_profile, sql):
+def test_reads_still_run(school_profile, sql, run):
     assert run(school_profile, sql).status is OutcomeStatus.ROWS
 
 
@@ -616,7 +624,7 @@ def test_order_check_quirks_match_reference_scan(sql):
     assert _is_ordered(sql) == reference_is_ordered(sql)
 
 
-def test_ordered_cte_gets_sequence_fingerprint(school_profile):
+def test_ordered_cte_gets_sequence_fingerprint(school_profile, run):
     outcome = run(school_profile,
                   "WITH s AS (SELECT name FROM students) "
                   "SELECT name FROM s ORDER BY name DESC")

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures.doubles import ScriptedGenerationBackend
-from skelsearch.agents import BackendError
+from skelsearch.agents import BackendError, GoldOracle
 from skelsearch.gateway import Cassette, GatewayConfig, LlmGateway
 from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
 from skelsearch.sqlgen import (
-    GoldEchoGenerationBackend,
     LlmGenerationBackend,
     SqlCandidate,
     build_generation_prompt,
@@ -153,7 +152,7 @@ def test_generate_sql_empty_output_marks_failed(toy_profile):
 
 def test_gold_echo_matches_gold(toy_profile):
     skeleton = make_skeleton()
-    backend = GoldEchoGenerationBackend({("toy", QUESTION): GOLD})
+    backend = GoldOracle({("toy", QUESTION): GOLD})
     candidate = generate_sql(toy_profile, QUESTION, skeleton, backend)
     assert candidate.sql == GOLD
 
