@@ -78,6 +78,8 @@ class RunSettings:
                                    "of at least 1")
         if self.arbitration not in ("none", "llm"):
             raise BenchConfigError("arbitration must be 'none' or 'llm'")
+        if not isinstance(self.cassette, str):
+            raise BenchConfigError("cassette must be a path string")
         if self.mode in ("record", "replay") and not self.cassette:
             raise BenchConfigError(f"mode {self.mode!r} needs a cassette "
                                    f"path")
@@ -266,7 +268,9 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
                                         backends.formulator,
                                         backends.evaluator, settings.search,
                                         backends.map_calls)
-        record["cost"] = asdict(cost)
+        record["cost"] = {"n_d": cost.n_d, "rho": cost.rho,
+                          "depth": cost.depth, "gen_calls": cost.gen_calls,
+                          "eval_calls": cost.eval_calls}
     except EmptySearch:
         record["empty_search"] = True
     except SqlSyntaxError as exc:  # only the gold oracle parses gold SQL

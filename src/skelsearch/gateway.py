@@ -52,9 +52,10 @@ class GatewayConfig:
     api_key_env: str = "LLM_API_KEY"
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
+        if isinstance(self.temperature, bool) or \
+                not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
-        if not 0 < self.timeout < math.inf:
+        if isinstance(self.timeout, bool) or not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be positive and finite")
         if type(self.max_tokens) is not int or self.max_tokens < 1:
             raise ValueError("max_tokens must be an integer of at least 1")

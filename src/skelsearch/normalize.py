@@ -117,6 +117,13 @@ def normalize(agent_text: str,
             NormalizationOutcome.REJECTED, None,
             reasons + [RULE_UNDER_DETAIL])
 
+    # Every token of a canonical skeleton folds to itself and is written
+    # as itself, so the comparison below would add no reason.
+    if text == skeleton.text:
+        return NormalizationReport(
+            NormalizationOutcome.COERCED if reasons
+            else NormalizationOutcome.ACCEPTED, skeleton, reasons)
+
     canonical = skeleton.text.split(" ")
     folded = [t.value if t.type is A.TokenType.PLACEHOLDER
               else t.value.upper() for t in tokens]

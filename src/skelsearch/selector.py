@@ -74,8 +74,9 @@ class ExecutionLimits:
     row_cap: int = 100_000
 
     def __post_init__(self):
-        # NaN fails every comparison, so it would switch the deadline off
-        if not 0 < self.timeout < math.inf:
+        # NaN fails every comparison, so it would switch the deadline off;
+        # True would pass as a 1-second deadline
+        if isinstance(self.timeout, bool) or not 0 < self.timeout < math.inf:
             raise ValueError("timeout must be positive and finite")
         if type(self.row_cap) is not int or self.row_cap < 1:
             raise ValueError("row_cap must be an integer of at least 1")
@@ -168,6 +169,8 @@ def _is_ordered(sql: str) -> bool:
     comments and parenthesised groups are skipped; a literal or any other
     word is not.
     """
+    if "order" not in sql.lower():  # no ORDER in any case, so no ORDER BY
+        return False
     parts = _PARENS.split(_ORDER_NOISE.sub(_blank, sql))
     depth, outer = 0, [parts[0]]
     for paren, text in zip(parts[1::2], parts[2::2]):

@@ -37,7 +37,7 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: TokenType
     value: str
@@ -103,18 +103,38 @@ _OP_SPELLINGS = {"==": "=", "<>": "!="}
 _UNTERMINATED = {"'": "unterminated string",
                  **dict.fromkeys("`\"[", "unterminated identifier")}
 
+# Whole space-separated pieces the split path lexes without the master
+# pattern: each placeholder, each operator spelled as the pattern lexes it
+# (`op` and `op2`), and each keyword in upper case. Other keywords and
+# names are ASCII words, tested in `Lexer.tokens`.
+_PIECES = {
+    **{p: (_PLACEHOLDER, p) for p in PLACEHOLDER_SYMBOLS},
+    **{op: (_OPERATOR, op) for op in "-=<>+*/%(),.;"},
+    **{op: (_OPERATOR, _OP_SPELLINGS.get(op, op))
+       for op in ("==", "<>", "!=", "<=", ">=", "||")},
+    **{word: (_KEYWORD, word) for word in KEYWORDS},
+}
+
 
 class Lexer:
     """Tokenizer for the SQLite SELECT dialect plus skeleton placeholders.
 
-    One master pattern matches the trivia before a token and the token
-    itself; its named group says which kind of token it is. The pattern
-    matches at every position (a stray character is `bad`, the end is
-    `end`), so `finditer` walks the text token by token with no gaps.
+    Most agent lines are skeleton text: keywords, placeholders and
+    operators between single spaces. So the text is first split on
+    spaces, and each piece that is one whole token (a placeholder, an
+    operator or an ASCII word) becomes that token. From the first piece
+    that is not, the master pattern lexes the rest: it matches the
+    trivia before a token and the token itself, and its named group says
+    which kind of token it is. The pattern matches at every position (a
+    stray character is `bad`, the end is `end`), so `finditer` walks the
+    text token by token with no gaps. A whole-token piece is exactly what
+    the pattern would match after one space of trivia, so the tokens and
+    offsets are the pattern's own; `match_tokens([], 0)` is the pattern
+    alone, the reference.
 
-    With a `limit`, lexing stops after `limit + 1` tokens: a text that
-    holds more than `limit` comes back as its first `limit + 1` tokens
-    and EOF, and nothing after them is lexed or checked.
+    With a `limit` (at least 0), lexing stops after `limit + 1` tokens: a
+    text that holds more than `limit` comes back as its first `limit + 1`
+    tokens and EOF, and nothing after them is lexed or checked.
     """
 
     def __init__(self, text: str, limit: int | None = None):
@@ -125,9 +145,36 @@ class Lexer:
         text = self.text
         out: list[Token] = []
         append = out.append
-        matches = _TOKEN_RE.finditer(text)
+        offset = 0
+        # at most `limit + 1` pieces: past the limit, the last one holds a
+        # space, so the pattern lexes it, with one token left to lex
+        for piece in text.split(" ", -1 if self.limit is None
+                                else self.limit):
+            known = _PIECES.get(piece)
+            if known is not None:
+                append(Token(known[0], known[1], offset))
+            elif piece.isascii() and piece.isidentifier():
+                # an ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*;
+                # test ASCII first, as `"ſelect".upper()` is "SELECT"
+                up = piece.upper()
+                if up in KEYWORDS:
+                    append(Token(_KEYWORD, up, offset))
+                else:
+                    append(Token(_IDENTIFIER, piece, offset))
+            else:
+                return self.match_tokens(out, offset)
+            offset += len(piece) + 1
+        append(Token(_EOF, "", len(text)))
+        return out
+
+    def match_tokens(self, out: list[Token], pos: int) -> list[Token]:
+        """`out`, the tokens before offset `pos`, extended by the master
+        pattern's tokens from `pos` on, and EOF."""
+        text = self.text
+        append = out.append
+        matches = _TOKEN_RE.finditer(text, pos)
         if self.limit is not None:
-            matches = islice(matches, self.limit + 1)
+            matches = islice(matches, self.limit + 1 - len(out))
         for m in matches:
             kind = m.lastgroup
             start = m.start(kind)

@@ -234,6 +234,14 @@ def test_run_gateway_concurrency_key_exits_2(capsys, env):
     "gateway: {max_tokens: 1.5}",
     "gateway: {retries: -1}",
     "gateway: {retries: true}",
+    "limits: {timeout: true}",
+    "gateway: {timeout: true}",
+    "gateway: {temperature: true}",
+    "gateway: {temperature: false}",
+    "cassette: 5",
+    "cassette: [a.jsonl]",
+    "mode: replay\ncassette: 5",
+    "mode: record\ncassette: [a.jsonl, b.jsonl]",
 ])
 def test_run_config_value_out_of_range_exits_2(capsys, env, snippet):
     """A value that would switch a limit off or fail every item is a

@@ -3,6 +3,8 @@
 import pytest
 
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
+from skelsearch import normalize as N
+from skelsearch import sqlast
 from skelsearch.normalize import (
     MAX_TOKENS,
     NormalizationOutcome,
@@ -175,3 +177,92 @@ def test_normalize_lexes_and_parses_once(parse_counts, text, target):
     report = normalize(text, target)
     assert report.outcome is not NormalizationOutcome.REJECTED
     assert parse_counts == {"parse": 1, "lex": 1}
+
+
+# `normalize` takes two short cuts: the lexer's split path, and an early
+# accept when the text is the canonical skeleton itself. The reference is
+# the full path without either: the master pattern lexes, and every text
+# that parses is folded token by token.
+
+
+def reference_normalize(agent_text, target):
+    reasons = []
+    text, fenced = N._strip_wrapping(agent_text)
+    if fenced:
+        reasons.append(N.RULE_CODE_FENCE)
+    text = text.rstrip("; \t\r\n")
+    if not text:
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None, reasons + [N.RULE_PARSE])
+    try:
+        lexed = sqlast.Lexer(text, MAX_TOKENS).match_tokens([], 0)
+    except sqlast.SqlSyntaxError:
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None, reasons + [N.RULE_PARSE])
+    tokens = lexed[:-1]
+    if len(tokens) > MAX_TOKENS:
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None, reasons + [N.RULE_BUDGET])
+    try:
+        tree = parse_query(text, lexed)
+    except sqlast.SqlSyntaxError:
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None, reasons + [N.RULE_PARSE])
+    if target >= GranularityLevel.EXPANDED and tree.has_placeholder_query:
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None,
+            reasons + [N.RULE_UNDER_DETAIL])
+    skeleton = extract_skeleton(tree, target)
+    if target is GranularityLevel.DETAILED and \
+            "_" in skeleton.text.split(" "):
+        return N.NormalizationReport(
+            NormalizationOutcome.REJECTED, None,
+            reasons + [N.RULE_UNDER_DETAIL])
+    canonical = skeleton.text.split(" ")
+    folded = [t.value if t.type is sqlast.TokenType.PLACEHOLDER
+              else t.value.upper() for t in tokens]
+    if folded == canonical:
+        written = [text[t.offset:t.offset + len(t.value)] for t in tokens]
+        if written != canonical:
+            reasons.append(N.RULE_CASE)
+        if " ".join(written) != text:
+            reasons.append(N.RULE_WHITESPACE)
+        if set(reasons) <= N.TRIVIAL_RULES:
+            return N.NormalizationReport(
+                NormalizationOutcome.ACCEPTED, skeleton, reasons)
+        return N.NormalizationReport(
+            NormalizationOutcome.COERCED, skeleton, reasons)
+    if any(t.type in (sqlast.TokenType.IDENTIFIER, sqlast.TokenType.STRING,
+                      sqlast.TokenType.NUMBER) for t in tokens):
+        reasons.append(N.RULE_TOKENS)
+    for finer in GranularityLevel:
+        if finer > target and \
+                folded == extract_skeleton(tree, finer).text.split(" "):
+            reasons.append(N.RULE_DETAIL)
+            break
+    if not (set(reasons) - N.TRIVIAL_RULES - {N.RULE_CODE_FENCE}):
+        reasons.append(N.RULE_STRUCTURE)
+    return N.NormalizationReport(NormalizationOutcome.COERCED, skeleton,
+                                 reasons)
+
+
+def _report_fields(report):
+    skeleton = report.skeleton
+    return (report.outcome, report.reasons,
+            skeleton and (skeleton.level, skeleton.text,
+                          skeleton.nesting_depth))
+
+
+SKELETON_TEXTS = sorted({extract_skeleton(parse_query(sql), level).text
+                         for sql in CORPUS for level in LEVELS})
+
+
+@pytest.mark.parametrize("skeleton", SKELETON_TEXTS)
+def test_reports_match_full_path_on_skeleton_variants(skeleton):
+    variants = [skeleton, skeleton.lower(), f"```sql\n{skeleton}\n```",
+                skeleton.replace(" ", "  ")]
+    for text in variants:
+        for level in LEVELS:
+            assert _report_fields(normalize(text, level)) == \
+                _report_fields(reference_normalize(text, level)), \
+                (text, level)

@@ -12,7 +12,8 @@ Two references pin the front end's observable output:
 
 * `ReferenceLexer` below is the character-dispatch lexer that the
   master-pattern lexer replaced, kept as an oracle for a differential
-  test on generated text.
+  test on generated text. The master pattern is in turn the oracle for
+  the lexer's split path, which lexes space-separated skeleton text.
 
 `reference_walk` below, the post-parse tree walk that the parser's
 subquery marks replaced, is the oracle for a third differential test.
@@ -30,14 +31,20 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch import sqlast
 from skelsearch.normalize import NormalizationReport, normalize
 from skelsearch.sftdata import CorruptionError, corrupt_skeleton
-from skelsearch.sqlast import KEYWORDS, SqlSyntaxError, Token, TokenType
+from skelsearch.sqlast import (
+    KEYWORDS,
+    PLACEHOLDER_SYMBOLS,
+    SqlSyntaxError,
+    Token,
+    TokenType,
+)
 
 from fixtures.corpus import CORPUS
 
@@ -309,6 +316,48 @@ def test_lexer_limit_stops_after_limit_plus_one_tokens():
     text = "SELECT a FROM t"
     assert (sqlast.Lexer(text, 4).tokens()
             == sqlast.Lexer(text).tokens())
+
+
+# Split path: `tokens()` lexes whole space-separated pieces itself and
+# hands the rest to the master pattern, so it must give what the pattern
+# alone (`match_tokens([], 0)`) gives, under any limit.
+
+SKELETON_TEXTS = sorted({extract_skeleton(parse_query(sql), level).text
+                         for sql in CORPUS for level in GranularityLevel})
+
+SPLIT_PIECES = [
+    *sorted(PLACEHOLDER_SYMBOLS), "_1", "__", "[x]", "[col", "--", "/*", "*/",
+    "==", "<>", "!=", "<=", ">=", "||", "|", "!", "=", "<", ">", "-", "/",
+    "*", "(", ")", ",", ".", ";", "0", "7", "12", ".5", "a1", "t", "Ab_9",
+    "SELECT", "select", "Order", "BY", "'x'", "\xa0", "ſ", "ı", "ﬁ",
+    "ſelect", "ıN", "ﬁle", "é",
+]
+
+split_piece = st.one_of(st.sampled_from(SPLIT_PIECES),
+                        st.sampled_from(SKELETON_TEXTS),
+                        st.sampled_from(SKELETON_TEXTS).map(str.lower))
+split_text = st.lists(
+    st.tuples(split_piece,
+              st.sampled_from([" ", " ", " ", " ", "", "  ", "\xa0", "\n"])),
+    max_size=12).map(lambda pairs: "".join(p + s for p, s in pairs))
+
+
+def _lexed_fields(lex) -> object:
+    try:
+        return [(t.type, t.value, t.offset) for t in lex()]
+    except SqlSyntaxError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(split_text, split_text.map(str.strip), sql_like),
+       st.one_of(st.none(), st.integers(0, 40)))
+@example("ſelect _ from _", None)
+@example("SELECT _ FROM _ WHERE _ = _", 3)
+def test_split_path_matches_master_pattern(text, limit):
+    lexer = sqlast.Lexer(text, limit)
+    assert _lexed_fields(lexer.tokens) == \
+        _lexed_fields(lambda: lexer.match_tokens([], 0))
 
 
 def test_trivia_and_operator_spellings():
