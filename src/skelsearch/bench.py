@@ -176,6 +176,17 @@ def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
             from exc
 
 
+def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
+    """The profile of each database the items name, by db_id, each opened
+    once and in the order the items first name it."""
+    profiles: dict[str, DatabaseProfile] = {}
+    for item in items:
+        if item.db_id not in profiles:
+            profiles[item.db_id] = open_profile(
+                resolve_database(db_root, item.db_id), db_id=item.db_id)
+    return profiles
+
+
 def _result_token(outcome: ExecutionOutcome) -> str | None:
     """Comparable result identity; None means not comparable (error)."""
     if outcome.status is OutcomeStatus.ROWS:
@@ -390,11 +401,7 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     items = load_items(dataset_path)
     out = Path(out_dir)
     journal = _item_journal(out)
-    profiles: dict[str, DatabaseProfile] = {}
-    for item in items:
-        if item.db_id not in profiles:
-            profiles[item.db_id] = open_profile(
-                resolve_database(db_root, item.db_id), db_id=item.db_id)
+    profiles = open_profiles(items, db_root)
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
     out.mkdir(parents=True, exist_ok=True)

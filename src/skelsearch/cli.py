@@ -22,8 +22,8 @@ from .bench import (
     load_items,
     load_settings,
     open_profile,
+    open_profiles,
     recompute_report,
-    resolve_database,
     run_benchmark,
     run_complete,
 )
@@ -39,8 +39,6 @@ from .sftdata import DatasetBuildError, build_dataset
 from .skeleton import GranularityLevel, extract_skeleton, parse_query
 from .sqlast import SqlSyntaxError
 from .sqlgen import SqlCandidate, generate_all
-
-LEVELS = ("base", "expanded", "detailed")
 
 
 def _emit(payload) -> None:
@@ -92,10 +90,10 @@ def cmd_extract_skeleton(args) -> int:
         tree = parse_query(args.sql)
     except SqlSyntaxError as exc:
         raise BenchConfigError(f"cannot parse SQL: {exc}") from exc
-    levels = LEVELS if args.level == "all" else (args.level,)
-    for name in levels:
-        skeleton = extract_skeleton(tree, GranularityLevel.from_name(name))
-        print(f"{name}: {skeleton.text}")
+    levels = list(GranularityLevel) if args.level == "all" \
+        else [GranularityLevel.from_name(args.level)]
+    for level in levels:
+        print(f"{level.label}: {extract_skeleton(tree, level).text}")
     return 0
 
 
@@ -107,9 +105,7 @@ def cmd_generate(args) -> int:
         tree = parse_query(args.gold)
     except SqlSyntaxError as exc:
         raise BenchConfigError(f"cannot parse gold SQL: {exc}") from exc
-    skeletons = [extract_skeleton(tree, level) for level in (
-        GranularityLevel.BASE, GranularityLevel.EXPANDED,
-        GranularityLevel.DETAILED)]
+    skeletons = [extract_skeleton(tree, level) for level in GranularityLevel]
     backend = GoldOracle({(profile.db_id, args.question): args.gold})
     candidates = generate_all(profile, args.question, skeletons, backend)
     _emit([{"skeleton": c.skeleton.text, "sql": c.sql,
@@ -164,13 +160,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_build_sft_data(args) -> int:
-    profiles = {}
-    corpus = []
-    for item in load_items(args.corpus):
-        if item.db_id not in profiles:
-            profiles[item.db_id] = open_profile(
-                resolve_database(args.db_root, item.db_id), db_id=item.db_id)
-        corpus.append((item.question, item.gold_sql, profiles[item.db_id]))
+    items = load_items(args.corpus)
+    profiles = open_profiles(items, args.db_root)
+    corpus = [(item.question, item.gold_sql, profiles[item.db_id])
+              for item in items]
     try:
         summary = build_dataset(corpus, args.out,
                                 pairs_per_level=args.pairs_per_level,
@@ -232,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-skeleton",
                        help="skeleton of a SQL statement")
     p.add_argument("--sql", required=True)
-    p.add_argument("--level", default="all", choices=("all",) + LEVELS)
+    p.add_argument("--level", default="all", choices=["all"] + [
+        level.label for level in GranularityLevel])
     p.set_defaults(fn=cmd_extract_skeleton)
 
     p = sub.add_parser("generate",

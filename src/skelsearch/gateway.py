@@ -61,6 +61,12 @@ class GatewayConfig:
             raise ValueError("max_tokens must be an integer of at least 1")
         if type(self.retries) is not int or self.retries < 0:
             raise ValueError("retries must be an integer >= 0")
+        if isinstance(self.backoff_base, bool) or \
+                not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and >= 0")
+        for name in ("endpoint", "model", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
 
 
 class UsageLedger:

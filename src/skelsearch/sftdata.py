@@ -27,20 +27,6 @@ DATASET_VERSION = 1
 CORRUPTION_ATTEMPTS = 64
 MIN_YIELD = 0.9
 
-OPERATORS = (
-    "keyword-substitution",
-    "clause-deletion",
-    "clause-insertion",
-    "nesting-flattening",
-    "nesting-injection",
-    "placeholder-retyping",
-    "join-toggle",
-)
-
-LEVELS = (GranularityLevel.BASE, GranularityLevel.EXPANDED,
-          GranularityLevel.DETAILED)
-
-
 class CorruptionError(RuntimeError):
     """No grammatical, distinct corruption found within the attempt bound."""
 
@@ -51,29 +37,6 @@ class DatasetBuildError(RuntimeError):
 
 class UnresolvedReference(ValueError):
     """Gold SQL names a table or column absent from the profile."""
-
-
-@dataclass
-class CorruptionStep:
-    operator: str
-    detail: str
-
-
-@dataclass
-class SftExample:
-    schema: str
-    question: str
-    skeleton: str
-    level: GranularityLevel
-    label: bool
-    analysis: tuple[str, str, str]
-    recipe: list[CorruptionStep] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.label and self.recipe:
-            raise ValueError("positive examples carry no corruption recipe")
-        if not self.label and not self.recipe:
-            raise ValueError("negative examples require a corruption recipe")
 
 
 @dataclass
@@ -158,12 +121,8 @@ def _op_keyword_substitution(tokens, level, rnd):
 
 def _op_clause_deletion(tokens, level, rnd):
     depths = _depths(tokens)
-    options = []
-    for i, token in enumerate(tokens):
-        if token in ("WHERE", "HAVING", "ORDER", "LIMIT", "OFFSET"):
-            options.append(i)
-        elif token == "GROUP":
-            options.append(i)
+    options = [i for i, token in enumerate(tokens) if token in
+               ("WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET")]
     if not options:
         return None
     i = options[rnd.randrange(len(options))]
@@ -179,29 +138,22 @@ def _op_clause_insertion(tokens, level, rnd):
     detailed = level is GranularityLevel.DETAILED
     depths = _depths(tokens)
     top = [t for t, d in zip(tokens, depths) if d == 0]
-
-    def from_end():
-        for i, token in enumerate(tokens):
-            if token == "FROM" and depths[i] == 0:
-                return _span_end(tokens, depths, i)
-        return None
+    from_end = next((_span_end(tokens, depths, i)
+                     for i, token in enumerate(tokens)
+                     if token == "FROM" and depths[i] == 0), None)
 
     options = []
-    if "WHERE" not in top:
-        anchor = from_end()
-        if anchor is not None:
-            body = ["WHERE", "[col]", "=", "[val]"] if detailed \
-                else ["WHERE", "_"]
-            options.append((anchor, body, "WHERE"))
-    if "GROUP" not in top:
-        anchor = from_end()
-        if anchor is not None:
-            body = ["GROUP", "BY", "[col]"] if detailed \
-                else ["GROUP", "BY", "_"]
-            for i, token in enumerate(tokens):
-                if token == "WHERE" and depths[i] == 0:
-                    anchor = _span_end(tokens, depths, i)
-            options.append((anchor, body, "GROUP BY"))
+    if from_end is not None and "WHERE" not in top:
+        body = ["WHERE", "[col]", "=", "[val]"] if detailed \
+            else ["WHERE", "_"]
+        options.append((from_end, body, "WHERE"))
+    if from_end is not None and "GROUP" not in top:
+        anchor = from_end
+        body = ["GROUP", "BY", "[col]"] if detailed else ["GROUP", "BY", "_"]
+        for i, token in enumerate(tokens):
+            if token == "WHERE" and depths[i] == 0:
+                anchor = _span_end(tokens, depths, i)
+        options.append((anchor, body, "GROUP BY"))
     if "ORDER" not in top:
         anchor = len(tokens)
         for i, token in enumerate(tokens):
@@ -334,36 +286,33 @@ _OPERATOR_FNS = {
     "placeholder-retyping": _op_placeholder_retyping,
     "join-toggle": _op_join_toggle,
 }
+OPERATORS = tuple(_OPERATOR_FNS)
 
 
 def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
                      attempts: int = CORRUPTION_ATTEMPTS
-                     ) -> tuple[str, list[CorruptionStep]]:
-    """A grammatical skeleton text that differs from the gold text."""
+                     ) -> tuple[str, list[dict]]:
+    """A grammatical skeleton text that differs from the gold text, and
+    its recipe: an {"operator", "detail"} dict per operator applied."""
     base = gold.text.split(" ")
     for _ in range(attempts):
-        count = rnd.randint(1, 2)
-        names = rnd.sample(OPERATORS, count)
         tokens = list(base)
         recipe = []
-        applied = True
-        for name in names:
+        for name in rnd.sample(OPERATORS, rnd.randint(1, 2)):
             result = _OPERATOR_FNS[name](tokens, gold.level, rnd)
             if result is None:
-                applied = False
                 break
             tokens, detail = result
-            recipe.append(CorruptionStep(name, detail))
-        if not applied:
-            continue
-        text = " ".join(tokens)
-        if text == gold.text:
-            continue
-        try:
-            parse_query(text)
-        except SqlSyntaxError:
-            continue
-        return text, recipe
+            recipe.append({"operator": name, "detail": detail})
+        else:
+            text = " ".join(tokens)
+            if text == gold.text:
+                continue
+            try:
+                parse_query(text)
+            except SqlSyntaxError:
+                continue
+            return text, recipe
     raise CorruptionError(
         f"no corruption found for {gold.level.label} skeleton "
         f"{gold.text!r} within {attempts} attempts")
@@ -492,13 +441,14 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
         schema = render_mschema(
             prune_demonstration_schema(profile, gold_sql))
         skeletons = {level: extract_skeleton(tree, level)
-                     for level in LEVELS}
+                     for level in GranularityLevel}
         prepared.append((question, schema, skeletons))
 
     rnd = random.Random(seed)
     skipped: list[str] = []
-    examples: list[SftExample] = []
-    for level in LEVELS:
+    lines: list[str] = []
+    per_level = {}
+    for level in GranularityLevel:
         built = 0
         budget = pairs_per_level * 4
         while built < pairs_per_level and budget > 0:
@@ -511,49 +461,34 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
             except CorruptionError as exc:
                 skipped.append(str(exc))
                 continue
-            for text, label, steps in ((gold.text, True, []),
-                                       (negative, False, recipe)):
+            for offset, (text, label, steps) in enumerate(
+                    ((gold.text, True, []), (negative, False, recipe))):
                 analysis = template_analysis(question, text, level, label)
-                examples.append(SftExample(schema, question, text, level,
-                                           label, analysis, steps))
+                lines.append(json.dumps({
+                    "level": level.label,
+                    "index": 2 * built + offset,
+                    "question": question,
+                    "schema": schema,
+                    "skeleton": text,
+                    "label": label,
+                    "analysis": dict(zip(("question", "skeleton",
+                                          "alignment"), analysis)),
+                    "recipe": steps,
+                }, sort_keys=True, ensure_ascii=False))
             built += 1
+        per_level[level.label] = {"positive": built, "negative": built}
 
-    target = pairs_per_level * 2 * len(LEVELS)
-    if len(examples) < MIN_YIELD * target:
+    target = pairs_per_level * 2 * len(GranularityLevel)
+    if len(lines) < MIN_YIELD * target:
         raise DatasetBuildError(
-            f"built {len(examples)} of {target} examples; "
+            f"built {len(lines)} of {target} examples; "
             f"skipped: {skipped[:5]}")
-
-    per_level = {level.label: {"positive": 0, "negative": 0}
-                 for level in LEVELS}
-    lines = [json.dumps({"format": DATASET_FORMAT,
+    header = json.dumps({"format": DATASET_FORMAT,
                          "version": DATASET_VERSION, "seed": seed,
-                         "examples": len(examples)}, sort_keys=True)]
-    index = 0
-    current = None
-    for example in sorted(examples, key=lambda e: int(e.level)):
-        if example.level is not current:
-            current = example.level
-            index = 0
-        bucket = "positive" if example.label else "negative"
-        per_level[example.level.label][bucket] += 1
-        lines.append(json.dumps({
-            "level": example.level.label,
-            "index": index,
-            "question": example.question,
-            "schema": example.schema,
-            "skeleton": example.skeleton,
-            "label": example.label,
-            "analysis": {"question": example.analysis[0],
-                         "skeleton": example.analysis[1],
-                         "alignment": example.analysis[2]},
-            "recipe": [{"operator": step.operator, "detail": step.detail}
-                       for step in example.recipe],
-        }, sort_keys=True, ensure_ascii=False))
-        index += 1
+                         "examples": len(lines)}, sort_keys=True)
     with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return BuildSummary(str(out_path), len(examples), per_level, skipped)
+        handle.write("\n".join([header] + lines) + "\n")
+    return BuildSummary(str(out_path), len(lines), per_level, skipped)
 
 
 def load_dataset(path) -> list[dict]:

@@ -238,14 +238,28 @@ def test_run_gateway_concurrency_key_exits_2(capsys, env):
     "gateway: {timeout: true}",
     "gateway: {temperature: true}",
     "gateway: {temperature: false}",
+    "gateway: {backoff_base: abc}",
+    "gateway: {backoff_base: -1}",
+    "gateway: {backoff_base: .nan}",
+    "gateway: {backoff_base: .inf}",
+    "gateway: {backoff_base: true}",
+    "mode: record\ncassette: new.jsonl\ngateway: {backoff_base: abc}",
+    "mode: replay\ncassette: tape.jsonl\ngateway: {api_key_env: 5}",
+    "gateway: {endpoint: 5}",
+    "gateway: {model: [m]}",
     "cassette: 5",
     "cassette: [a.jsonl]",
     "mode: replay\ncassette: 5",
     "mode: record\ncassette: [a.jsonl, b.jsonl]",
 ])
-def test_run_config_value_out_of_range_exits_2(capsys, env, snippet):
+def test_run_config_value_out_of_range_exits_2(capsys, env, monkeypatch,
+                                              snippet):
     """A value that would switch a limit off or fail every item is a
     configuration error, raised before the run writes anything."""
+    # relative cassette paths resolve in tmp, where tape.jsonl is a valid
+    # empty cassette, so a replay gets past its cassette check
+    monkeypatch.chdir(env["tmp"])
+    (env["tmp"] / "tape.jsonl").touch()
     config = env["tmp"] / "config.yaml"
     config.write_text(snippet + "\n", encoding="utf-8")
     out_dir = env["tmp"] / "run"
@@ -256,6 +270,7 @@ def test_run_config_value_out_of_range_exits_2(capsys, env, snippet):
     assert err.startswith("error: ")
     assert out == ""
     assert not out_dir.exists()
+    assert not (env["tmp"] / "new.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "search"])

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports, and every private name it
+defines at module level, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,38 @@ def test_scan_finds_unused_imports():
 def test_module_uses_every_import(path):
     kept = sorted(name for module, name in KEPT if module == path.stem)
     assert unused_imports(path.read_text(encoding="utf-8")) == kept
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Names with one leading underscore that the module `source` binds
+    at its top level (def, class or assignment) and never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            bound.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in bound - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_scan_finds_unread_private_names():
+    source = ("_A = 1\n_B, (_C, d) = 2, (3, 4)\n_D: int = 5\n"
+              "__all__ = []\n_E = 6\n_E = 7\n"
+              "def _f():\n    _g = 8\n    return _A\n"
+              "def _h(): pass\nclass _K: pass\nprint(_f, _B)\n")
+    assert unread_private_names(source) == ["_C", "_D", "_E", "_K", "_h"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
