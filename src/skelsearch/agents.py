@@ -38,8 +38,6 @@ from .skeleton import (
 
 VERDICT_MARKER = re.compile(r"^\s*VERDICT:\s*(\w+)\s*$",
                             re.IGNORECASE | re.MULTILINE)
-ANALYSIS_HEADERS = ("QUESTION ANALYSIS:", "SKELETON ANALYSIS:",
-                    "ALIGNMENT ANALYSIS:")
 _LINE_MARKER = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s+)")
 
 
@@ -82,12 +80,6 @@ class FormulationRequest:
 class EvaluationVerdict:
     verdict: bool
     reason: str = ""
-    raw: str = ""
-
-    @property
-    def analysis(self) -> tuple[str, str, str] | None:
-        """The three-stage analysis of `raw`, parsed when asked for."""
-        return parse_analysis(self.raw)
 
 
 @functools.cache
@@ -148,26 +140,6 @@ def parse_verdict(response: str) -> tuple[bool, str]:
     return False, f"malformed verdict {matches[-1]!r}"
 
 
-def parse_analysis(response: str) -> tuple[str, str, str] | None:
-    """Extract the three-stage analysis; None when any stage is absent."""
-    positions = []
-    for header in ANALYSIS_HEADERS:
-        at = response.find(header)
-        if at < 0:
-            return None
-        positions.append((at, header))
-    positions.sort()
-    stop = len(response)
-    verdict = VERDICT_MARKER.search(response)
-    if verdict:
-        stop = verdict.start()
-    chunks = {}
-    for i, (at, header) in enumerate(positions):
-        end = positions[i + 1][0] if i + 1 < len(positions) else stop
-        chunks[header] = response[at + len(header):end].strip()
-    return tuple(chunks[h] for h in ANALYSIS_HEADERS)
-
-
 def formulate(req: FormulationRequest, backend) -> list[str]:
     """Ask a backend for child skeleton texts, bounded by max_children."""
     try:
@@ -185,7 +157,7 @@ def evaluate(schema: DatabaseProfile, question: str, candidate: Skeleton,
     except (BackendError, TransportError) as exc:
         return EvaluationVerdict(False, reason=f"backend error: {exc}")
     verdict, reason = parse_verdict(response)
-    return EvaluationVerdict(verdict, reason, response)
+    return EvaluationVerdict(verdict, reason)
 
 
 class LlmFormulationBackend:

@@ -18,7 +18,7 @@ import os
 import sqlite3
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +37,7 @@ from .selector import (
     execute_candidate,
     select_final,
 )
+from .skeleton import GranularityLevel
 from .sqlast import SqlSyntaxError
 from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 
@@ -100,20 +101,20 @@ def load_settings(path) -> RunSettings:
         raise BenchConfigError(f"bad YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise BenchConfigError("config must be a mapping")
+    names = [f.name for f in fields(RunSettings)]
+    sections = {"gateway": GatewayConfig, "search": SearchConfig,
+                "limits": ExecutionLimits}
+    for key, value in raw.items():
+        if key not in names:
+            raise BenchConfigError(f"unknown config key {key!r}; "
+                                   f"expected one of {names}")
+        if key in sections and not isinstance(value, dict):
+            raise BenchConfigError(f"config section {key!r} must be a "
+                                   f"mapping")
     try:
-        gateway = GatewayConfig(**raw.get("gateway", {})) \
-            if "gateway" in raw else None
-        search = SearchConfig(**raw.get("search", {}))
-        limits = ExecutionLimits(**raw.get("limits", {}))
-        return RunSettings(
-            mode=raw.get("mode", "gold"),
-            cassette=raw.get("cassette", ""),
-            gateway=gateway,
-            search=search,
-            limits=limits,
-            items_concurrency=raw.get("items_concurrency", 1),
-            arbitration=raw.get("arbitration", "none"),
-        )
+        return RunSettings(**{key: sections[key](**value)
+                              if key in sections else value
+                              for key, value in raw.items()})
     except TypeError as exc:
         raise BenchConfigError(f"bad config field: {exc}") from exc
     except ValueError as exc:
@@ -144,9 +145,11 @@ def load_items(path) -> list[BenchmarkItem]:
         gold = row.get("SQL") or row.get("query") or row.get("gold_sql")
         question = row.get("question")
         db_id = row.get("db_id")
-        if not (gold and question and db_id):
-            raise BenchConfigError(
-                f"item {index} lacks question/db_id/SQL fields")
+        for name, value in (("question", question), ("db_id", db_id),
+                            ("SQL", gold)):
+            if not (isinstance(value, str) and value):
+                raise BenchConfigError(f"item {index} field {name} must be "
+                                       f"a non-empty string")
         items.append(BenchmarkItem(
             question_id=str(row.get("question_id", index)),
             question=question,
@@ -327,7 +330,7 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
         bucket = per_difficulty.setdefault(
             record["difficulty"],
             {"count": 0, "correct": 0, "pass_hits": 0, "candidates": 0,
-             "levels": {"base": 0, "expanded": 0, "detailed": 0}})
+             "levels": {level.label: 0 for level in GranularityLevel}})
         bucket["count"] += 1
         bucket["correct"] += bool(record["correct"])
         bucket["pass_hits"] += bool(record["pass_hit"])
@@ -344,8 +347,8 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
             "pass_at_k": bucket["pass_hits"] / bucket["count"],
             "mean_candidates": bucket["candidates"] / bucket["count"],
             "granularity": {
-                label: (bucket["levels"][label] / leaves if leaves else 0.0)
-                for label in ("base", "expanded", "detailed")},
+                label: count / leaves if leaves else 0.0
+                for label, count in bucket["levels"].items()},
         }
     return {
         "format": REPORT_FORMAT,

@@ -82,7 +82,7 @@ class SearchConfig:
         if type(self.m) is not int or self.m < 1:
             raise ValueError("branching bound m must be an integer >= 1")
         if type(self.expanded_cap) is not int or self.expanded_cap < 1:
-            raise ValueError("expanded-phase cap must be an integer >= 1")
+            raise ValueError("expanded_cap must be an integer >= 1")
 
 
 @dataclass

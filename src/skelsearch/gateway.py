@@ -52,18 +52,19 @@ class GatewayConfig:
     api_key_env: str = "LLM_API_KEY"
 
     def __post_init__(self):
-        if isinstance(self.temperature, bool) or \
+        if type(self.temperature) not in (int, float) or \
                 not 0 <= self.temperature < math.inf:
-            raise ValueError("temperature must be finite and >= 0")
-        if isinstance(self.timeout, bool) or not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be positive and finite")
+            raise ValueError("temperature must be a finite number >= 0")
+        if type(self.timeout) not in (int, float) or \
+                not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive finite number")
         if type(self.max_tokens) is not int or self.max_tokens < 1:
             raise ValueError("max_tokens must be an integer of at least 1")
         if type(self.retries) is not int or self.retries < 0:
             raise ValueError("retries must be an integer >= 0")
-        if isinstance(self.backoff_base, bool) or \
+        if type(self.backoff_base) not in (int, float) or \
                 not 0 <= self.backoff_base < math.inf:
-            raise ValueError("backoff_base must be finite and >= 0")
+            raise ValueError("backoff_base must be a finite number >= 0")
         for name in ("endpoint", "model", "api_key_env"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
@@ -166,13 +167,15 @@ class LlmGateway:
     """Completion client in one of three modes: live, record, replay.
 
     Record mode consults the cassette before the network, so repeated
-    prompts resolve to one stored entry and identical responses. Callers
-    that miss the same prompt at once share one transport call: the first
-    makes it and stores the response, and the others wait for it and then
-    read the stored entry, so every caller gets the response that replay
-    will return. Replay mode never touches the transport; unknown prompts
-    raise CassetteMiss. `close` stops the call pool and then closes the
-    cassette's append handle.
+    prompts resolve to one stored entry and identical responses. Each
+    prompt key has one lock, made on the key's first call and kept for the
+    gateway's life; its holder calls the transport only while the cassette
+    lacks the key, and otherwise reads the stored entry. So callers of one
+    prompt make one transport call between them, every caller gets the
+    response that replay will return, and after a failed call the next
+    holder tries again. Replay mode never touches the transport; unknown
+    prompts raise CassetteMiss. `close` stops the call pool and then closes
+    the cassette's append handle.
     """
 
     def __init__(self, config: GatewayConfig, mode: str = "live",
@@ -191,7 +194,7 @@ class LlmGateway:
         self.api_key = api_key
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
-        self._flights: dict[str, threading.Event] = {}
+        self._key_locks: dict[str, threading.Lock] = {}
 
     def map(self, fn, items):
         """Apply `fn` to each of `items`; yield the results in input order.
@@ -229,33 +232,15 @@ class LlmGateway:
         if self.mode == "live":
             return self._call(key, prompt, stage)
         if self.mode == "record":
-            flight = self._lead(key)
-            if flight is not None:
-                try:
+            with self._lock:
+                key_lock = self._key_locks.setdefault(key, threading.Lock())
+            with key_lock:
+                if key not in self.cassette:
                     return self._call(key, prompt, stage)
-                finally:
-                    with self._lock:
-                        del self._flights[key]
-                    flight.set()
         entry = self.cassette.lookup(key)
         self.ledger.record(stage, entry["prompt_tokens"],
                            entry["completion_tokens"])
         return entry["response"]
-
-    def _lead(self, key: str) -> threading.Event | None:
-        """None once the cassette holds `key`; otherwise an event that
-        makes this caller the one to call the transport for `key`, which
-        it sets when done. While another caller's call for `key` is in
-        flight, wait for it; if that call failed, the next caller leads."""
-        while True:
-            with self._lock:
-                if key in self.cassette:
-                    return None
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = self._flights[key] = threading.Event()
-                    return flight
-            flight.wait()
 
     def _call(self, key: str, prompt: str, stage: str) -> str:
         """One completion through the transport, with retries; record mode

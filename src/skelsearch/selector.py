@@ -76,8 +76,9 @@ class ExecutionLimits:
     def __post_init__(self):
         # NaN fails every comparison, so it would switch the deadline off;
         # True would pass as a 1-second deadline
-        if isinstance(self.timeout, bool) or not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be positive and finite")
+        if type(self.timeout) not in (int, float) or \
+                not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive finite number")
         if type(self.row_cap) is not int or self.row_cap < 1:
             raise ValueError("row_cap must be an integer of at least 1")
 

@@ -78,7 +78,8 @@ _TOKEN_RE = re.compile(r"""
         (?P<comment>/\*)                    # a comment never closed
       | (?P<placeholder>\[(?:col|tab|val|agg)\]|_(?![A-Za-z0-9_]))
       | (?P<string>'[^']*(?:''[^']*)*'(?!'))
-      | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
+      | (?P<quoted>`[^`]*(?:``[^`]*)*`(?!`)|"[^"]*(?:""[^"]*)*"(?!")
+                  |\[[^\]]*\])
       | (?P<number>0[xX][0-9a-fA-F]+|\d+\.\d*(?:[eE][+-]?\d+)?
                   |\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
@@ -194,7 +195,10 @@ class Lexer:
             elif kind == "string":
                 append(Token(_STRING, m[kind], start))
             elif kind == "quoted":
-                append(Token(_IDENTIFIER, m[kind][1:-1], start))
+                # a doubled closing quote stands for one; `]` never doubles
+                name, closer = m[kind][1:-1], m[kind][-1]
+                append(Token(_IDENTIFIER, name.replace(closer * 2, closer),
+                             start))
             elif kind == "op2":
                 op = m[kind]
                 append(Token(_OPERATOR, _OP_SPELLINGS.get(op, op), start))

@@ -18,7 +18,6 @@ from skelsearch.agents import (
     build_formulation_prompt,
     evaluate,
     formulate,
-    parse_analysis,
     parse_candidate_lines,
     parse_verdict,
 )
@@ -119,17 +118,6 @@ def test_parse_verdict():
     ok, reason = parse_verdict("VERDICT: maybe")
     assert not ok and "malformed" in reason
     assert parse_verdict("VERDICT: False\nVERDICT: True")[0] is True
-
-
-def test_parse_analysis():
-    response = """QUESTION ANALYSIS: asks for names.
-SKELETON ANALYSIS: filter plus subquery.
-ALIGNMENT ANALYSIS: matches.
-VERDICT: True"""
-    triple = parse_analysis(response)
-    assert triple == ("asks for names.", "filter plus subquery.",
-                      "matches.")
-    assert parse_analysis("QUESTION ANALYSIS: only one stage") is None
 
 
 def test_formulate_truncates_to_m(toy_profile):
@@ -249,12 +237,14 @@ def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
     req = base_request(toy_profile)
     skel = skeleton_of("SELECT a FROM t WHERE b > 1", GranularityLevel.BASE)
     texts = formulate(req, LlmFormulationBackend(recorder))
+    judged = LlmEvaluationBackend(recorder).judge(
+        toy_profile, "which students?", skel)
     verdict = evaluate(toy_profile, "which students?", skel,
                        LlmEvaluationBackend(recorder))
     recorder.close()
     assert texts == ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _"]
+    assert judged == script["evaluate"]
     assert verdict.verdict is True
-    assert verdict.analysis == ("a", "b", "c")
 
     def sentinel(prompt, cfg, api_key=None):
         raise AssertionError("replay must not touch the network")
@@ -263,10 +253,13 @@ def test_llm_backends_replay_bit_identical(tmp_path, toy_profile):
         player = LlmGateway(config, "replay", Cassette(path),
                             transport=sentinel)
         replay_texts = formulate(req, LlmFormulationBackend(player))
+        replay_judged = LlmEvaluationBackend(player).judge(
+            toy_profile, "which students?", skel)
         replay_verdict = evaluate(toy_profile, "which students?", skel,
                                   LlmEvaluationBackend(player))
         assert replay_texts == texts
-        assert replay_verdict.raw == verdict.raw
+        assert replay_judged == judged
+        assert replay_verdict == verdict
 
 
 def test_load_template_reads_each_file_once(monkeypatch, toy_profile):

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,23 @@ def test_load_settings(tmp_path):
     assert settings.search.m == 2
     assert settings.limits.timeout == 5.0
     assert settings.items_concurrency == 4
+
+
+def test_readme_run_config_example_loads(tmp_path):
+    """The YAML example under README "Run configuration" names only
+    settings that exist, with the values its comments describe."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Run configuration", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```\n", 1)[0]
+    path = tmp_path / "config.yaml"
+    path.write_text(example, encoding="utf-8")
+    settings = load_settings(path)
+    assert (settings.mode, settings.cassette) == ("replay", "tape.jsonl")
+    assert settings.search.m == 3
+    assert settings.limits == selector.ExecutionLimits(30.0, 100000)
+    assert settings.items_concurrency == 8
+    assert settings.arbitration == "llm"
 
 
 def test_load_settings_errors(tmp_path):

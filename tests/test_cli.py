@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, file side effects."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,24 @@ def test_run_unreadable_database_exits_2(capsys, env):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("db_id", 5), ("SQL", 5), ("question", 7)])
+def test_run_dataset_field_of_wrong_type_exits_2(capsys, env, field, value):
+    """A dataset field that is not a string is a configuration error that
+    names the item and the field, raised before the run writes anything."""
+    rows = json.loads(Path(env["dataset"]).read_text(encoding="utf-8"))
+    rows[1][field] = value
+    Path(env["dataset"]).write_text(json.dumps(rows), encoding="utf-8")
+    out_dir = env["tmp"] / "run"
+    code, out, err = run_cli(capsys, "run", "--dataset", env["dataset"],
+                             "--db-root", env["db_root"],
+                             "--out", str(out_dir))
+    assert code == 2
+    assert f"item 1 field {field} must be a non-empty string" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_run_bad_config_exits_2(capsys, env):
     config = env["tmp"] / "config.yaml"
     config.write_text("mode: banana\n", encoding="utf-8")
@@ -251,6 +270,13 @@ def test_run_gateway_concurrency_key_exits_2(capsys, env):
     "cassette: [a.jsonl]",
     "mode: replay\ncassette: 5",
     "mode: record\ncassette: [a.jsonl, b.jsonl]",
+    "mdoe: replay",
+    "item_concurrency: 4",
+    "gateway:",
+    "limits: 5",
+    "gateway: {temperature: abc}",
+    "gateway: {timeout: abc}",
+    "limits: {timeout: abc}",
 ])
 def test_run_config_value_out_of_range_exits_2(capsys, env, monkeypatch,
                                               snippet):
@@ -268,6 +294,10 @@ def test_run_config_value_out_of_range_exits_2(capsys, env, monkeypatch,
                              "--out", str(out_dir), "--config", str(config))
     assert code == 2
     assert err.startswith("error: ")
+    # the message names the innermost key of the snippet's last line, as
+    # a word of its own (not within a dotted name such as a module path)
+    key = re.findall(r"(\w+):", snippet.splitlines()[-1])[-1]
+    assert re.search(rf"(?<![\w.]){key}(?![\w.])", err)
     assert out == ""
     assert not out_dir.exists()
     assert not (env["tmp"] / "new.jsonl").exists()

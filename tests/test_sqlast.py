@@ -229,10 +229,15 @@ class ReferenceLexer:
         for quote, closer in (("`", "`"), ('"', '"'), ("[", "]")):
             if ch == quote:
                 end = text.find(closer, start + 1)
+                # a doubled ` or " stands for one; brackets have no escape
+                while end >= 0 and quote != "[" and \
+                        text.startswith(closer * 2, end):
+                    end = text.find(closer, end + 2)
                 if end < 0:
                     raise SqlSyntaxError("unterminated identifier", start)
                 self.pos = end + 1
-                return Token(TokenType.IDENTIFIER, text[start + 1:end], start)
+                name = text[start + 1:end].replace(closer * 2, closer)
+                return Token(TokenType.IDENTIFIER, name, start)
 
         if ch.isdigit() or (ch == "." and start + 1 < len(text)
                             and text[start + 1].isdigit()):
@@ -271,12 +276,12 @@ def _lexed(lexer) -> object:
 FRAGMENTS = [
     "SELECT", "select", "FROM", "Where", "AND", "not", "NULL", "x", "t1",
     "a_b", "_", "__", "_x", "_1", "[col]", "[tab]", "[val]", "[agg]", "[co",
-    "[", "]", "'", "''", "'it''s'", "\"", "\"q\"", "`", "`b`", "--", "\n",
-    "/*", "*/", "/**/", "*", "/", "-", "+", "%", "=", "==", "<", ">", "<>",
-    "!=", "!", "<=", ">=", "|", "||", "(", ")", ",", ".", ";", "0", "7",
-    "12", "1.", ".5", "1e5", "2E-3", "0x1F", "0X", "e", "²", "٣", "௫",
-    "@", "?", "$", "#", "é", "ß", "\t", " ", " ", " ", "\x1c",
-    "　", "\x85", "\r",
+    "[", "]", "'", "''", "'it''s'", "\"", "\"q\"", "\"a\"\"b\"", "`", "`b`",
+    "`a``b`", "--", "\n", "/*", "*/", "/**/", "*", "/", "-", "+", "%", "=",
+    "==", "<", ">", "<>", "!=", "!", "<=", ">=", "|", "||", "(", ")", ",", ".",
+    ";", "0", "7", "12", "1.", ".5", "1e5", "2E-3", "0x1F", "0X", "e", "²",
+    "٣", "௫", "@", "?", "$", "#", "é", "ß", "\t", " ", " ", " ", "\x1c", "　",
+    "\x85", "\r",
 ]
 
 sql_like = st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join)
@@ -296,6 +301,8 @@ def test_lexer_matches_reference(text):
     ("SELECT 'a''", "unterminated string", 7),
     ("SELECT `a", "unterminated identifier", 7),
     ("SELECT \"a", "unterminated identifier", 7),
+    ("SELECT \"a\"\"", "unterminated identifier", 7),
+    ("SELECT `a``", "unterminated identifier", 7),
     ("SELECT [a", "unterminated identifier", 7),
     ("SELECT a /* b", "unterminated comment", 9),
     ("SELECT a /*/", "unterminated comment", 9),
@@ -424,6 +431,25 @@ def test_sqlite_hex_literals_and_digit_names(sql, expected):
         conn.close()
     core = sqlast.parse(sql).stmt.arms[0]
     assert expected in (core.where, core.items[0])
+
+
+@pytest.mark.parametrize("sql", [
+    'SELECT "a""b" FROM t',
+    "SELECT `a``b` FROM t",
+    'SELECT "a""b""" FROM t',
+    'SELECT [a""b] FROM t',
+])
+def test_doubled_quotes_in_quoted_names(sql):
+    """A doubled closing quote inside a quoted name is one quote of the
+    name, as SQLite reads it."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute('CREATE TABLE t ("a""b", "a`b", "a""b""", "a""""b")')
+        name = conn.execute(sql).description[0][0]
+    finally:
+        conn.close()
+    items = sqlast.parse(sql).stmt.arms[0].items
+    assert items == [sqlast.SelectItem(sqlast.ColumnRef(None, name))]
 
 
 @pytest.mark.parametrize("text,tokens", [
