@@ -13,15 +13,25 @@ The candidate set S is every Valid skeleton-bearing node without a Valid
 child: DetailedStep2 survivors plus any node whose children were all
 pruned or never materialized.
 
+Each (skeleton text, level) pair is judged once per search; a later
+child with the same pair, such as a step-2 child that kept its step-1
+parent's text, takes the stored verdict without a model call. Those are
+the only parts of an evaluation prompt that vary within a search, so
+under greedy decoding the verdict is the one a second call would give.
+In live mode at temperature > 0 the search no longer draws a second
+judgement. CostReport.eval_calls still counts every judged child, as the
+paper's cost model charges each.
+
 Determinism: the backend calls of one round do not depend on each
 other, so the search hands each batch (one formulation per parent, then
-one evaluation per child the round creates) to a map-like callable: the
-builtin `map` runs them inline, `LlmGateway.map` side by side. Either
-way results are consumed in (parent id, candidate index) order, so node
-ids, the verdict log and the call counts are a pure function of the
-backends' answers, and the first exception in that order propagates
-with the same partial tree. Each model call is bounded by the gateway's
-own timeout and retries; the search adds no timeout of its own.
+one evaluation per pair the round judges anew) to a map-like callable:
+the builtin `map` runs them inline, `LlmGateway.map` side by side.
+Either way results are consumed in (parent id, candidate index) order,
+lazily while the round adds its nodes, so node ids, the verdict log
+and the call counts are a pure function of the backends' answers, and
+the first exception in that order propagates with the same partial
+tree. Each model call is bounded by the gateway's own timeout and
+retries; the search adds no timeout of its own.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .agents import (
+    EvaluationVerdict,
     FormulationRequest,
     SearchPhase,
     evaluate,
@@ -190,6 +201,10 @@ class _Engine:
         # proposes again at the same level is normalized once per search.
         self.normalized: dict[tuple[str, GranularityLevel],
                               NormalizationReport] = {}
+        # Verdicts by (skeleton text, level), the parts of an evaluation
+        # prompt that vary within a search: each is judged once.
+        self.verdicts: dict[tuple[str, GranularityLevel],
+                            EvaluationVerdict] = {}
 
     def _formulate_batch(self, parents: list[SearchNode],
                          phase: SearchPhase) -> dict[int, list[Skeleton]]:
@@ -242,11 +257,20 @@ class _Engine:
                 stalled.append(parent)
         judged = [(parent, skeleton) for parent in parents
                   for skeleton in proposals[parent.id]]
-        verdicts = self.map_calls(
-            lambda pair: evaluate(self.schema, self.question, pair[1],
-                                  self.evaluator), judged)
-        for (parent, skeleton), verdict in zip(judged, verdicts):
+        asks: dict[tuple[str, GranularityLevel], Skeleton] = {}
+        for _, skeleton in judged:
+            key = (skeleton.text, skeleton.level)
+            if key not in self.verdicts:
+                asks.setdefault(key, skeleton)
+        answers = zip(asks, self.map_calls(
+            lambda skeleton: evaluate(self.schema, self.question, skeleton,
+                                      self.evaluator), asks.values()))
+        for parent, skeleton in judged:
             self.eval_calls += 1
+            verdict = self.verdicts.get((skeleton.text, skeleton.level))
+            if verdict is None:  # the first of this round's new keys
+                key, verdict = next(answers)
+                self.verdicts[key] = verdict
             status = (NodeStatus.VALID if verdict.verdict
                       else NodeStatus.PRUNED)
             node = self.tree.add_child(parent, phase, step, skeleton, status)

@@ -167,15 +167,18 @@ class LlmGateway:
     """Completion client in one of three modes: live, record, replay.
 
     Record mode consults the cassette before the network, so repeated
-    prompts resolve to one stored entry and identical responses. Each
-    prompt key has one lock, made on the key's first call and kept for the
-    gateway's life; its holder calls the transport only while the cassette
-    lacks the key, and otherwise reads the stored entry. So callers of one
-    prompt make one transport call between them, every caller gets the
-    response that replay will return, and after a failed call the next
-    holder tries again. Replay mode never touches the transport; unknown
-    prompts raise CassetteMiss. `close` stops the call pool and then closes
-    the cassette's append handle.
+    prompts resolve to one stored entry and identical responses. A prompt
+    the cassette lacks takes its key's lock, made on the first such call;
+    the holder calls the transport only while the cassette still lacks
+    the key, and otherwise reads the stored entry. A holder that leaves
+    with the response stored removes the key's lock from the gateway, if
+    it is still the one kept for the key; after a failed call the lock
+    stays, and the next holder tries again. So callers of one prompt make
+    one transport call between them, every caller gets the response that
+    replay will return, and the gateway keeps locks only for prompts
+    whose calls are in flight or failed. Replay mode never touches the
+    transport; unknown prompts raise CassetteMiss. `close` stops the call
+    pool and then closes the cassette's append handle.
     """
 
     def __init__(self, config: GatewayConfig, mode: str = "live",
@@ -231,12 +234,20 @@ class LlmGateway:
         key = prompt_key(prompt)
         if self.mode == "live":
             return self._call(key, prompt, stage)
-        if self.mode == "record":
+        if self.mode == "record" and key not in self.cassette:
             with self._lock:
                 key_lock = self._key_locks.setdefault(key, threading.Lock())
             with key_lock:
-                if key not in self.cassette:
-                    return self._call(key, prompt, stage)
+                called = key not in self.cassette
+                if called:
+                    text = self._call(key, prompt, stage)
+                # The response is stored, so no later caller needs the
+                # lock; a failed call raised above and left it in place.
+                with self._lock:
+                    if self._key_locks.get(key) is key_lock:
+                        del self._key_locks[key]
+            if called:
+                return text
         entry = self.cassette.lookup(key)
         self.ledger.record(stage, entry["prompt_tokens"],
                            entry["completion_tokens"])

@@ -6,18 +6,20 @@ SQLite progress handler checks every PROGRESS_STEPS virtual-machine
 instructions. An authorizer allows only reads, SELECTs, function calls
 and recursive CTEs, so a candidate cannot ATTACH a file, run a PRAGMA
 or write. Connections come from a ReadOnlyConnections set, which keeps
-each thread's connection to each database open for reuse. Results are
-reduced to a fingerprint: a hash over canonicalized cells,
-order-insensitive unless the query has ORDER BY outside every
-parenthesis. That rule is a lexical scan, not a parse, so
-it also holds for CTEs, which the parser rejects. Identical candidates
-(the same SQL text) share one execution and its outcome. Candidates whose
-fingerprints agree form a vote group; the largest group wins, ties go
-to an arbitrator backend with a deterministic fallback, and when
-nothing executed to a row set the selector falls back to the most
-detailed surviving candidate.
-Selection is a pure function of (candidates, outcomes), so shuffling
-candidate order never changes the winning fingerprint.
+each thread's connection to each database open for reuse. Rows are
+fetched FETCH_CHUNK at a time, and each chunk becomes canonical row
+strings as it arrives, a column at a time, before the next fetch; the
+row tuples are not kept. Results are reduced to a fingerprint: a hash
+over those canonical rows, order-insensitive unless the query has
+ORDER BY outside every parenthesis. That rule is a lexical scan, not a
+parse, so it also holds for CTEs, which the parser rejects. Identical
+candidates (the same SQL text) share one execution and its outcome.
+Candidates whose fingerprints agree form a vote group; the largest group
+wins, ties go to an arbitrator backend with a deterministic fallback,
+and when nothing executed to a row set the selector falls back to the
+most detailed surviving candidate. Selection is a pure function of
+(candidates, outcomes), so shuffling candidate order never changes the
+winning fingerprint.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ class ExecutionLimits:
 class ExecutionOutcome:
     """What one candidate did when executed.
 
-    fingerprint is present exactly when status is ROWS. wall_time runs
-    from the start of the call to its end; it includes opening the
-    database connection only when this call is the first use of it.
+    fingerprint is present exactly when status is ROWS. wall_time spans
+    the whole call: running the query, canonicalizing its rows and
+    fingerprinting them. It includes opening the database connection
+    only when this call is the first use of it.
     """
 
     status: OutcomeStatus
@@ -143,6 +146,22 @@ def canonical_cell(value) -> str:
 
 def canonical_row(row) -> str:
     return "\x1f".join([canonical_cell(cell) for cell in row])
+
+
+def _canonical_chunk(chunk: list[tuple]) -> list[str]:
+    """canonical_row of each row of one fetched chunk, a column at a time.
+
+    A column whose cells all have one exact type of _CELL_TOKENS maps
+    through that type's token; any other column (mixed types, a type
+    plus NULL, bool) goes through canonical_cell cell by cell. Rows have
+    at least one cell, as every SELECT returns.
+    """
+    columns = []
+    for column in zip(*chunk):
+        kinds = set(map(type, column))
+        token = _CELL_TOKENS.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(token or canonical_cell, column))
+    return list(map("\x1f".join, zip(*columns)))
 
 
 def fingerprint_rows(canon: list[str], ordered: bool) -> str:
@@ -270,38 +289,36 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     deadline = started + limits.timeout
     conn.set_progress_handler(lambda: time.monotonic() > deadline,
                               PROGRESS_STEPS)
-    rows: list[tuple] = []
+    canon: list[str] = []
     capped = False
     # Closing the cursor resets its statement, so no read lock outlives
     # the query, on the row-cap and error paths too.
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
-        while True:
-            chunk = cursor.fetchmany(FETCH_CHUNK)
-            if not chunk:
-                break
-            rows.extend(chunk)
-            if len(rows) > limits.row_cap:
+        while chunk := cursor.fetchmany(FETCH_CHUNK):
+            if len(canon) + len(chunk) > limits.row_cap:
                 capped = True
                 break
+            canon += _canonical_chunk(chunk)
+            del chunk  # the row tuples go before the next fetch
     except sqlite3.Error as exc:
         return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
                                 wall_time=time.monotonic() - started)
     finally:
         cursor.close()
-    wall = time.monotonic() - started
     if capped:
         return ExecutionOutcome(
             OutcomeStatus.ERROR,
             error=f"row cap exceeded ({limits.row_cap} rows)",
-            wall_time=wall)
-    if not rows:
-        return ExecutionOutcome(OutcomeStatus.EMPTY, wall_time=wall)
-    canon = [canonical_row(row) for row in rows]
+            wall_time=time.monotonic() - started)
+    if not canon:
+        return ExecutionOutcome(OutcomeStatus.EMPTY,
+                                wall_time=time.monotonic() - started)
     fingerprint = fingerprint_rows(canon, _is_ordered(sql))
     return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
-                            row_count=len(rows), wall_time=wall,
+                            row_count=len(canon),
+                            wall_time=time.monotonic() - started,
                             preview=canon[:PREVIEW_ROWS])
 
 

@@ -196,6 +196,33 @@ def test_empty_search_carries_tree():
     assert "no Base skeleton survived" in str(info.value)
 
 
+class RepeatsDisagree(ScriptedEvaluationBackend):
+    """Answers False to a text it has judged before, as a model sampling
+    at temperature > 0 may."""
+
+    def judge(self, schema, question, candidate):
+        repeat = (question, candidate.text) in self.calls
+        response = super().judge(schema, question, candidate)
+        return "VERDICT: False" if repeat else response
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_a_skeleton_judged_once_per_search(pooled, pooled_map):
+    # D3A's step-2 child keeps its step-1 parent's text, so it takes the
+    # parent's verdict; the paper's cost model still charges it
+    scenario = traces.spec_example()
+    evaluator = RepeatsDisagree(scenario.evaluation)
+    _, tree, report = run_search(
+        make_profile(), traces.Q,
+        ScriptedFormulationBackend(scenario.formulation), evaluator,
+        SearchConfig(), pooled_map if pooled else map)
+    assert tree.dump() == expected_dump(scenario)
+    assert report.eval_calls == scenario.eval_calls == 7
+    assert sorted(evaluator.calls) == sorted((traces.Q, t) for t in (
+        traces.B1, traces.B2, traces.E21, traces.DB1, traces.D3A,
+        traces.DB2))
+
+
 def test_unrecoverable_error_attaches_partial_tree():
     class Exploding:
         def judge(self, schema, question, candidate):

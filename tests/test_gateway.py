@@ -346,6 +346,38 @@ def test_waiters_lead_the_next_call_when_the_first_fails(tmp_path):
         "recovered"
 
 
+def test_record_run_keeps_no_lock_once_every_response_is_stored(tmp_path):
+    failed_once = set()
+    lock = threading.Lock()
+
+    def transport(prompt, cfg, api_key=None):
+        with lock:  # every third prompt fails on its first attempt
+            fail = int(prompt.split()[1]) % 3 == 0 and \
+                prompt not in failed_once
+            failed_once.add(prompt)
+        time.sleep(0.001)
+        if fail:
+            raise ConnectionError("down")
+        return f"reply to {prompt}", 1, 1
+
+    recorder = LlmGateway(config(retries=0), "record",
+                          Cassette(tmp_path / "c.cassette"),
+                          transport=transport)
+
+    def ask(n):
+        prompt = f"prompt {n % 40}"  # each prompt asked by two workers
+        try:
+            return recorder.complete(prompt)
+        except TransportError:
+            return recorder.complete(prompt)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        answers = list(pool.map(ask, range(80)))
+    recorder.close()
+    assert answers == [f"reply to prompt {n % 40}" for n in range(80)]
+    assert recorder._key_locks == {}
+
+
 @pytest.mark.parametrize("mode", ["live", "record"])
 def test_map_runs_calls_side_by_side_and_yields_in_order(tmp_path, mode):
     gateway = LlmGateway(config(), mode, Cassette(tmp_path / "c.cassette"),

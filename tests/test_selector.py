@@ -18,6 +18,7 @@ from skelsearch.schema import (
     read_only_uri,
 )
 from skelsearch.selector import (
+    EXACT_INT_MIN,
     ArbitrationError,
     DecisionTrace,
     ExecutionLimits,
@@ -187,6 +188,88 @@ def test_canonical_row_joins_canonical_cells(row):
     assert [canonical_cell(c) for c in row] == [reference_cell(c)
                                                 for c in row]
     assert canonical_row(row) == "\x1f".join(map(reference_cell, row))
+
+
+# One column's cells of each kind; a column draws from one kind
+# (homogeneous) or from several (mixed, or NULL-bearing with "none").
+CHUNK_CELLS = {
+    "str": st.text(st.sampled_from("a\x1f\x1e\u00e9\u6f22 "), max_size=4)
+    | st.text(max_size=4),
+    "int": st.integers(min_value=-EXACT_INT_MIN - 3,
+                       max_value=-EXACT_INT_MIN + 3)
+    | st.integers(min_value=EXACT_INT_MIN - 3, max_value=EXACT_INT_MIN + 3)
+    | st.integers(),
+    "float": st.sampled_from([-0.0, 0.0, 4.0, -1e7, 2.5, 1e300,
+                              float("nan")]) | st.floats(),
+    "bytes": st.binary(max_size=3),
+    "none": st.none(),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def chunks(draw):
+    kinds = st.lists(st.sampled_from(sorted(CHUNK_CELLS)), min_size=1,
+                     max_size=3, unique=True)
+    columns = [st.one_of([CHUNK_CELLS[kind] for kind in draw(kinds)])
+               for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.lists(st.tuples(*columns), min_size=1, max_size=12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunks())
+def test_chunk_canonicalization_matches_canonical_row(chunk):
+    assert selector._canonical_chunk(chunk) == [canonical_row(row)
+                                                for row in chunk]
+
+
+def counted_rows(count: int, tail: str = "") -> str:
+    """`count` rows of int, float, text, NULL-bearing and blob cells."""
+    return ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 "
+            f"FROM c LIMIT {count}) SELECT x * 10000019, x * 0.25, "
+            "'r' || x || char(31), CASE x % 3 WHEN 0 THEN NULL ELSE x END, "
+            f"x'00ff' FROM c{tail}")
+
+
+@pytest.mark.parametrize("sql, row_cap", [
+    (counted_rows(7), 100),
+    (counted_rows(7, " ORDER BY x DESC"), 100),
+    (counted_rows(6), 6),  # exactly row_cap
+    (counted_rows(4), 3),  # the extra row starts a new chunk of 1 and 3
+    (counted_rows(0), 100),
+    # fails on its fifth row, after whole chunks of 1 and 3 went through
+    ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+     "LIMIT 9) SELECT CASE x WHEN 5 THEN abs(-9223372036854775807 - 1) "
+     "ELSE x END FROM c", 100),
+])
+def test_fetch_chunk_size_does_not_change_the_outcome(
+        school_profile, run, monkeypatch, sql, row_cap):
+    limits = ExecutionLimits(row_cap=row_cap)
+    outcomes = []
+    for size in (2048, 1, 3):
+        monkeypatch.setattr(selector, "FETCH_CHUNK", size)
+        outcome = run(school_profile, sql, limits)
+        outcomes.append((outcome.status, outcome.fingerprint,
+                         outcome.row_count, outcome.preview, outcome.error))
+    assert outcomes[1:] == outcomes[:1] * 2
+    conn = sqlite3.connect(read_only_uri(school_profile.path), uri=True)
+    try:
+        rows = conn.execute(sql).fetchall()
+    except sqlite3.Error as exc:
+        assert outcomes[0][::4] == (OutcomeStatus.ERROR, str(exc))
+        return
+    finally:
+        conn.close()
+    if len(rows) > row_cap:
+        assert outcomes[0][::4] == (
+            OutcomeStatus.ERROR, f"row cap exceeded ({row_cap} rows)")
+    elif rows:
+        canon = [canonical_row(row) for row in rows]
+        assert outcomes[0][:4] == (
+            OutcomeStatus.ROWS, fingerprint_rows(canon, "ORDER" in sql),
+            len(rows), canon[:5])
+    else:
+        assert outcomes[0][0] is OutcomeStatus.EMPTY
 
 
 # Execution against sqlite
