@@ -24,10 +24,10 @@ from .journal import Journal
 
 CASSETTE_FORMAT = "cassette"
 CASSETTE_VERSION = 1
-# Threads of a gateway's call pool (`LlmGateway.map`); the calling thread
-# runs one call of each batch itself. The table in CHANGES.md gives the
-# measured latency by pool size.
-POOL_SIZE = 3
+# Most threads of a gateway's call pool (`LlmGateway.map`), which all of
+# a run's item threads share. The sweep by `items_concurrency` in
+# README.md ("Run configuration") sets the number.
+POOL_SIZE = 12
 
 
 class TransportError(RuntimeError):
@@ -204,11 +204,13 @@ class LlmGateway:
 
         In live and record mode the calls run side by side: all but the
         first go to the gateway's pool, created on first use, and the
-        calling thread runs the first. The first exception in input order
-        is raised where its result would be, once the calls still running
-        have finished and those not started are cancelled. Replay runs the
-        calls inline, as the builtin `map` does: a cassette hit never
-        waits, so a pool would only add hand-off cost.
+        calling thread runs the first. The pool starts a thread for a call
+        only when every thread it has started is busy, up to `POOL_SIZE`;
+        a call past that waits for a thread. The first exception in input
+        order is raised where its result would be, once the calls still
+        running have finished and those not started are cancelled. Replay
+        runs the calls inline, as the builtin `map` does: a cassette hit
+        never waits, so a pool would only add hand-off cost.
         """
         items = list(items)
         if self.mode == "replay" or len(items) < 2:

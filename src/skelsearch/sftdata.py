@@ -324,7 +324,13 @@ def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
 def prune_demonstration_schema(profile: DatabaseProfile,
                                gold_sql: str) -> DatabaseProfile:
     """Profile reduced to what the gold SQL touches, plus key columns."""
-    nodes, stack = [], [parse_query(gold_sql).stmt]
+    return _prune_schema(profile, parse_query(gold_sql))
+
+
+def _prune_schema(profile: DatabaseProfile,
+                  tree: A.ClauseTree) -> DatabaseProfile:
+    """`prune_demonstration_schema` of gold SQL already parsed to `tree`."""
+    nodes, stack = [], [tree.stmt]
     while stack:
         node = stack.pop()
         nodes.append(node)
@@ -438,8 +444,7 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
     prepared = []
     for question, gold_sql, profile in corpus:
         tree = parse_query(gold_sql)
-        schema = render_mschema(
-            prune_demonstration_schema(profile, gold_sql))
+        schema = render_mschema(_prune_schema(profile, tree))
         skeletons = {level: extract_skeleton(tree, level)
                      for level in GranularityLevel}
         prepared.append((question, schema, skeletons))

@@ -402,6 +402,54 @@ def test_map_runs_calls_side_by_side_and_yields_in_order(tmp_path, mode):
     assert not gateway_pool_threads() & workers
 
 
+def test_batches_of_concurrent_items_run_side_by_side():
+    items, calls = 2, 4
+    # Every call waits until all of them are in flight; short of that the
+    # barrier breaks and each call fails, so a regression cannot hang.
+    barrier = threading.Barrier(items * calls, timeout=2)
+
+    def transport(prompt, cfg, api_key=None):
+        barrier.wait()
+        return f"reply to {prompt}", 1, 1
+
+    gateway = LlmGateway(config(retries=0), transport=transport)
+
+    def run_item(i):
+        prompts = [f"item {i} call {j}" for j in range(calls)]
+        return list(gateway.map(gateway.complete, prompts))
+
+    try:
+        with ThreadPoolExecutor(max_workers=items) as pool:
+            answers = list(pool.map(run_item, range(items)))
+    finally:
+        gateway.close()
+    assert answers == [[f"reply to item {i} call {j}" for j in range(calls)]
+                       for i in range(items)]
+
+
+def test_a_batch_larger_than_the_cap_starts_cap_threads():
+    lock, running, released = threading.Lock(), [0], threading.Event()
+    threads = set()
+
+    def transport(prompt, cfg, api_key=None):
+        with lock:
+            threads.add(threading.current_thread())
+            running[0] += 1
+            if running[0] == POOL_SIZE + 1:  # the pool and the caller
+                released.set()
+        released.wait(timeout=2)
+        return prompt, 1, 1
+
+    gateway = LlmGateway(config(), transport=transport)
+    prompts = [f"call {j}" for j in range(2 * POOL_SIZE + 1)]
+    try:
+        assert list(gateway.map(gateway.complete, prompts)) == prompts
+    finally:
+        gateway.close()
+    assert released.is_set()
+    assert len(gateway_pool_threads(threads)) == POOL_SIZE
+
+
 def test_replay_map_runs_inline(tmp_path):
     path = tmp_path / "c.cassette"
     Cassette(path).close()

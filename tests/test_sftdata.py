@@ -7,7 +7,7 @@ import random
 import pytest
 
 from fixtures.sftcorpus import build_corpus, school_profile
-from skelsearch import sftdata
+from skelsearch import sftdata, sqlast
 from skelsearch.sftdata import (
     OPERATORS,
     BuildSummary,
@@ -321,6 +321,21 @@ def test_build_dataset_bytes_pinned(tmp_path, seed, pairs):
     digest.update(json.dumps([summary.examples, summary.per_level,
                               summary.skipped], sort_keys=True).encode())
     assert digest.hexdigest()[:32] == PINNED_BUILDS[seed, pairs]
+
+
+def test_build_dataset_parses_each_gold_once(tmp_path, monkeypatch):
+    parsed = []
+    parse = sqlast.parse
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(sqlast, "parse", counting_parse)
+    build_dataset(CORPUS, tmp_path / "sft.jsonl", pairs_per_level=2, seed=0)
+    golds = [gold for _, gold, _ in CORPUS]
+    assert {gold: parsed.count(gold) for gold in golds} == \
+        dict.fromkeys(golds, 1)
 
 
 def test_build_dataset_seed_changes_bytes(tmp_path):
