@@ -13,7 +13,6 @@ import json
 import sys
 from contextlib import closing
 
-from .agents import GoldOracle
 from .bench import (
     BenchConfigError,
     BenchmarkItem,
@@ -38,7 +37,7 @@ from .selector import (
 from .sftdata import DatasetBuildError, build_dataset
 from .skeleton import GranularityLevel, extract_skeleton, parse_query
 from .sqlast import SqlSyntaxError
-from .sqlgen import SqlCandidate, generate_all
+from .sqlgen import SqlCandidate
 
 
 def _emit(payload) -> None:
@@ -97,23 +96,7 @@ def cmd_extract_skeleton(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    profile = open_profile(args.db)
-    if not args.gold:
-        raise BenchConfigError("offline generation needs --gold SQL")
-    try:
-        tree = parse_query(args.gold)
-    except SqlSyntaxError as exc:
-        raise BenchConfigError(f"cannot parse gold SQL: {exc}") from exc
-    skeletons = [extract_skeleton(tree, level) for level in GranularityLevel]
-    backend = GoldOracle({(profile.db_id, args.question): args.gold})
-    candidates = generate_all(profile, args.question, skeletons, backend)
-    _emit([{"skeleton": c.skeleton.text, "sql": c.sql,
-            "failed": c.failed, "error": c.error} for c in candidates])
-    return 0
-
-
-def _load_candidate_records(path):
+def _load_candidates(path) -> list[SqlCandidate]:
     try:
         with open(path, encoding="utf-8") as handle:
             rows = json.load(handle)
@@ -123,30 +106,25 @@ def _load_candidate_records(path):
         raise BenchConfigError(f"bad candidates JSON: {exc}") from exc
     if not isinstance(rows, list) or not rows:
         raise BenchConfigError("candidates must be a non-empty JSON list")
-    records = []
+    candidates = []
     for row in rows:
-        if isinstance(row, str):
-            records.append((row, "detailed"))
-        elif isinstance(row, dict) and "sql" in row:
-            records.append((row["sql"], row.get("level", "detailed")))
-        else:
-            raise BenchConfigError(f"bad candidate entry: {row!r}")
-    return records
-
-
-def _candidate_skeleton(sql: str, level_name: str):
-    level = GranularityLevel.from_name(level_name)
-    try:
-        return extract_skeleton(parse_query(sql), level)
-    except SqlSyntaxError:
-        return extract_skeleton(parse_query("SELECT a FROM t"), level)
+        entry = {"sql": row} if isinstance(row, str) else row
+        sql = entry.get("sql") if isinstance(entry, dict) else None
+        if not isinstance(sql, str) or not sql.strip():
+            raise BenchConfigError(
+                f"bad candidate entry {row!r}: needs non-blank SQL")
+        try:
+            level = GranularityLevel.from_name(entry.get("level", "detailed"))
+        except ValueError as exc:
+            raise BenchConfigError(
+                f"bad candidate entry {row!r}: {exc}") from None
+        candidates.append(SqlCandidate(sql, level))
+    return candidates
 
 
 def cmd_select(args) -> int:
     profile = open_profile(args.db)
-    records = _load_candidate_records(args.candidates)
-    candidates = [SqlCandidate(sql, _candidate_skeleton(sql, level))
-                  for sql, level in records]
+    candidates = _load_candidates(args.candidates)
     limits = ExecutionLimits(timeout=args.timeout, row_cap=args.row_cap)
     with ReadOnlyConnections() as connections:
         outcomes = execute_all(profile, candidates, limits, connections)
@@ -179,15 +157,6 @@ def cmd_build_sft_data(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = recompute_report(args.run_dir)
-    _emit({"items": report["items"],
-           "complete": run_complete(args.run_dir), "ex": report["ex"],
-           "pass_at_k": report["pass_at_k"],
-           "per_difficulty": report["per_difficulty"]})
-    return 0
-
-
-def cmd_replay(args) -> int:
     report = recompute_report(args.run_dir)
     _emit({"items": report["items"],
            "complete": run_complete(args.run_dir)}
@@ -229,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         level.label for level in GranularityLevel])
     p.set_defaults(fn=cmd_extract_skeleton)
 
-    p = sub.add_parser("generate",
-                       help="SQL candidates from gold-derived skeletons")
-    p.add_argument("--db", required=True)
-    p.add_argument("--question", required=True)
-    p.add_argument("--gold", default="")
-    p.set_defaults(fn=cmd_generate)
-
     p = sub.add_parser("select", help="execute and vote over candidates")
     p.add_argument("--db", required=True)
     p.add_argument("--candidates", required=True,
@@ -254,14 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_build_sft_data)
 
-    p = sub.add_parser("stats", help="per-difficulty stats from a run")
+    p = sub.add_parser("stats",
+                       help="a run's scores and flagged items, recomputed "
+                            "from its item journal")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("replay",
-                       help="recompute a report from the item journal")
-    p.add_argument("--run-dir", required=True)
-    p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("schema", help="render a database as M-Schema")
     p.add_argument("--db", required=True)

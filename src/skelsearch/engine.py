@@ -121,9 +121,6 @@ class SearchTree:
         self.children[parent.id].append(node.id)
         return node
 
-    def node(self, node_id: int) -> SearchNode:
-        return self.nodes[node_id]
-
     def valid_children(self, node_id: int) -> list[SearchNode]:
         return [self.nodes[c] for c in self.children[node_id]
                 if self.nodes[c].status is not NodeStatus.PRUNED]

@@ -95,12 +95,6 @@ class DatabaseProfile:
                         f"foreign key endpoint {table}.{column} does not "
                         f"exist in profile {self.db_id!r}")
 
-    def table(self, name: str) -> TableProfile:
-        for t in self.tables:
-            if t.name.lower() == name.lower():
-                return t
-        raise KeyError(name)
-
     @cached_property
     def mschema(self) -> str:
         """Deterministic M-Schema text; `render_mschema` returns it."""

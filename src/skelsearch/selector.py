@@ -405,7 +405,7 @@ def group_candidates(candidates: list[SqlCandidate],
 
 def _representative(members: list[SqlCandidate]) -> SqlCandidate:
     """Highest skeleton granularity, then lexicographically smallest SQL."""
-    return min(members, key=lambda c: (-int(c.skeleton.level), c.sql))
+    return min(members, key=lambda c: (-int(c.level), c.sql))
 
 
 def select_final(candidates: list[SqlCandidate],
@@ -449,7 +449,7 @@ def select_final(candidates: list[SqlCandidate],
         notes = "tie with no arbitrator configured"
     reps = [(_representative(group.members), group) for group in tied]
     winner, group = min(reps,
-                        key=lambda p: (-int(p[0].skeleton.level), p[0].sql))
+                        key=lambda p: (-int(p[0].level), p[0].sql))
     return winner, DecisionTrace(winner.sql, group.fingerprint,
                                  "arbitration-fallback", groups, notes)
 

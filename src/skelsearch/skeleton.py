@@ -46,7 +46,7 @@ class GranularityLevel(IntEnum):
     def from_name(cls, name: str) -> "GranularityLevel":
         try:
             return cls[name.strip().upper()]
-        except KeyError:
+        except (AttributeError, KeyError):  # not a string, or no such level
             raise ValueError(f"unknown granularity level {name!r}") from None
 
     @property

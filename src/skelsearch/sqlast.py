@@ -996,15 +996,13 @@ _PRIMARY = {
 
 @dataclass
 class ClauseTree:
-    """A parsed statement, the text it was parsed from, and what the
-    parser noted about its subqueries.
+    """A parsed statement and what the parser noted about its subqueries.
 
     `marks` holds the ids of the expression and `JoinChain` nodes that
     hold a SELECT at any depth; no other node kind is marked.
     """
 
     stmt: SelectStmt
-    text: str
     nesting_depth: int  # subquery levels below the statement; 0 if flat
     has_placeholder_query: bool  # a `_` stands for a whole SELECT arm
     marks: set[int] = field(compare=False, repr=False)
@@ -1023,5 +1021,5 @@ def parse(text: str, tokens: list[Token] | None = None) -> ClauseTree:
         tokens = Lexer(text).tokens()
     parser = Parser(tokens)
     stmt = parser.parse_statement()
-    return ClauseTree(stmt, text, parser.nesting, parser.placeholder_query,
+    return ClauseTree(stmt, parser.nesting, parser.placeholder_query,
                       parser.marks)

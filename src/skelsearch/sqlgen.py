@@ -17,7 +17,7 @@ from .agents import BackendError, load_template
 from .gateway import LlmGateway, TransportError
 from .normalize import _strip_wrapping
 from .schema import DatabaseProfile, render_mschema
-from .skeleton import Skeleton
+from .skeleton import GranularityLevel, Skeleton
 from .sqlast import QUOTED_OR_COMMENT
 
 # A quoted string or name, a comment, or the `;` that ends a statement.
@@ -26,8 +26,10 @@ _QUOTED_COMMENT_OR_END = re.compile(f"{QUOTED_OR_COMMENT}|;", re.DOTALL)
 
 @dataclass
 class SqlCandidate:
+    """A SQL text and the level of the skeleton it was written from
+    (`None` for gold), which breaks ties toward the finest level."""
     sql: str
-    skeleton: Skeleton
+    level: GranularityLevel | None
     failed: bool = False
     error: str = ""
 
@@ -81,13 +83,13 @@ def generate_sql(profile: DatabaseProfile, question: str,
     try:
         response = backend.write_sql(profile, question, skeleton)
     except (BackendError, TransportError) as exc:
-        return SqlCandidate("", skeleton, failed=True,
+        return SqlCandidate("", skeleton.level, failed=True,
                             error=f"generation failed: {exc}")
     sql = extract_statement(response)
     if not sql:
-        return SqlCandidate("", skeleton, failed=True,
+        return SqlCandidate("", skeleton.level, failed=True,
                             error="empty generation output")
-    return SqlCandidate(sql, skeleton)
+    return SqlCandidate(sql, skeleton.level)
 
 
 def generate_all(profile: DatabaseProfile, question: str,

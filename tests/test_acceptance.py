@@ -132,7 +132,7 @@ def _has_fully_pruned_offspring(tree):
         if node.id == 0 or not kids:
             continue
         if (node.status is not NodeStatus.PRUNED
-                and all(tree.node(k).status is NodeStatus.PRUNED
+                and all(tree.nodes[k].status is NodeStatus.PRUNED
                         for k in kids)):
             return True
     return False
@@ -212,13 +212,11 @@ def _partitions(n, cap=None):
 
 
 def _partition_case(sizes):
-    skeleton = extract_skeleton(parse_query("SELECT a FROM t"),
-                                GranularityLevel.BASE)
     candidates, outcomes, labels = [], [], []
     for group_index, size in enumerate(sizes):
         for member in range(size):
             sql = f"SELECT {group_index} AS g, {member} AS c FROM t"
-            candidates.append(SqlCandidate(sql, skeleton))
+            candidates.append(SqlCandidate(sql, GranularityLevel.BASE))
             outcomes.append(ExecutionOutcome(
                 OutcomeStatus.ROWS, f"bag:group-{group_index}",
                 row_count=1))

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, file side effects."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -79,7 +80,7 @@ def test_schema_missing_db_exits_2(capsys, env):
     assert code == 2
 
 
-def test_run_and_stats_and_replay(capsys, env):
+def test_run_and_stats(capsys, env):
     out_dir = str(env["tmp"] / "run")
     code, out, _ = run_cli(capsys, "run", "--dataset", env["dataset"],
                            "--db-root", env["db_root"], "--out", out_dir)
@@ -90,15 +91,14 @@ def test_run_and_stats_and_replay(capsys, env):
     payload = json.loads(out)
     assert payload["ex"] == 1.0
     assert payload["per_difficulty"]["simple"]["count"] == 2
-    code, out, _ = run_cli(capsys, "replay", "--run-dir", out_dir)
-    assert code == 0
-    assert json.loads(out)["pass_at_k"] == 1.0
+    assert payload["pass_at_k"] == 1.0
+    assert payload["flagged"] == []
 
 
-def test_stats_and_replay_print_the_numbers_of_the_records(capsys, env):
-    """`stats` and `replay` print the aggregate of the journal's records
-    (pinned from a run whose report.json also held the records); the
-    report file, now the summary alone, adds no number to them."""
+def test_stats_prints_the_numbers_of_the_records(capsys, env):
+    """`stats` prints the aggregate of the journal's records (pinned from
+    a run whose report.json also held the records); the report file, now
+    the summary alone, adds no number to them."""
     rows = json.loads(Path(env["dataset"]).read_text(encoding="utf-8"))
     rows.append({"question_id": 2, "question": "Which value?",
                  "db_id": "school", "difficulty": "hard",
@@ -119,27 +119,23 @@ def test_stats_and_replay_print_the_numbers_of_the_records(capsys, env):
                                    "detailed": 1.0}},
     }
     stats = {"items": 3, "complete": True, "ex": 2 / 3, "pass_at_k": 2 / 3,
-             "per_difficulty": per_difficulty}
-    for command, expected in (("stats", stats),
-                              ("replay", stats | {"flagged": ["2"]})):
-        code, out, _ = run_cli(capsys, command, "--run-dir", out_dir)
-        assert code == 0
-        assert out == json.dumps(expected, indent=2, sort_keys=True,
-                                 ensure_ascii=False) + "\n", command
+             "flagged": ["2"], "per_difficulty": per_difficulty}
+    code, out, _ = run_cli(capsys, "stats", "--run-dir", out_dir)
+    assert code == 0
+    assert out == json.dumps(stats, indent=2, sort_keys=True,
+                             ensure_ascii=False) + "\n"
 
 
-def test_stats_and_replay_say_when_a_run_is_incomplete(capsys, env,
-                                                       monkeypatch):
+def test_stats_says_when_a_run_is_incomplete(capsys, env, monkeypatch):
     """A run stopped after its first item leaves a journal cut short and
-    no report, also where an earlier run had finished: both commands
-    print the partial aggregate and `complete` false."""
+    no report, also where an earlier run had finished: `stats` prints
+    the partial aggregate and `complete` false."""
     out_dir = env["tmp"] / "run"
     assert run_cli(capsys, "run", "--dataset", env["dataset"], "--db-root",
                    env["db_root"], "--out", str(out_dir))[0] == 0
-    for command in ("stats", "replay"):
-        payload = json.loads(run_cli(capsys, command, "--run-dir",
-                                     str(out_dir))[1])
-        assert (payload["items"], payload["complete"]) == (2, True)
+    payload = json.loads(run_cli(capsys, "stats", "--run-dir",
+                                 str(out_dir))[1])
+    assert (payload["items"], payload["complete"]) == (2, True)
     journal = out_dir / "items.jsonl"
     journal.write_bytes(b"".join(journal.read_bytes()
                                  .splitlines(keepends=True)[:2]))
@@ -151,12 +147,11 @@ def test_stats_and_replay_say_when_a_run_is_incomplete(capsys, env,
     with pytest.raises(KeyboardInterrupt):
         run_benchmark(env["dataset"], env["db_root"], out_dir=out_dir)
     assert not (out_dir / "report.json").exists()
-    for command in ("stats", "replay"):
-        code, out, _ = run_cli(capsys, command, "--run-dir", str(out_dir))
-        payload = json.loads(out)
-        assert code == 0
-        assert (payload["items"], payload["complete"]) == (1, False)
-        assert payload["ex"] == 1.0
+    code, out, _ = run_cli(capsys, "stats", "--run-dir", str(out_dir))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["items"], payload["complete"]) == (1, False)
+    assert payload["ex"] == 1.0
 
 
 def test_run_bad_dataset_exits_2(capsys, env):
@@ -373,22 +368,6 @@ def test_search_without_gold_exits_2(capsys, env):
     assert code == 2
 
 
-def test_generate_gold_echo(capsys, env):
-    code, out, _ = run_cli(capsys, "generate", "--db", env["db"],
-                           "--question", QUESTION, "--gold", GOLD)
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload) == 3
-    assert all(entry["sql"] == GOLD for entry in payload)
-    assert payload[0]["skeleton"] == "SELECT _ FROM _ WHERE _"
-
-
-def test_generate_requires_gold(capsys, env):
-    code, _, _ = run_cli(capsys, "generate", "--db", env["db"],
-                         "--question", QUESTION)
-    assert code == 2
-
-
 def test_select_majority(capsys, env):
     candidates = env["tmp"] / "candidates.json"
     candidates.write_text(json.dumps([
@@ -425,10 +404,42 @@ def test_select_bad_candidates_exits_2(capsys, env):
     code, _, _ = run_cli(capsys, "select", "--db", env["db"],
                          "--candidates", str(candidates))
     assert code == 2
-    candidates.write_text('[{"nope": 1}]', encoding="utf-8")
-    code, _, _ = run_cli(capsys, "select", "--db", env["db"],
-                         "--candidates", str(candidates))
+
+
+@pytest.mark.parametrize("entry", [
+    {"nope": 1},
+    {"sql": 5},
+    {"sql": "SELECT name FROM students", "level": 5},
+    {"sql": "SELECT name FROM students", "level": None},
+    "",
+])
+def test_select_entry_it_cannot_run_exits_2(capsys, env, entry):
+    """An entry without a non-blank SQL string, or whose level is not the
+    name of a level, is a configuration error that names the entry."""
+    candidates = env["tmp"] / "candidates.json"
+    candidates.write_text(json.dumps([GOLD, entry]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "select", "--db", env["db"],
+                             "--candidates", str(candidates))
     assert code == 2
+    assert out == ""
+    assert f"bad candidate entry {entry!r}" in err
+
+
+def test_select_parses_no_sql(capsys, env, parse_counts):
+    """The vote reads each candidate's level from its entry, so `select`
+    parses none of the candidates, unparsable ones included."""
+    candidates = env["tmp"] / "candidates.json"
+    candidates.write_text(json.dumps([
+        {"sql": GOLD, "level": "base"}, "SELEC name", GOLD,
+    ]), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "select", "--db", env["db"],
+                           "--candidates", str(candidates))
+    assert code == 0
+    assert parse_counts["parse"] == 0
+    payload = json.loads(out)
+    assert payload["final_sql"] == GOLD
+    assert [o["status"] for o in payload["outcomes"]] == [
+        "rows", "error", "rows"]
 
 
 def test_select_bad_limits_exit_2(capsys, env):
@@ -497,3 +508,15 @@ def test_build_sft_data_bad_corpus_exits_2(capsys, env):
                          "--db-root", env["db_root"],
                          "--out", str(env["tmp"] / "x.jsonl"))
     assert code == 2
+
+
+def test_readme_shows_each_subcommand():
+    """Every `skelsearch <command>` in README's shell blocks names a
+    subcommand, and every subcommand has an example there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    shown = set(re.findall(r"^\s*skelsearch\s+(\S+)", blocks, re.M))
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert shown == set(commands)

@@ -79,7 +79,7 @@ def test_structural_invariants(make):
     for record in tree.verdict_log:
         last_verdict[record.node_id] = record.verdict
     for node in tree.nodes:
-        kids = [tree.node(c) for c in tree.children[node.id]]
+        kids = [tree.nodes[c] for c in tree.children[node.id]]
         assert len(kids) <= m
         assert [k.sibling for k in kids] == list(range(1, len(kids) + 1))
         if node.status is NodeStatus.PRUNED:
@@ -91,7 +91,7 @@ def test_structural_invariants(make):
                 node.status is not NodeStatus.PRUNED:
             assert last_verdict[node.id] is True
         if node.parent_id is not None:
-            parent = tree.node(node.parent_id)
+            parent = tree.nodes[node.parent_id]
             assert node.depth == parent.depth + 1
             if parent.skeleton is not None:
                 assert node.skeleton.level >= parent.skeleton.level
@@ -107,7 +107,7 @@ def test_monotone_refinement_on_level_increase(name):
     for node in tree.nodes:
         if node.parent_id is None or node.skeleton is None:
             continue
-        parent = tree.node(node.parent_id)
+        parent = tree.nodes[node.parent_id]
         if parent.skeleton is None:
             continue
         if node.skeleton.level > parent.skeleton.level:

@@ -19,6 +19,11 @@ from skelsearch.schema import (
 
 from conftest import make_profile
 
+
+def table(profile, name):
+    return next(t for t in profile.tables if t.name == name)
+
+
 EXPECTED_TOY = """【DB_ID】 toy
 【Schema】
 # Table: t
@@ -77,7 +82,7 @@ def test_profile_from_sqlite(school_db):
     profile = profile_from_sqlite(school_db, db_id="school")
     assert profile.db_id == "school"
     assert [t.name for t in profile.tables] == ["grades", "students"]
-    students = profile.table("students")
+    students = table(profile, "students")
     assert students.column_names() == ["id", "name", "year"]
     assert students.columns[0].primary_key
     assert students.columns[1].samples == ["Ada", "Ben", "Cam"]
@@ -300,8 +305,8 @@ def test_without_rowid_samples_are_collation_equal(drawn, database):
             definitions = statement[statement.index("(") + 1:
                                     statement.rindex(")")].split(", ")
             for column, definition, plain in zip(
-                    profile.table(name).columns, definitions,
-                    copy.table(name).columns):
+                    table(profile, name).columns, definitions,
+                    table(copy, name).columns):
                 assert len(column.samples) == len(plain.samples), column.name
                 for value, expected in zip(column.samples, plain.samples):
                     assert conn.execute(
@@ -321,9 +326,9 @@ def test_names_with_quotes_are_profiled(tmp_path):
     conn.commit()
     conn.close()
     profile = profile_from_sqlite(path)
-    weird = profile.table('we"ird')
+    weird = table(profile, 'we"ird')
     assert [c.samples for c in weird.columns] == [["p", "q"], [1, 2]]
-    assert profile.table("plain").columns[0].samples == [1]
+    assert table(profile, "plain").columns[0].samples == [1]
     assert profile.foreign_keys == [ForeignKey("plain", 'x"y', 'we"ird',
                                                "id")]
     assert '(a"b:TEXT, Examples: [p, q]),' in render_mschema(profile)

@@ -36,7 +36,7 @@ from skelsearch.selector import (
     group_candidates,
     select_final,
 )
-from skelsearch.skeleton import GranularityLevel, extract_skeleton, parse_query
+from skelsearch.skeleton import GranularityLevel, parse_query
 from skelsearch.sqlgen import SqlCandidate
 
 from conftest import build_school_db, is_closed
@@ -49,8 +49,7 @@ D = GranularityLevel.DETAILED
 
 
 def cand(sql, level=D):
-    skeleton = extract_skeleton(parse_query("SELECT a FROM t"), level)
-    return SqlCandidate(sql, skeleton)
+    return SqlCandidate(sql, level)
 
 
 def rows_outcome(tag, count=2):
@@ -351,7 +350,7 @@ def test_execute_error(school_profile, run):
 
 
 def test_failed_candidate_short_circuits(school_profile, connections):
-    failed = SqlCandidate("", cand("x").skeleton, failed=True,
+    failed = SqlCandidate("", D, failed=True,
                           error="generation failed: boom")
     outcome = execute_candidate(school_profile, failed, LIMITS, connections)
     assert outcome.status is OutcomeStatus.ERROR
@@ -480,7 +479,7 @@ def test_execute_all_reads_and_fills_known(school_profile, monkeypatch,
 
 def test_failed_candidate_keeps_its_own_error(school_profile, connections):
     sql = "SELECT name FROM students"
-    failed = SqlCandidate(sql, cand(sql).skeleton, failed=True,
+    failed = SqlCandidate(sql, D, failed=True,
                           error="generation failed: boom")
     known = {}
     outcomes = execute_all(school_profile, [cand(sql), failed, cand(sql)],

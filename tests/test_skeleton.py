@@ -187,7 +187,6 @@ def test_skeleton_tree_is_parsed_once_on_first_use(parse_counts):
                                 GranularityLevel.DETAILED)
     parse_counts.update(parse=0, lex=0)
     assert skeleton.tree is skeleton.tree
-    assert skeleton.tree.text == skeleton.text
     assert parse_counts == {"parse": 1, "lex": 1}
 
 

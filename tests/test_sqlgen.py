@@ -130,7 +130,7 @@ def test_generate_sql_success(toy_profile):
     candidate = generate_sql(toy_profile, QUESTION, skeleton, backend)
     assert not candidate.failed
     assert candidate.sql == "SELECT name FROM students"
-    assert candidate.skeleton is skeleton
+    assert candidate.level is skeleton.level
 
 
 def test_generate_sql_backend_error_marks_failed(toy_profile):
@@ -180,7 +180,7 @@ def test_generate_all_keeps_input_order(toy_profile):
                               SlowBackend(delays))
     assert len(candidates) == len(skeletons)
     for skeleton, candidate in zip(skeletons, candidates):
-        assert candidate.skeleton is skeleton
+        assert candidate.level is skeleton.level
         assert skeleton.text in candidate.sql
 
 
@@ -217,7 +217,6 @@ def test_record_then_replay_identical(toy_profile, tmp_path):
 
 
 def test_candidate_defaults():
-    skeleton = make_skeleton()
-    candidate = SqlCandidate("SELECT 1 FROM t", skeleton)
+    candidate = SqlCandidate("SELECT 1 FROM t", GranularityLevel.BASE)
     assert not candidate.failed
     assert candidate.error == ""
