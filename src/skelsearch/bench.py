@@ -16,7 +16,9 @@ import hashlib
 import json
 import os
 import sqlite3
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -44,6 +46,10 @@ from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 REPORT_FORMAT = "bench-report"
 REPORT_VERSION = 1
 MODES = ("gold", "live", "record", "replay")
+# The smallest database file that open_profiles profiles beside others on
+# a thread of its own; below it, threads cost more than they save (README
+# "Set-up cost" gives the sweep this value comes from).
+PROFILE_THREAD_MIN_BYTES = 256 * 1024
 
 
 class BenchConfigError(ValueError):
@@ -179,15 +185,86 @@ def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
             from exc
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
     """The profile of each database the items name, by db_id, each opened
-    once and in the order the items first name it."""
-    profiles: dict[str, DatabaseProfile] = {}
+    once and keyed in the order the items first name it.
+
+    Every database is resolved before any is profiled, so a missing one
+    fails before a scan starts. When two or more of the files are at
+    least PROFILE_THREAD_MIN_BYTES and the process may use two or more
+    CPUs, those large files are profiled side by side: the calling thread
+    profiles the first itself, up to CPUs - 1 helper threads named
+    `skelsearch-profile-<n>` take the others in item order, and the
+    calling thread takes what is left once its own is done. Smaller files
+    are profiled on the calling thread afterwards. Otherwise every file
+    is profiled in turn on the calling thread. Either way the error
+    raised is that of the first database in item order whose profile
+    failed: a failure cancels the profiles after it in item order that
+    have not started, and no helper thread outlives the call.
+    """
+    paths: dict[str, str] = {}
     for item in items:
-        if item.db_id not in profiles:
-            profiles[item.db_id] = open_profile(
-                resolve_database(db_root, item.db_id), db_id=item.db_id)
-    return profiles
+        if item.db_id not in paths:
+            paths[item.db_id] = resolve_database(db_root, item.db_id)
+    large = [db_id for db_id, path in paths.items()
+             if os.path.getsize(path) >= PROFILE_THREAD_MIN_BYTES]
+    helpers = min(len(large), _usable_cpus()) - 1
+    if helpers < 1:
+        return {db_id: open_profile(path, db_id=db_id)
+                for db_id, path in paths.items()}
+    order = list(paths)
+    jobs = {db_id: Future() for db_id in order}
+
+    def profile(db_id: str) -> None:
+        job = jobs[db_id]
+        if not job.set_running_or_notify_cancel():
+            return
+        try:
+            job.set_result(open_profile(paths[db_id], db_id=db_id))
+        except BaseException as exc:  # raised again by result() below
+            job.set_exception(exc)
+            for later in order[order.index(db_id) + 1:]:
+                jobs[later].cancel()
+            if not isinstance(exc, Exception):  # an interrupt stops now
+                raise
+
+    queue = deque(large[1:])
+
+    def take_large() -> None:
+        while True:
+            try:
+                db_id = queue.popleft()
+            except IndexError:
+                return
+            profile(db_id)
+
+    threads = []
+    try:
+        for n in range(1, helpers + 1):
+            thread = threading.Thread(target=take_large,
+                                      name=f"skelsearch-profile-{n}")
+            thread.start()
+            threads.append(thread)
+        profile(large[0])
+        take_large()
+        for db_id in order:
+            if db_id not in large:
+                profile(db_id)
+    except BaseException:
+        for job in jobs.values():
+            job.cancel()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    return {db_id: jobs[db_id].result() for db_id in order}
 
 
 def _result_token(outcome: ExecutionOutcome) -> str | None:
@@ -391,8 +468,10 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     holds the records.
 
     backends, when given, is a Backends or a plain tuple in its field
-    order; otherwise build_backends makes them from settings. Each
-    journal entry holds the digest of the settings that made its record,
+    order; otherwise build_backends makes them from settings. Either way
+    they exist before any database is profiled, so a replay without its
+    cassette file, or gold mode with two golds for one question, fails
+    before a scan starts. Each journal entry holds the digest of the settings that made its record,
     and resume reuses an entry only when that digest and all five item
     fields match; any other item runs again. Every item runs its SQL on
     one connection set, which keeps each worker thread's connection to
@@ -404,9 +483,13 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     items = load_items(dataset_path)
     out = Path(out_dir)
     journal = _item_journal(out)
-    profiles = open_profiles(items, db_root)
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
+    try:
+        profiles = open_profiles(items, db_root)
+    except BaseException:
+        built.close()
+        raise
     out.mkdir(parents=True, exist_ok=True)
     # report.json exists only when the directory's last run finished
     (out / "report.json").unlink(missing_ok=True)

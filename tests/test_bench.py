@@ -1,10 +1,12 @@
 """Benchmark harness: loading, per-item pipeline, reports, resume."""
 
 import json
+import sqlite3
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +38,7 @@ from skelsearch.bench import (
 )
 from skelsearch.engine import SearchConfig
 from skelsearch.gateway import Cassette, GatewayConfig, LlmGateway
-from skelsearch.schema import profile_from_sqlite
+from skelsearch.schema import profile_from_sqlite, render_mschema
 from skelsearch.sqlgen import LlmGenerationBackend
 
 Q1 = "Which students enrolled in 2021?"
@@ -141,6 +143,172 @@ def test_resolve_database(bench_env, tmp_path):
     assert resolve_database(db_root, "school").endswith("school.sqlite")
     with pytest.raises(BenchConfigError):
         resolve_database(db_root, "ghost")
+
+
+# Profiling
+
+PROFILE_THREAD = "skelsearch-profile-"
+
+
+def profile_threads() -> list:
+    """The live threads that open_profiles starts to profile databases."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith(PROFILE_THREAD)]
+
+
+def _profile_items(tmp_path, db_ids):
+    """One item per database of `db_ids`, each a school database with a
+    table of its own, so that no two profiles are alike."""
+    db_root = tmp_path / "databases"
+    for db_id in db_ids:
+        (db_root / db_id).mkdir(parents=True)
+        conn = sqlite3.connect(
+            build_school_db(db_root / db_id / f"{db_id}.sqlite"))
+        try:
+            conn.execute(f"CREATE TABLE only_{db_id} (x INTEGER)")
+            conn.commit()
+        finally:
+            conn.close()
+    items = [BenchmarkItem(str(index), f"q{index}", db_id, "SELECT 1")
+             for index, db_id in enumerate(db_ids)]
+    return items, db_root
+
+
+def _spoil(db_root, db_id):
+    """Overwrite a database file with bytes SQLite cannot read."""
+    path = resolve_database(db_root, db_id)
+    Path(path).write_bytes(b"not a database" * 100)
+    return path
+
+
+@pytest.fixture
+def profiled(monkeypatch):
+    """`threads`: the name of the thread that profiled each database, by
+    path, for the profiles bench asks for. Each profile takes at least
+    `delay[path]` seconds (default 0.05), so that profiles side by side
+    overlap."""
+    log = SimpleNamespace(threads={}, delay={})
+
+    def recorded(path, db_id=None):
+        log.threads[str(path)] = threading.current_thread().name
+        time.sleep(log.delay.get(str(path), 0.05))
+        return profile_from_sqlite(path, db_id=db_id)
+
+    monkeypatch.setattr(bench, "profile_from_sqlite", recorded)
+    return log
+
+
+def side_by_side(monkeypatch, cpus=3):
+    """Make every test database large enough to profile on a thread."""
+    monkeypatch.setattr(bench, "PROFILE_THREAD_MIN_BYTES", 1)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+
+
+def test_large_databases_profile_side_by_side(tmp_path, monkeypatch,
+                                              profiled):
+    items, db_root = _profile_items(tmp_path, ["c", "a", "b"])
+    side_by_side(monkeypatch)
+    profiles = bench.open_profiles(items, db_root)
+    assert list(profiles) == ["c", "a", "b"]
+    for db_id, profile in profiles.items():
+        alone = profile_from_sqlite(resolve_database(db_root, db_id),
+                                    db_id=db_id)
+        assert render_mschema(profile) == render_mschema(alone)
+    names = [profiled.threads[resolve_database(db_root, db_id)]
+             for db_id in profiles]
+    assert names[0] == threading.current_thread().name
+    assert any(name.startswith(PROFILE_THREAD) for name in names)
+    assert profile_threads() == []
+
+
+def test_small_databases_start_no_profile_thread(tmp_path, monkeypatch,
+                                                 profiled):
+    items, db_root = _profile_items(tmp_path, ["c", "a", "b"])
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 8)
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    profiles = bench.open_profiles(items, db_root)
+    assert list(profiles) == ["c", "a", "b"]
+    assert all(Path(path).stat().st_size < bench.PROFILE_THREAD_MIN_BYTES
+               for path in profiled.threads)
+    assert set(profiled.threads.values()) == {
+        threading.current_thread().name}
+    assert started == []
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_profile_error_names_the_first_failing_database(
+        tmp_path, monkeypatch, profiled, threaded):
+    """Of two unreadable databases, the error names the first in item
+    order, also when the second fails sooner."""
+    items, db_root = _profile_items(tmp_path, ["good", "bad1", "bad2"])
+    first = _spoil(db_root, "bad1")
+    _spoil(db_root, "bad2")
+    profiled.delay[first] = 0.3
+    if threaded:
+        side_by_side(monkeypatch)
+    with pytest.raises(BenchConfigError) as caught:
+        bench.open_profiles(items, db_root)
+    assert str(caught.value).startswith(f"cannot open database {first}:")
+    assert profile_threads() == []
+
+
+def test_profile_failure_cancels_the_profiles_not_started(
+        tmp_path, monkeypatch, profiled):
+    items, db_root = _profile_items(tmp_path, ["bad", "a", "b", "c"])
+    bad = _spoil(db_root, "bad")
+    profiled.delay[bad] = 0.1
+    for db_id in "abc":
+        profiled.delay[resolve_database(db_root, db_id)] = 0.3
+    side_by_side(monkeypatch, cpus=2)
+    with pytest.raises(BenchConfigError, match="cannot open database"):
+        bench.open_profiles(items, db_root)
+    # the helper had taken "a" before "bad" failed; "b" and "c" never ran
+    assert set(profiled.threads) == {bad, resolve_database(db_root, "a")}
+    assert profile_threads() == []
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_missing_database_fails_before_any_profile(
+        tmp_path, monkeypatch, profiled, threaded):
+    items, db_root = _profile_items(tmp_path, ["a", "b"])
+    items.append(BenchmarkItem("2", "q2", "ghost", "SELECT 1"))
+    if threaded:
+        side_by_side(monkeypatch)
+    with pytest.raises(BenchConfigError, match="no database for 'ghost'"):
+        bench.open_profiles(items, db_root)
+    assert profiled.threads == {}
+    assert profile_threads() == []
+
+
+def test_side_by_side_profiles_each_database_once(tmp_path, monkeypatch):
+    """More helper threads than cores, switching as often as they can:
+    every database is profiled exactly once, by one thread."""
+    db_ids = [f"db{n}" for n in range(12)]
+    items, db_root = _profile_items(tmp_path, db_ids)
+    side_by_side(monkeypatch, cpus=8)
+    calls = []
+
+    def counted(path, db_id=None):
+        calls.append(db_id)
+        return profile_from_sqlite(path, db_id=db_id)
+
+    monkeypatch.setattr(bench, "profile_from_sqlite", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        profiles = bench.open_profiles(items, db_root)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted(db_ids)
+    assert [profile.db_id for profile in profiles.values()] == db_ids
+    assert profile_threads() == []
 
 
 def test_load_settings(tmp_path):
@@ -257,6 +425,42 @@ def test_gold_mode_rejects_two_golds_for_one_question(tmp_path):
     dataset.write_text(json.dumps(rows), encoding="utf-8")
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
     assert report["ex"] == 1.0
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("replay", "no cassette at"), ("gold", "two gold SQL texts")])
+def test_backend_errors_come_before_profiling(tmp_path, monkeypatch, mode,
+                                              message):
+    """A replay without its cassette file, and gold mode with two golds
+    for one question, fail before any database is profiled."""
+    dataset, db_root = _same_question_dataset(tmp_path,
+                                              ["school", "school"])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a database was profiled")
+
+    monkeypatch.setattr(bench, "profile_from_sqlite", unreachable)
+    settings = RunSettings(mode=mode, cassette=str(tmp_path / "nope.jsonl")
+                           if mode == "replay" else "")
+    with pytest.raises(BenchConfigError, match=message):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+                      settings=settings)
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_closes_its_backends_when_profiling_fails(bench_env, tmp_path):
+    dataset, db_root = bench_env
+    Path(resolve_database(db_root, "school")).write_bytes(
+        b"not a database" * 100)
+    closed = []
+    gateway = SimpleNamespace(close=lambda: closed.append(True))
+    oracle = GoldOracle({})
+    with pytest.raises(BenchConfigError, match="cannot open database"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+                      backends=Backends(oracle, oracle, oracle, None,
+                                        gateway))
+    assert closed == [True]
+    assert not (tmp_path / "run").exists()
 
 
 def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
