@@ -258,8 +258,7 @@ def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
             if db_id not in large:
                 profile(db_id)
     except BaseException:
-        for job in jobs.values():
-            job.cancel()
+        queue.clear()  # each helper stops after the profile it is running
         raise
     finally:
         for thread in threads:
@@ -471,13 +470,13 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     order; otherwise build_backends makes them from settings. Either way
     they exist before any database is profiled, so a replay without its
     cassette file, or gold mode with two golds for one question, fails
-    before a scan starts. Each journal entry holds the digest of the settings that made its record,
-    and resume reuses an entry only when that digest and all five item
-    fields match; any other item runs again. Every item runs its SQL on
-    one connection set, which keeps each worker thread's connection to
-    each database open until the item pool has drained. The cassette and
-    the item journal are closed once the items are done, also when an
-    item raises.
+    before a scan starts. Each journal entry holds the digest of the
+    settings that made its record, and resume reuses an entry only when
+    that digest and all five item fields match; any other item runs
+    again. Every item runs its SQL on one connection set, which keeps
+    each worker thread's connection to each database open until the item
+    pool has drained. The cassette and the item journal are closed once
+    the items are done, also when an item raises.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)

@@ -274,6 +274,56 @@ def test_profile_failure_cancels_the_profiles_not_started(
     assert profile_threads() == []
 
 
+def test_interrupt_while_profiling_is_raised_at_once(tmp_path,
+                                                     monkeypatch):
+    """An interrupt on the calling thread is raised as it is, before the
+    calling thread profiles anything more: not replaced by the error of
+    the unreadable small database that comes first in item order."""
+    items, db_root = _profile_items(tmp_path, ["small", "a", "b"])
+    _spoil(db_root, "small")  # 1,400 bytes; the others are 16 KiB
+    side_by_side(monkeypatch, cpus=2)
+    monkeypatch.setattr(bench, "PROFILE_THREAD_MIN_BYTES", 4096)
+    profiled = []
+
+    def interrupted(path, db_id=None):
+        profiled.append(db_id)
+        time.sleep(0.05)
+        if db_id == "a":  # the calling thread's own database
+            raise KeyboardInterrupt
+        return profile_from_sqlite(path, db_id=db_id)
+
+    monkeypatch.setattr(bench, "profile_from_sqlite", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bench.open_profiles(items, db_root)
+    assert sorted(profiled) == ["a", "b"]
+    assert profile_threads() == []
+
+
+def test_failed_thread_start_stops_the_started_helpers(tmp_path,
+                                                       monkeypatch,
+                                                       profiled):
+    """A helper that cannot start ends the call: the helper already
+    running finishes its profile and takes no other."""
+    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d"])
+    side_by_side(monkeypatch, cpus=3)
+    profiled.delay.update({resolve_database(db_root, db_id): 0.2
+                           for db_id in "bcd"})
+    start = threading.Thread.start
+    starts = []
+
+    def second_start_fails(thread):
+        starts.append(thread.name)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        bench.open_profiles(items, db_root)
+    assert set(profiled.threads) == {resolve_database(db_root, "b")}
+    assert profile_threads() == []
+
+
 @pytest.mark.parametrize("threaded", [False, True])
 def test_missing_database_fails_before_any_profile(
         tmp_path, monkeypatch, profiled, threaded):
