@@ -16,9 +16,7 @@ import hashlib
 import json
 import os
 import sqlite3
-import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -46,9 +44,9 @@ from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 REPORT_FORMAT = "bench-report"
 REPORT_VERSION = 1
 MODES = ("gold", "live", "record", "replay")
-# The smallest database file that open_profiles profiles beside others on
-# a thread of its own; below it, threads cost more than they save (README
-# "Set-up cost" gives the sweep this value comes from).
+# The smallest database file that open_profiles profiles beside another;
+# below it, a thread costs more than it saves (README "Set-up cost" gives
+# the sweep this value comes from).
 PROFILE_THREAD_MIN_BYTES = 256 * 1024
 
 
@@ -199,15 +197,16 @@ def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
     Every database is resolved before any is profiled, so a missing one
     fails before a scan starts. When two or more of the files are at
     least PROFILE_THREAD_MIN_BYTES and the process may use two or more
-    CPUs, those large files are profiled side by side: the calling thread
-    profiles the first itself, up to CPUs - 1 helper threads named
-    `skelsearch-profile-<n>` take the others in item order, and the
-    calling thread takes what is left once its own is done. Smaller files
-    are profiled on the calling thread afterwards. Otherwise every file
-    is profiled in turn on the calling thread. Either way the error
-    raised is that of the first database in item order whose profile
-    failed: a failure cancels the profiles after it in item order that
-    have not started, and no helper thread outlives the call.
+    CPUs, one helper thread, `skelsearch-profile_0`, profiles every
+    second large file (the second, the fourth, ...) while the calling
+    thread profiles the rest, as `LlmGateway.map` runs its first call
+    inline. Otherwise every file is profiled in turn on the calling
+    thread. Either way the calling thread takes the databases in item
+    order, waiting for the helper's where they fall, so the error raised
+    is that of the first database in item order whose profile failed. An
+    error or an interrupt cancels the helper's profiles not yet started
+    and is raised once the one it is running has finished, so the helper
+    never outlives the call.
     """
     paths: dict[str, str] = {}
     for item in items:
@@ -215,55 +214,20 @@ def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
             paths[item.db_id] = resolve_database(db_root, item.db_id)
     large = [db_id for db_id, path in paths.items()
              if os.path.getsize(path) >= PROFILE_THREAD_MIN_BYTES]
-    helpers = min(len(large), _usable_cpus()) - 1
-    if helpers < 1:
+    if len(large) < 2 or _usable_cpus() < 2:
         return {db_id: open_profile(path, db_id=db_id)
                 for db_id, path in paths.items()}
-    order = list(paths)
-    jobs = {db_id: Future() for db_id in order}
-
-    def profile(db_id: str) -> None:
-        job = jobs[db_id]
-        if not job.set_running_or_notify_cancel():
-            return
+    with ThreadPoolExecutor(
+            1, thread_name_prefix="skelsearch-profile") as pool:
+        helped = {db_id: pool.submit(open_profile, paths[db_id], db_id)
+                  for db_id in large[1::2]}
         try:
-            job.set_result(open_profile(paths[db_id], db_id=db_id))
-        except BaseException as exc:  # raised again by result() below
-            job.set_exception(exc)
-            for later in order[order.index(db_id) + 1:]:
-                jobs[later].cancel()
-            if not isinstance(exc, Exception):  # an interrupt stops now
-                raise
-
-    queue = deque(large[1:])
-
-    def take_large() -> None:
-        while True:
-            try:
-                db_id = queue.popleft()
-            except IndexError:
-                return
-            profile(db_id)
-
-    threads = []
-    try:
-        for n in range(1, helpers + 1):
-            thread = threading.Thread(target=take_large,
-                                      name=f"skelsearch-profile-{n}")
-            thread.start()
-            threads.append(thread)
-        profile(large[0])
-        take_large()
-        for db_id in order:
-            if db_id not in large:
-                profile(db_id)
-    except BaseException:
-        queue.clear()  # each helper stops after the profile it is running
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    return {db_id: jobs[db_id].result() for db_id in order}
+            return {db_id: helped[db_id].result() if db_id in helped
+                    else open_profile(path, db_id=db_id)
+                    for db_id, path in paths.items()}
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _result_token(outcome: ExecutionOutcome) -> str | None:

@@ -147,7 +147,7 @@ def test_resolve_database(bench_env, tmp_path):
 
 # Profiling
 
-PROFILE_THREAD = "skelsearch-profile-"
+PROFILE_THREAD = "skelsearch-profile"
 
 
 def profile_threads() -> list:
@@ -198,7 +198,7 @@ def profiled(monkeypatch):
     return log
 
 
-def side_by_side(monkeypatch, cpus=3):
+def side_by_side(monkeypatch, cpus=2):
     """Make every test database large enough to profile on a thread."""
     monkeypatch.setattr(bench, "PROFILE_THREAD_MIN_BYTES", 1)
     monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
@@ -247,7 +247,7 @@ def test_profile_error_names_the_first_failing_database(
         tmp_path, monkeypatch, profiled, threaded):
     """Of two unreadable databases, the error names the first in item
     order, also when the second fails sooner."""
-    items, db_root = _profile_items(tmp_path, ["good", "bad1", "bad2"])
+    items, db_root = _profile_items(tmp_path, ["bad1", "bad2", "good"])
     first = _spoil(db_root, "bad1")
     _spoil(db_root, "bad2")
     profiled.delay[first] = 0.3
@@ -266,7 +266,7 @@ def test_profile_failure_cancels_the_profiles_not_started(
     profiled.delay[bad] = 0.1
     for db_id in "abc":
         profiled.delay[resolve_database(db_root, db_id)] = 0.3
-    side_by_side(monkeypatch, cpus=2)
+    side_by_side(monkeypatch)
     with pytest.raises(BenchConfigError, match="cannot open database"):
         bench.open_profiles(items, db_root)
     # the helper had taken "a" before "bad" failed; "b" and "c" never ran
@@ -274,53 +274,45 @@ def test_profile_failure_cancels_the_profiles_not_started(
     assert profile_threads() == []
 
 
-def test_interrupt_while_profiling_is_raised_at_once(tmp_path,
-                                                     monkeypatch):
-    """An interrupt on the calling thread is raised as it is, before the
-    calling thread profiles anything more: not replaced by the error of
-    the unreadable small database that comes first in item order."""
-    items, db_root = _profile_items(tmp_path, ["small", "a", "b"])
-    _spoil(db_root, "small")  # 1,400 bytes; the others are 16 KiB
-    side_by_side(monkeypatch, cpus=2)
-    monkeypatch.setattr(bench, "PROFILE_THREAD_MIN_BYTES", 4096)
-    profiled = []
+def test_interrupt_while_profiling_waits_for_the_running_profile(
+        tmp_path, monkeypatch):
+    """An interrupt on the calling thread is raised as it is, once the
+    helper's running profile has finished; the helper's profile not yet
+    started never runs."""
+    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d"])
+    side_by_side(monkeypatch)
+    profiled, finished = [], []
 
     def interrupted(path, db_id=None):
         profiled.append(db_id)
-        time.sleep(0.05)
         if db_id == "a":  # the calling thread's own database
+            time.sleep(0.05)
             raise KeyboardInterrupt
+        time.sleep(0.2)
+        finished.append(db_id)
         return profile_from_sqlite(path, db_id=db_id)
 
     monkeypatch.setattr(bench, "profile_from_sqlite", interrupted)
     with pytest.raises(KeyboardInterrupt):
         bench.open_profiles(items, db_root)
     assert sorted(profiled) == ["a", "b"]
+    assert finished == ["b"]
     assert profile_threads() == []
 
 
-def test_failed_thread_start_stops_the_started_helpers(tmp_path,
-                                                       monkeypatch,
-                                                       profiled):
-    """A helper that cannot start ends the call: the helper already
-    running finishes its profile and takes no other."""
-    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d"])
-    side_by_side(monkeypatch, cpus=3)
-    profiled.delay.update({resolve_database(db_root, db_id): 0.2
-                           for db_id in "bcd"})
-    start = threading.Thread.start
-    starts = []
-
-    def second_start_fails(thread):
-        starts.append(thread.name)
-        if len(starts) == 2:
-            raise RuntimeError("can't start new thread")
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
-        bench.open_profiles(items, db_root)
-    assert set(profiled.threads) == {resolve_database(db_root, "b")}
+def test_side_by_side_starts_one_helper_whatever_the_cpu_count(
+        tmp_path, monkeypatch, profiled):
+    """Every second large database goes to the one helper thread; the
+    calling thread profiles the others, in item order."""
+    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d", "e"])
+    side_by_side(monkeypatch, cpus=64)
+    profiles = bench.open_profiles(items, db_root)
+    assert list(profiles) == ["a", "b", "c", "d", "e"]
+    me = threading.current_thread().name
+    names = [profiled.threads[resolve_database(db_root, db_id)]
+             for db_id in profiles]
+    assert names == [me, "skelsearch-profile_0", me,
+                     "skelsearch-profile_0", me]
     assert profile_threads() == []
 
 
@@ -338,11 +330,11 @@ def test_missing_database_fails_before_any_profile(
 
 
 def test_side_by_side_profiles_each_database_once(tmp_path, monkeypatch):
-    """More helper threads than cores, switching as often as they can:
-    every database is profiled exactly once, by one thread."""
+    """The helper and the calling thread switching as often as they
+    can: every database is profiled exactly once, by one thread."""
     db_ids = [f"db{n}" for n in range(12)]
     items, db_root = _profile_items(tmp_path, db_ids)
-    side_by_side(monkeypatch, cpus=8)
+    side_by_side(monkeypatch)
     calls = []
 
     def counted(path, db_id=None):
