@@ -45,12 +45,19 @@ def test_bench_file_records_its_runs(path):
     assert record["workload"] == match[2]
     assert record["workload"] in WORKLOADS
     commits = {"parent": record["parent"], "change": record["change"]}
-    assert all(SHA.fullmatch(commit) for commit in commits.values())
+    # earlier versions of the change that some runs measured, each with
+    # the reason it was replaced
+    superseded = record.get("superseded", {})
+    assert all(SHA.fullmatch(commit)
+               for commit in [*commits.values(), *superseded])
+    assert all(isinstance(reason, str) and reason
+               for reason in superseded.values())
     assert record["runs"]
     for run in record["runs"]:
         for name, types in RUN_FIELDS.items():
             assert isinstance(run[name], types), name
-        assert run["commit"] == commits[run["side"]]
+        assert run["commit"] == commits[run["side"]] or (
+            run["side"] == "change" and run["commit"] in superseded)
         result = run["result"]
         assert isinstance(result["correct"], bool)
         assert isinstance(result["attempted"], int)
@@ -58,5 +65,6 @@ def test_bench_file_records_its_runs(path):
         assert set(result["metrics"]) <= END_TO_END
         assert set(run["unscaled"]) <= END_TO_END
     assert {run["side"] for run in record["runs"]} == {"parent", "change"}
+    assert record["change"] in {run["commit"] for run in record["runs"]}
     assert set(record["summary"]) <= END_TO_END
     assert record["claim"] is None or record["claim"] in END_TO_END
