@@ -306,7 +306,6 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         "correct": False,
         "pass_hit": False,
         "k": 0,
-        "candidate_count": 0,
         "leaf_levels": [],
         "trace": None,
         "cost": None,
@@ -322,9 +321,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
                                         backends.formulator,
                                         backends.evaluator, settings.search,
                                         backends.map_calls)
-        record["cost"] = {"n_d": cost.n_d, "rho": cost.rho,
-                          "depth": cost.depth, "gen_calls": cost.gen_calls,
-                          "eval_calls": cost.eval_calls}
+        record["cost"] = dict(vars(cost))
     except EmptySearch:
         record["empty_search"] = True
     except SqlSyntaxError as exc:  # only the gold oracle parses gold SQL
@@ -334,7 +331,6 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
         record["error"] = f"search failed: {exc}"
         return record
     record["leaf_levels"] = [s.level.label for s in leaves]
-    record["candidate_count"] = len(leaves)
     if not leaves:
         return record
     try:
@@ -369,12 +365,11 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
     for record in records:
         bucket = per_difficulty.setdefault(
             record["difficulty"],
-            {"count": 0, "correct": 0, "pass_hits": 0, "candidates": 0,
+            {"count": 0, "correct": 0, "pass_hits": 0,
              "levels": {level.label: 0 for level in GranularityLevel}})
         bucket["count"] += 1
         bucket["correct"] += bool(record["correct"])
         bucket["pass_hits"] += bool(record["pass_hit"])
-        bucket["candidates"] += record["candidate_count"]
         for label in record["leaf_levels"]:
             bucket["levels"][label] += 1
     stats = {}
@@ -385,7 +380,7 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
             "count": bucket["count"],
             "ex": bucket["correct"] / bucket["count"],
             "pass_at_k": bucket["pass_hits"] / bucket["count"],
-            "mean_candidates": bucket["candidates"] / bucket["count"],
+            "mean_candidates": leaves / bucket["count"],
             "granularity": {
                 label: count / leaves if leaves else 0.0
                 for label, count in bucket["levels"].items()},

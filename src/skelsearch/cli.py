@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import closing
+from pathlib import Path
 
 from .bench import (
     BenchConfigError,
@@ -56,10 +57,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    profile = open_profile(args.db)
     settings = load_settings(args.config) if args.config else RunSettings()
     if args.gold:
-        item = BenchmarkItem("", args.question, profile.db_id, args.gold)
+        # the db_id that open_profile gives the file: its stem
+        item = BenchmarkItem("", args.question, Path(args.db).stem,
+                             args.gold)
         backends = build_backends(RunSettings(), [item])
     elif settings.mode == "gold":
         raise BenchConfigError("gold mode needs --gold SQL")
@@ -67,6 +69,7 @@ def cmd_search(args) -> int:
         backends = build_backends(settings, [])
     try:
         with closing(backends):
+            profile = open_profile(args.db)
             leaves, tree, cost = run_search(
                 profile, args.question, backends.formulator,
                 backends.evaluator, settings.search, backends.map_calls)
@@ -78,9 +81,7 @@ def cmd_search(args) -> int:
     print(tree.dump())
     _emit({"leaves": [{"level": s.level.label, "text": s.text}
                       for s in leaves],
-           "cost": {"n_d": cost.n_d, "rho": cost.rho, "depth": cost.depth,
-                    "gen_calls": cost.gen_calls,
-                    "eval_calls": cost.eval_calls}})
+           "cost": vars(cost)})
     return 0
 
 
@@ -123,9 +124,9 @@ def _load_candidates(path) -> list[SqlCandidate]:
 
 
 def cmd_select(args) -> int:
-    profile = open_profile(args.db)
     candidates = _load_candidates(args.candidates)
     limits = ExecutionLimits(timeout=args.timeout, row_cap=args.row_cap)
+    profile = open_profile(args.db)
     with ReadOnlyConnections() as connections:
         outcomes = execute_all(profile, candidates, limits, connections)
     winner, trace = select_final(candidates, outcomes,
@@ -138,6 +139,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_build_sft_data(args) -> int:
+    if args.pairs_per_level < 1:  # before any database is profiled
+        raise BenchConfigError("--pairs-per-level must be at least 1")
     items = load_items(args.corpus)
     profiles = open_profiles(items, args.db_root)
     corpus = [(item.question, item.gold_sql, profiles[item.db_id])
@@ -203,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True,
                    help="JSON list of SQL strings or {sql, level} objects")
     p.add_argument("--question", default="")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--row-cap", type=int, default=100_000)
+    p.add_argument("--timeout", type=float, default=ExecutionLimits.timeout)
+    p.add_argument("--row-cap", type=int, default=ExecutionLimits.row_cap)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("build-sft-data",

@@ -98,8 +98,6 @@ class SearchConfig:
 
 @dataclass
 class SearchTree:
-    question: str
-    db_id: str
     m: int
     nodes: list[SearchNode] = field(default_factory=list)
     children: dict[int, list[int]] = field(default_factory=dict)
@@ -150,7 +148,6 @@ class SearchTree:
 class CostReport:
     n_d: list[int]
     rho: list[float]
-    depth: int
     gen_calls: int
     eval_calls: int
 
@@ -170,7 +167,7 @@ def _cost_report(tree: SearchTree, gen_calls: int,
     for d in range(1, len(n_d)):
         attempted = n_d[d - 1] * tree.m
         rho.append(1.0 - n_d[d] / attempted if attempted else 0.0)
-    return CostReport(n_d, rho, tree.depth(), gen_calls, eval_calls)
+    return CostReport(n_d, rho, gen_calls, eval_calls)
 
 
 def compute_cost(tree: SearchTree, unit_gen: float,
@@ -191,7 +188,7 @@ class _Engine:
         self.evaluator = evaluator
         self.config = config
         self.map_calls = map_calls
-        self.tree = SearchTree(question, schema.db_id, config.m)
+        self.tree = SearchTree(config.m)
         self.gen_calls = 0
         self.eval_calls = 0
         # Reports by (agent line, level): a line that a second parent

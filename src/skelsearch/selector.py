@@ -89,17 +89,13 @@ class ExecutionLimits:
 class ExecutionOutcome:
     """What one candidate did when executed.
 
-    fingerprint is present exactly when status is ROWS. wall_time spans
-    the whole call: running the query, canonicalizing its rows and
-    fingerprinting them. It includes opening the database connection
-    only when this call is the first use of it.
+    fingerprint is present exactly when status is ROWS.
     """
 
     status: OutcomeStatus
     fingerprint: str | None = None
     error: str = ""
     row_count: int = 0
-    wall_time: float = 0.0
     preview: list[str] = field(default_factory=list)
 
 
@@ -280,13 +276,11 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
         return ExecutionOutcome(OutcomeStatus.ERROR,
                                 error="profile has no database file")
     sql = candidate.sql
-    started = time.monotonic()
+    deadline = time.monotonic() + limits.timeout
     try:
         conn = connections.get(profile.path)
     except sqlite3.Error as exc:
-        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
-                                wall_time=time.monotonic() - started)
-    deadline = started + limits.timeout
+        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc))
     conn.set_progress_handler(lambda: time.monotonic() > deadline,
                               PROGRESS_STEPS)
     canon: list[str] = []
@@ -303,22 +297,18 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
             canon += _canonical_chunk(chunk)
             del chunk  # the row tuples go before the next fetch
     except sqlite3.Error as exc:
-        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc),
-                                wall_time=time.monotonic() - started)
+        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc))
     finally:
         cursor.close()
     if capped:
         return ExecutionOutcome(
             OutcomeStatus.ERROR,
-            error=f"row cap exceeded ({limits.row_cap} rows)",
-            wall_time=time.monotonic() - started)
+            error=f"row cap exceeded ({limits.row_cap} rows)")
     if not canon:
-        return ExecutionOutcome(OutcomeStatus.EMPTY,
-                                wall_time=time.monotonic() - started)
+        return ExecutionOutcome(OutcomeStatus.EMPTY)
     fingerprint = fingerprint_rows(canon, _is_ordered(sql))
     return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
                             row_count=len(canon),
-                            wall_time=time.monotonic() - started,
                             preview=canon[:PREVIEW_ROWS])
 
 
@@ -364,7 +354,6 @@ class VoteGroup:
 
 @dataclass
 class DecisionTrace:
-    winner_sql: str
     chosen_fingerprint: str | None
     rule: str  # majority | arbitrated | arbitration-fallback | no-valid-results
     groups: list[VoteGroup]
@@ -372,11 +361,10 @@ class DecisionTrace:
 
     def to_dict(self) -> dict:
         return {
-            "winner_sql": self.winner_sql,
             "chosen_fingerprint": self.chosen_fingerprint,
             "rule": self.rule,
             "notes": self.notes,
-            "groups": [{"fingerprint": g.fingerprint, "size": g.size,
+            "groups": [{"fingerprint": g.fingerprint,
                         "row_count": g.row_count,
                         "sqls": [c.sql for c in g.members]}
                        for g in self.groups],
@@ -424,15 +412,14 @@ def select_final(candidates: list[SqlCandidate],
             pool = list(candidates)
             notes = "no valid results; every candidate errored"
         winner = _representative(pool)
-        return winner, DecisionTrace(winner.sql, None, "no-valid-results",
-                                     groups, notes)
+        return winner, DecisionTrace(None, "no-valid-results", groups,
+                                     notes)
     top = max(group.size for group in groups)
     tied = [group for group in groups if group.size == top]
     if len(tied) == 1:
         group = tied[0]
         winner = _representative(group.members)
-        return winner, DecisionTrace(winner.sql, group.fingerprint,
-                                     "majority", groups)
+        return winner, DecisionTrace(group.fingerprint, "majority", groups)
     if arbitrator is not None:
         try:
             index = arbitrator.choose(question, tied)
@@ -441,8 +428,8 @@ def select_final(candidates: list[SqlCandidate],
             group = tied[index]
             winner = _representative(group.members)
             notes = f"arbitrator chose group {index + 1} of {len(tied)}"
-            return winner, DecisionTrace(winner.sql, group.fingerprint,
-                                         "arbitrated", groups, notes)
+            return winner, DecisionTrace(group.fingerprint, "arbitrated",
+                                         groups, notes)
         except ArbitrationError as exc:
             notes = f"arbitration failed: {exc}"
     else:
@@ -450,8 +437,8 @@ def select_final(candidates: list[SqlCandidate],
     reps = [(_representative(group.members), group) for group in tied]
     winner, group = min(reps,
                         key=lambda p: (-int(p[0].level), p[0].sql))
-    return winner, DecisionTrace(winner.sql, group.fingerprint,
-                                 "arbitration-fallback", groups, notes)
+    return winner, DecisionTrace(group.fingerprint, "arbitration-fallback",
+                                 groups, notes)
 
 
 def build_arbitration_prompt(question: str, tied: list[VoteGroup]) -> str:

@@ -518,7 +518,7 @@ def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
     assert len(report["flagged"]) == 3
     for record in report["records"]:
         assert record["empty_search"]
-        assert record["candidate_count"] == 0
+        assert record["leaf_levels"] == []
 
 
 def test_pass_at_k_counts_candidate_voting_missed(bench_env, connections):
@@ -538,7 +538,7 @@ def test_pass_at_k_counts_candidate_voting_missed(bench_env, connections):
     })
     record = run_item(item, profile, Backends(formulator, evaluator, genb),
                       RunSettings(), connections)
-    assert record["candidate_count"] == 3
+    assert len(record["leaf_levels"]) == 3
     assert record["k"] == 3
     assert record["pass_hit"] is True
     assert record["correct"] is False
@@ -632,7 +632,7 @@ def test_unparsable_gold_sql_is_classified(bench_env, gold, connections):
     assert record["error"].startswith("unparsable gold SQL: ")
     assert "offset" in record["error"]
     assert record["correct"] is False
-    assert record["candidate_count"] == 0
+    assert record["leaf_levels"] == []
 
 
 # Item journal and resume

@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +35,19 @@ def env(tmp_path):
     ]), encoding="utf-8")
     return {"db": str(db), "db_root": str(db_root),
             "dataset": str(dataset), "tmp": tmp_path}
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """The paths `bench.profile_from_sqlite` is asked to profile."""
+    calls, profile = [], bench.profile_from_sqlite
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return profile(path, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "profile_from_sqlite", counted)
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -299,9 +313,11 @@ def test_run_config_value_out_of_range_exits_2(capsys, env, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["run", "search"])
-def test_replay_without_cassette_exits_2(capsys, env, command):
+def test_replay_without_cassette_exits_2(capsys, env, profile_calls,
+                                         command):
     """A replay whose cassette file does not exist is a configuration
-    error, raised before the run writes anything."""
+    error, raised before the run writes anything or profiles a
+    database."""
     config = env["tmp"] / "config.yaml"
     config.write_text("mode: replay\ncassette: nope.jsonl\n",
                       encoding="utf-8")
@@ -313,8 +329,37 @@ def test_replay_without_cassette_exits_2(capsys, env, command):
     assert code == 2
     assert "no cassette at nope.jsonl" in err
     assert out == ""
+    assert profile_calls == []
     assert not out_dir.exists()
     assert not Path("nope.jsonl").exists()
+
+
+def test_journal_with_the_dropped_keys_resumes(capsys, env, monkeypatch):
+    """A journal written while records still held `candidate_count`,
+    `trace.winner_sql`, each trace group's `size` and `cost.depth` is
+    reused whole, and gives the report and stats of a fresh run."""
+    fresh, old = env["tmp"] / "fresh", env["tmp"] / "old"
+    run = ["run", "--dataset", env["dataset"], "--db-root", env["db_root"]]
+    assert run_cli(capsys, *run, "--out", str(fresh))[0] == 0
+    lines = (fresh / "items.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines[1:]]
+    for entry in entries:
+        record = entry["record"]
+        record["candidate_count"] = len(record["leaf_levels"])
+        record["trace"]["winner_sql"] = record["final_sql"]
+        for group in record["trace"]["groups"]:
+            group["size"] = len(group["sqls"])
+        record["cost"]["depth"] = len(record["cost"]["n_d"]) - 1
+    old.mkdir()
+    (old / "items.jsonl").write_text("\n".join(
+        lines[:1] + [json.dumps(entry) for entry in entries]) + "\n",
+        encoding="utf-8")
+    monkeypatch.setattr(bench, "run_item", None)  # no item may run again
+    assert run_cli(capsys, *run, "--out", str(old))[0] == 0
+    assert ((old / "report.json").read_bytes()
+            == (fresh / "report.json").read_bytes())
+    assert (run_cli(capsys, "stats", "--run-dir", str(old))
+            == run_cli(capsys, "stats", "--run-dir", str(fresh)))
 
 
 def test_stats_missing_run_dir_exits_2(capsys, env):
@@ -360,6 +405,21 @@ def test_search_with_record_config_closes_cassette(capsys, env,
     pooled = gateway_pool_threads(oracle.threads)
     assert pooled, "no call ran on the gateway's pool"
     assert not any(thread.is_alive() for thread in pooled)
+
+
+def test_search_closes_its_backends_when_profiling_fails(capsys, env,
+                                                         monkeypatch):
+    Path(env["db"]).write_bytes(b"not a database" * 100)
+    closed = []
+    gateway = SimpleNamespace(close=lambda: closed.append(True))
+    monkeypatch.setattr(cli, "build_backends", lambda *_: bench.Backends(
+        None, None, None, None, gateway))
+    code, out, err = run_cli(capsys, "search", "--db", env["db"],
+                             "--question", QUESTION, "--gold", GOLD)
+    assert code == 2
+    assert "cannot open database" in err
+    assert out == ""
+    assert closed == [True]
 
 
 def test_search_without_gold_exits_2(capsys, env):
@@ -449,6 +509,30 @@ def test_select_bad_limits_exit_2(capsys, env):
                          "--candidates", str(candidates),
                          "--timeout", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["bad JSON", "no SQL", "timeout 0",
+                                  "pairs per level 0"])
+def test_bad_input_exits_2_before_profiling(capsys, env, profile_calls,
+                                            case):
+    """`select` reads its candidates and limits, and `build-sft-data` its
+    pair count, before it scans any database."""
+    candidates = env["tmp"] / "candidates.json"
+    candidates.write_text({"bad JSON": "[1", "no SQL": '[{"nope": 1}]'}
+                          .get(case, json.dumps([GOLD])), encoding="utf-8")
+    argv = ["select", "--db", env["db"], "--candidates", str(candidates)]
+    if case == "timeout 0":
+        argv += ["--timeout", "0"]
+    elif case == "pairs per level 0":
+        argv = ["build-sft-data", "--corpus", env["dataset"], "--db-root",
+                env["db_root"], "--out", str(env["tmp"] / "x.jsonl"),
+                "--pairs-per-level", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert profile_calls == []
+    assert not (env["tmp"] / "x.jsonl").exists()
 
 
 def test_build_sft_data(capsys, env):

@@ -1,12 +1,18 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is used in that module."""
+defines at module level, is used in that module; and every name the
+perfbench tracer wraps exists and comes back whole."""
 
 import ast
+import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skelsearch"
+from skelsearch import bench
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "skelsearch"
 # Imported but unused on purpose: the perfbench tracer patches these
 # names in these modules, where their callers would look them up.
 KEPT = {("selector", "parse_query")}
@@ -83,3 +89,22 @@ def test_scan_finds_unread_private_names():
                          ids=lambda path: path.stem)
 def test_module_reads_every_private_name(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_perfbench_tracer_wraps_and_restores_its_names():
+    """perfbench/spans.py wraps its names in the package by attribute
+    name, so a renamed or deleted one fails `install()` here."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    run_item, start = bench.run_item, threading.Thread.start
+    tracer = spans.Tracer({})
+    try:
+        tracer.install()
+        assert bench.run_item is not run_item
+        assert threading.Thread.start is not start
+    finally:
+        tracer.uninstall()
+    assert bench.run_item is run_item
+    assert threading.Thread.start is start

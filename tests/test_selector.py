@@ -5,6 +5,7 @@ import random
 import re
 import sqlite3
 import threading
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -280,7 +281,6 @@ def test_execute_rows(school_profile, run):
     assert outcome.row_count == 4
     assert outcome.fingerprint.startswith("bag:")
     assert 0 < len(outcome.preview) <= 5
-    assert outcome.wall_time >= 0.0
 
 
 @pytest.mark.parametrize("sql", [
@@ -403,10 +403,11 @@ def test_row_cap(school_profile, run):
 def test_timeout_interrupts(school_profile, run):
     sql = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL "
            "SELECT x + 1 FROM c LIMIT 30000000) SELECT count(*) FROM c")
+    started = time.monotonic()
     outcome = run(school_profile, sql, ExecutionLimits(timeout=0.1))
+    assert time.monotonic() - started < 10.0
     assert outcome.status is OutcomeStatus.ERROR
     assert "interrupt" in outcome.error.lower()
-    assert outcome.wall_time < 10.0
 
 
 def test_limits_validation():
@@ -886,5 +887,5 @@ def test_llm_arbitrator_transport_error():
 
 
 def test_decision_trace_defaults():
-    trace = DecisionTrace("s", None, "majority", [])
+    trace = DecisionTrace(None, "majority", [])
     assert trace.notes == ""
