@@ -3,7 +3,8 @@
 Datasets are the benchmarks' published per-item JSON records; databases
 live under {db_root}/{db_id}/{db_id}.sqlite. Each item runs the full
 pipeline, each distinct SQL text of an item (gold included) executes
-once, and the journal {out}/items.jsonl, keyed by item index, keeps each
+once, and each database is profiled once, when the first item that runs
+needs it. The journal {out}/items.jsonl, keyed by item index, keeps each
 item's record so that interrupted runs resume; it is the only file that
 holds the records. The run summary {out}/report.json is a pure function
 of them, so it can be recomputed offline and is byte-identical across
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
@@ -44,10 +46,6 @@ from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 REPORT_FORMAT = "bench-report"
 REPORT_VERSION = 1
 MODES = ("gold", "live", "record", "replay")
-# The smallest database file that open_profiles profiles beside another;
-# below it, a thread costs more than it saves (README "Set-up cost" gives
-# the sweep this value comes from).
-PROFILE_THREAD_MIN_BYTES = 256 * 1024
 
 
 class BenchConfigError(ValueError):
@@ -183,51 +181,29 @@ def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
             from exc
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+class DatabaseProfiles:
+    """The profile of each database the items name, by db_id.
 
-
-def open_profiles(items, db_root) -> dict[str, DatabaseProfile]:
-    """The profile of each database the items name, by db_id, each opened
-    once and keyed in the order the items first name it.
-
-    Every database is resolved before any is profiled, so a missing one
-    fails before a scan starts. When two or more of the files are at
-    least PROFILE_THREAD_MIN_BYTES and the process may use two or more
-    CPUs, one helper thread, `skelsearch-profile_0`, profiles every
-    second large file (the second, the fourth, ...) while the calling
-    thread profiles the rest, as `LlmGateway.map` runs its first call
-    inline. Otherwise every file is profiled in turn on the calling
-    thread. Either way the calling thread takes the databases in item
-    order, waiting for the helper's where they fall, so the error raised
-    is that of the first database in item order whose profile failed. An
-    error or an interrupt cancels the helper's profiles not yet started
-    and is raised once the one it is running has finished, so the helper
-    never outlives the call.
+    Every database is resolved when the mapping is built, so a missing
+    one fails before any scan. Each is profiled the first time it is
+    asked for, under a lock of its own, so that items running side by
+    side profile a database once; a failed profile is not kept, and the
+    next ask tries again.
     """
-    paths: dict[str, str] = {}
-    for item in items:
-        if item.db_id not in paths:
-            paths[item.db_id] = resolve_database(db_root, item.db_id)
-    large = [db_id for db_id, path in paths.items()
-             if os.path.getsize(path) >= PROFILE_THREAD_MIN_BYTES]
-    if len(large) < 2 or _usable_cpus() < 2:
-        return {db_id: open_profile(path, db_id=db_id)
-                for db_id, path in paths.items()}
-    with ThreadPoolExecutor(
-            1, thread_name_prefix="skelsearch-profile") as pool:
-        helped = {db_id: pool.submit(open_profile, paths[db_id], db_id)
-                  for db_id in large[1::2]}
-        try:
-            return {db_id: helped[db_id].result() if db_id in helped
-                    else open_profile(path, db_id=db_id)
-                    for db_id, path in paths.items()}
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+
+    def __init__(self, items, db_root):
+        self._paths = {db_id: resolve_database(db_root, db_id)
+                       for db_id in dict.fromkeys(item.db_id
+                                                  for item in items)}
+        self._locks = {db_id: threading.Lock() for db_id in self._paths}
+        self._profiles: dict[str, DatabaseProfile] = {}
+
+    def __getitem__(self, db_id: str) -> DatabaseProfile:
+        with self._locks[db_id]:
+            if db_id not in self._profiles:
+                self._profiles[db_id] = open_profile(self._paths[db_id],
+                                                     db_id=db_id)
+            return self._profiles[db_id]
 
 
 def _result_token(outcome: ExecutionOutcome) -> str | None:
@@ -400,9 +376,12 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
 
 def _settings_digest(settings: RunSettings) -> str:
     """sha256 of the settings that shape a record: every RunSettings
-    field but items_concurrency, as sorted-key JSON."""
+    field but items_concurrency, as sorted-key JSON, with the cassette
+    as its resolved path, so that two spellings of one file agree."""
     fields = asdict(settings)
     del fields["items_concurrency"]
+    if settings.cassette:
+        fields["cassette"] = str(Path(settings.cassette).resolve())
     return hashlib.sha256(
         json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
@@ -427,15 +406,17 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
 
     backends, when given, is a Backends or a plain tuple in its field
     order; otherwise build_backends makes them from settings. Either way
-    they exist before any database is profiled, so a replay without its
+    they exist before any database is resolved, so a replay without its
     cassette file, or gold mode with two golds for one question, fails
-    before a scan starts. Each journal entry holds the digest of the
-    settings that made its record, and resume reuses an entry only when
-    that digest and all five item fields match; any other item runs
-    again. Every item runs its SQL on one connection set, which keeps
-    each worker thread's connection to each database open until the item
-    pool has drained. The cassette and the item journal are closed once
-    the items are done, also when an item raises.
+    before a missing database does. A database is profiled when the
+    first item not reused from the journal needs it (`DatabaseProfiles`),
+    so resuming a finished run profiles nothing. Each journal entry holds
+    the digest of the settings that made its record, and resume reuses
+    an entry only when that digest and all five item fields match; any
+    other item runs again. Every item runs its SQL on one connection
+    set, which keeps each worker thread's connection to each database
+    open until the item pool has drained. The cassette and the item
+    journal are closed once the items are done, also when an item raises.
     """
     settings = settings or RunSettings()
     items = load_items(dataset_path)
@@ -443,14 +424,6 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     journal = _item_journal(out)
     built = Backends(*backends) if backends is not None \
         else build_backends(settings, items)
-    try:
-        profiles = open_profiles(items, db_root)
-    except BaseException:
-        built.close()
-        raise
-    out.mkdir(parents=True, exist_ok=True)
-    # report.json exists only when the directory's last run finished
-    (out / "report.json").unlink(missing_ok=True)
     connections = ReadOnlyConnections()
     digest = _settings_digest(settings)
 
@@ -470,6 +443,10 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     # Closing the backends and the journal closes their append handles
     # whether the pool drains or an item raises; a rewrite needs none.
     with connections, closing(built), journal:
+        profiles = DatabaseProfiles(items, db_root)
+        out.mkdir(parents=True, exist_ok=True)
+        # report.json exists only when the directory's last run finished
+        (out / "report.json").unlink(missing_ok=True)
         if settings.items_concurrency > 1 and len(workload) > 1:
             with ThreadPoolExecutor(
                     max_workers=settings.items_concurrency) as pool:

@@ -17,12 +17,12 @@ from pathlib import Path
 from .bench import (
     BenchConfigError,
     BenchmarkItem,
+    DatabaseProfiles,
     RunSettings,
     build_backends,
     load_items,
     load_settings,
     open_profile,
-    open_profiles,
     recompute_report,
     run_benchmark,
     run_complete,
@@ -142,7 +142,7 @@ def cmd_build_sft_data(args) -> int:
     if args.pairs_per_level < 1:  # before any database is profiled
         raise BenchConfigError("--pairs-per-level must be at least 1")
     items = load_items(args.corpus)
-    profiles = open_profiles(items, args.db_root)
+    profiles = DatabaseProfiles(items, args.db_root)
     corpus = [(item.question, item.gold_sql, profiles[item.db_id])
               for item in items]
     try:

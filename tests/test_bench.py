@@ -147,31 +147,34 @@ def test_resolve_database(bench_env, tmp_path):
 
 # Profiling
 
-PROFILE_THREAD = "skelsearch-profile"
+
+def _build_database(db_root, db_id):
+    """A school database with a table of its own, so that no two
+    profiles are alike."""
+    (db_root / db_id).mkdir(parents=True, exist_ok=True)
+    path = db_root / db_id / f"{db_id}.sqlite"
+    path.unlink(missing_ok=True)
+    conn = sqlite3.connect(build_school_db(path))
+    try:
+        conn.execute(f"CREATE TABLE only_{db_id} (x INTEGER)")
+        conn.commit()
+    finally:
+        conn.close()
+    return str(path)
 
 
-def profile_threads() -> list:
-    """The live threads that open_profiles starts to profile databases."""
-    return [thread for thread in threading.enumerate()
-            if thread.name.startswith(PROFILE_THREAD)]
-
-
-def _profile_items(tmp_path, db_ids):
-    """One item per database of `db_ids`, each a school database with a
-    table of its own, so that no two profiles are alike."""
+def _profile_run(tmp_path, db_ids):
+    """A dataset of one item per entry of `db_ids`, each asking for the
+    names on that database, and the root of its databases."""
     db_root = tmp_path / "databases"
-    for db_id in db_ids:
-        (db_root / db_id).mkdir(parents=True)
-        conn = sqlite3.connect(
-            build_school_db(db_root / db_id / f"{db_id}.sqlite"))
-        try:
-            conn.execute(f"CREATE TABLE only_{db_id} (x INTEGER)")
-            conn.commit()
-        finally:
-            conn.close()
-    items = [BenchmarkItem(str(index), f"q{index}", db_id, "SELECT 1")
-             for index, db_id in enumerate(db_ids)]
-    return items, db_root
+    for db_id in dict.fromkeys(db_ids):
+        _build_database(db_root, db_id)
+    dataset = tmp_path / "dev.json"
+    dataset.write_text(json.dumps([
+        {"question_id": index, "question": f"q{index}", "db_id": db_id,
+         "SQL": "SELECT name FROM students"}
+        for index, db_id in enumerate(db_ids)]), encoding="utf-8")
+    return dataset, db_root
 
 
 def _spoil(db_root, db_id):
@@ -183,174 +186,122 @@ def _spoil(db_root, db_id):
 
 @pytest.fixture
 def profiled(monkeypatch):
-    """`threads`: the name of the thread that profiled each database, by
-    path, for the profiles bench asks for. Each profile takes at least
-    `delay[path]` seconds (default 0.05), so that profiles side by side
-    overlap."""
-    log = SimpleNamespace(threads={}, delay={})
+    """`calls`: the db_id of each `bench.profile_from_sqlite` call, in
+    call order; `made`: the last profile made of each. Each profile takes
+    at least `delay[db_id]` seconds (default none)."""
+    log = SimpleNamespace(calls=[], made={}, delay={})
+    profile = bench.profile_from_sqlite
 
     def recorded(path, db_id=None):
-        log.threads[str(path)] = threading.current_thread().name
-        time.sleep(log.delay.get(str(path), 0.05))
-        return profile_from_sqlite(path, db_id=db_id)
+        log.calls.append(db_id)
+        time.sleep(log.delay.get(db_id, 0))
+        log.made[db_id] = profile(path, db_id=db_id)
+        return log.made[db_id]
 
     monkeypatch.setattr(bench, "profile_from_sqlite", recorded)
     return log
 
 
-def side_by_side(monkeypatch, cpus=2):
-    """Make every test database large enough to profile on a thread."""
-    monkeypatch.setattr(bench, "PROFILE_THREAD_MIN_BYTES", 1)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+@pytest.fixture
+def ran_items(monkeypatch):
+    """The question ids of the items `bench.run_item` runs, in order."""
+    ran = []
+    run_item = bench.run_item
+
+    def counted(item, *args):
+        ran.append(item.question_id)
+        return run_item(item, *args)
+
+    monkeypatch.setattr(bench, "run_item", counted)
+    return ran
 
 
-def test_large_databases_profile_side_by_side(tmp_path, monkeypatch,
-                                              profiled):
-    items, db_root = _profile_items(tmp_path, ["c", "a", "b"])
-    side_by_side(monkeypatch)
-    profiles = bench.open_profiles(items, db_root)
-    assert list(profiles) == ["c", "a", "b"]
-    for db_id, profile in profiles.items():
-        alone = profile_from_sqlite(resolve_database(db_root, db_id),
-                                    db_id=db_id)
-        assert render_mschema(profile) == render_mschema(alone)
-    names = [profiled.threads[resolve_database(db_root, db_id)]
-             for db_id in profiles]
-    assert names[0] == threading.current_thread().name
-    assert any(name.startswith(PROFILE_THREAD) for name in names)
-    assert profile_threads() == []
+def test_resuming_a_finished_run_profiles_nothing(tmp_path, profiled):
+    dataset, db_root = _profile_run(tmp_path, ["a", "b", "a"])
+    out = tmp_path / "run"
+    first = run_benchmark(dataset, db_root, out_dir=out)
+    assert profiled.calls == ["a", "b"]
+    profiled.calls.clear()
+    report = (out / "report.json").read_bytes()
+    assert run_benchmark(dataset, db_root, out_dir=out) == first
+    assert profiled.calls == []
+    assert (out / "report.json").read_bytes() == report
 
 
-def test_small_databases_start_no_profile_thread(tmp_path, monkeypatch,
-                                                 profiled):
-    items, db_root = _profile_items(tmp_path, ["c", "a", "b"])
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 8)
-    started = []
-    start = threading.Thread.start
-
-    def recorded_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recorded_start)
-    profiles = bench.open_profiles(items, db_root)
-    assert list(profiles) == ["c", "a", "b"]
-    assert all(Path(path).stat().st_size < bench.PROFILE_THREAD_MIN_BYTES
-               for path in profiled.threads)
-    assert set(profiled.threads.values()) == {
-        threading.current_thread().name}
-    assert started == []
+def test_resume_profiles_only_the_databases_of_the_items_left(
+        tmp_path, profiled):
+    dataset, db_root = _profile_run(tmp_path, ["a", "b", "c", "b", "a"])
+    fresh, partial = tmp_path / "fresh", tmp_path / "partial"
+    run_benchmark(dataset, db_root, out_dir=fresh)
+    run_benchmark(dataset, db_root, out_dir=partial)
+    lines = journal_lines(partial)
+    write_journal(partial, lines[:3] + lines[4:5])  # drop items 2 and 4
+    profiled.calls.clear()
+    run_benchmark(dataset, db_root, out_dir=partial)
+    assert profiled.calls == ["c", "a"]
+    for name in ("report.json", "items.jsonl"):
+        assert ((fresh / name).read_bytes()
+                == (partial / name).read_bytes())
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_profile_error_names_the_first_failing_database(
-        tmp_path, monkeypatch, profiled, threaded):
-    """Of two unreadable databases, the error names the first in item
-    order, also when the second fails sooner."""
-    items, db_root = _profile_items(tmp_path, ["bad1", "bad2", "good"])
-    first = _spoil(db_root, "bad1")
-    _spoil(db_root, "bad2")
-    profiled.delay[first] = 0.3
-    if threaded:
-        side_by_side(monkeypatch)
-    with pytest.raises(BenchConfigError) as caught:
-        bench.open_profiles(items, db_root)
-    assert str(caught.value).startswith(f"cannot open database {first}:")
-    assert profile_threads() == []
-
-
-def test_profile_failure_cancels_the_profiles_not_started(
-        tmp_path, monkeypatch, profiled):
-    items, db_root = _profile_items(tmp_path, ["bad", "a", "b", "c"])
-    bad = _spoil(db_root, "bad")
-    profiled.delay[bad] = 0.1
-    for db_id in "abc":
-        profiled.delay[resolve_database(db_root, db_id)] = 0.3
-    side_by_side(monkeypatch)
-    with pytest.raises(BenchConfigError, match="cannot open database"):
-        bench.open_profiles(items, db_root)
-    # the helper had taken "a" before "bad" failed; "b" and "c" never ran
-    assert set(profiled.threads) == {bad, resolve_database(db_root, "a")}
-    assert profile_threads() == []
-
-
-def test_interrupt_while_profiling_waits_for_the_running_profile(
-        tmp_path, monkeypatch):
-    """An interrupt on the calling thread is raised as it is, once the
-    helper's running profile has finished; the helper's profile not yet
-    started never runs."""
-    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d"])
-    side_by_side(monkeypatch)
-    profiled, finished = [], []
-
-    def interrupted(path, db_id=None):
-        profiled.append(db_id)
-        if db_id == "a":  # the calling thread's own database
-            time.sleep(0.05)
-            raise KeyboardInterrupt
-        time.sleep(0.2)
-        finished.append(db_id)
-        return profile_from_sqlite(path, db_id=db_id)
-
-    monkeypatch.setattr(bench, "profile_from_sqlite", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        bench.open_profiles(items, db_root)
-    assert sorted(profiled) == ["a", "b"]
-    assert finished == ["b"]
-    assert profile_threads() == []
-
-
-def test_side_by_side_starts_one_helper_whatever_the_cpu_count(
-        tmp_path, monkeypatch, profiled):
-    """Every second large database goes to the one helper thread; the
-    calling thread profiles the others, in item order."""
-    items, db_root = _profile_items(tmp_path, ["a", "b", "c", "d", "e"])
-    side_by_side(monkeypatch, cpus=64)
-    profiles = bench.open_profiles(items, db_root)
-    assert list(profiles) == ["a", "b", "c", "d", "e"]
-    me = threading.current_thread().name
-    names = [profiled.threads[resolve_database(db_root, db_id)]
-             for db_id in profiles]
-    assert names == [me, "skelsearch-profile_0", me,
-                     "skelsearch-profile_0", me]
-    assert profile_threads() == []
-
-
-@pytest.mark.parametrize("threaded", [False, True])
-def test_missing_database_fails_before_any_profile(
-        tmp_path, monkeypatch, profiled, threaded):
-    items, db_root = _profile_items(tmp_path, ["a", "b"])
-    items.append(BenchmarkItem("2", "q2", "ghost", "SELECT 1"))
-    if threaded:
-        side_by_side(monkeypatch)
-    with pytest.raises(BenchConfigError, match="no database for 'ghost'"):
-        bench.open_profiles(items, db_root)
-    assert profiled.threads == {}
-    assert profile_threads() == []
-
-
-def test_side_by_side_profiles_each_database_once(tmp_path, monkeypatch):
-    """The helper and the calling thread switching as often as they
-    can: every database is profiled exactly once, by one thread."""
-    db_ids = [f"db{n}" for n in range(12)]
-    items, db_root = _profile_items(tmp_path, db_ids)
-    side_by_side(monkeypatch)
-    calls = []
-
-    def counted(path, db_id=None):
-        calls.append(db_id)
-        return profile_from_sqlite(path, db_id=db_id)
-
-    monkeypatch.setattr(bench, "profile_from_sqlite", counted)
+def test_item_pool_profiles_each_database_once(tmp_path, profiled):
+    """Four items at a time, switching threads as often as they can:
+    every database is profiled exactly once, and its M-Schema is that of
+    a profile made alone."""
+    db_ids = [f"db{n}" for n in range(6)]
+    dataset, db_root = _profile_run(tmp_path, [db_id for db_id in db_ids
+                                               for _ in range(4)])
+    for db_id in db_ids:
+        profiled.delay[db_id] = 0.01
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        profiles = bench.open_profiles(items, db_root)
+        report = run_benchmark(
+            dataset, db_root, out_dir=tmp_path / "run",
+            settings=RunSettings(items_concurrency=4))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == sorted(db_ids)
-    assert [profile.db_id for profile in profiles.values()] == db_ids
-    assert profile_threads() == []
+    assert report["ex"] == 1.0
+    assert sorted(profiled.calls) == db_ids
+    for db_id, profile in profiled.made.items():
+        alone = profile_from_sqlite(resolve_database(db_root, db_id),
+                                    db_id=db_id)
+        assert render_mschema(profile) == render_mschema(alone)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_unreadable_database_error_names_the_first_in_item_order(
+        tmp_path, profiled, ran_items, concurrency):
+    """Of two unreadable databases, the error names the first in item
+    order, also when the second fails sooner; the records of the items
+    before it are reused on resume."""
+    dataset, db_root = _profile_run(tmp_path, ["good", "bad1", "bad2"])
+    first = _spoil(db_root, "bad1")
+    _spoil(db_root, "bad2")
+    profiled.delay["bad1"] = 0.2
+    out = tmp_path / "run"
+    settings = RunSettings(items_concurrency=concurrency)
+    with pytest.raises(BenchConfigError) as caught:
+        run_benchmark(dataset, db_root, out_dir=out, settings=settings)
+    assert str(caught.value).startswith(f"cannot open database {first}:")
+    assert not (out / "report.json").exists()
+    for db_id in ("bad1", "bad2"):
+        _build_database(db_root, db_id)
+    ran_items.clear()
+    run_benchmark(dataset, db_root, out_dir=out, settings=settings)
+    assert sorted(ran_items) == ["1", "2"]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_missing_database_fails_before_any_profile(tmp_path, profiled,
+                                                   concurrency):
+    dataset, db_root = _profile_run(tmp_path, ["a", "b", "ghost"])
+    (db_root / "ghost" / "ghost.sqlite").unlink()
+    with pytest.raises(BenchConfigError, match="no database for 'ghost'"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+                      settings=RunSettings(items_concurrency=concurrency))
+    assert profiled.calls == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_settings(tmp_path):
@@ -498,6 +449,21 @@ def test_run_closes_its_backends_when_profiling_fails(bench_env, tmp_path):
     gateway = SimpleNamespace(close=lambda: closed.append(True))
     oracle = GoldOracle({})
     with pytest.raises(BenchConfigError, match="cannot open database"):
+        run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
+                      backends=Backends(oracle, oracle, oracle, None,
+                                        gateway))
+    assert closed == [True]
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_run_closes_its_backends_when_a_database_is_missing(bench_env,
+                                                           tmp_path):
+    dataset, db_root = bench_env
+    Path(resolve_database(db_root, "school")).unlink()
+    closed = []
+    gateway = SimpleNamespace(close=lambda: closed.append(True))
+    oracle = GoldOracle({})
+    with pytest.raises(BenchConfigError, match="no database for 'school'"):
         run_benchmark(dataset, db_root, out_dir=tmp_path / "run",
                       backends=Backends(oracle, oracle, oracle, None,
                                         gateway))
@@ -731,22 +697,15 @@ def test_resume_reruns_records_made_under_other_settings(bench_env,
 
 def test_resume_under_other_item_concurrency_runs_no_item(bench_env,
                                                           tmp_path,
-                                                          monkeypatch):
+                                                          ran_items):
     dataset, db_root = bench_env
     out = tmp_path / "run"
     first = run_benchmark(dataset, db_root, out_dir=out,
                           settings=RunSettings(items_concurrency=1))
-    ran = []
-    run_item = bench.run_item
-
-    def counted(item, *args):
-        ran.append(item.question_id)
-        return run_item(item, *args)
-
-    monkeypatch.setattr(bench, "run_item", counted)
+    ran_items.clear()
     again = run_benchmark(dataset, db_root, out_dir=out,
                           settings=RunSettings(items_concurrency=2))
-    assert ran == []
+    assert ran_items == []
     assert again == first
 
 
@@ -933,6 +892,35 @@ def test_record_then_replay_reports_identical(bench_env, tmp_path):
         assert report["ex"] == 1.0
         assert report["pass_at_k"] == 1.0
     assert reports[0] == reports[1]
+
+
+def test_resume_reuses_records_under_any_spelling_of_the_cassette(
+        bench_env, tmp_path, monkeypatch, ran_items):
+    """Resume keys on the cassette file, not on how its path is written."""
+    dataset, db_root = bench_env
+    cassette_path, config = record_cassette(dataset, db_root, tmp_path)
+    ran_items.clear()
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    spellings = ["tape.jsonl", "./tape.jsonl", str(cassette_path),
+                 f"../{tmp_path.name}/tape.jsonl"]
+    reports = []
+    for cassette in spellings:
+        settings = RunSettings(mode="replay", cassette=cassette,
+                               gateway=config)
+        reports.append(run_benchmark(dataset, db_root, out_dir=out,
+                                     settings=settings)["records"])
+    assert ran_items == ["0", "1", "2"]
+    assert all(records == reports[0] for records in reports)
+
+
+def test_settings_digest_without_cassette_ignores_the_working_directory(
+        tmp_path, monkeypatch):
+    digests = []
+    for where in (tmp_path, tmp_path.parent):
+        monkeypatch.chdir(where)
+        digests.append(bench._settings_digest(RunSettings()))
+    assert digests[0] == digests[1]
 
 
 def test_record_runs_write_identical_cassettes(bench_env, tmp_path):

@@ -191,7 +191,8 @@ def test_run_empty_dataset_exits_2(capsys, env):
 
 def test_run_unreadable_database_exits_2(capsys, env):
     """A database file that SQLite cannot read is a configuration error
-    that names the database, raised before the run writes anything."""
+    that names the database, raised when the first item that needs it
+    starts, so no record and no report is written."""
     database = env["tmp"] / "databases" / "school" / "school.sqlite"
     database.write_bytes(b"not a database" * 100)
     out_dir = env["tmp"] / "run"
@@ -202,7 +203,7 @@ def test_run_unreadable_database_exits_2(capsys, env):
     assert f"cannot open database {database}" in err
     assert out == ""
     assert not (out_dir / "items.jsonl").exists()
-    assert not out_dir.exists()
+    assert not (out_dir / "report.json").exists()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -4,11 +4,13 @@ perfbench tracer wraps exists and comes back whole."""
 
 import ast
 import importlib.util
+import json
 import threading
 from pathlib import Path
 
 import pytest
 
+from conftest import build_school_db
 from skelsearch import bench
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,20 +93,35 @@ def test_module_reads_every_private_name(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def test_perfbench_tracer_wraps_and_restores_its_names():
+def test_perfbench_tracer_wraps_and_restores_its_names(tmp_path):
     """perfbench/spans.py wraps its names in the package by attribute
-    name, so a renamed or deleted one fails `install()` here."""
+    name, so a renamed or deleted one fails `install()` here; and a
+    traced run over two databases records one profile span for each."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    for db_id in ("a", "b"):
+        (tmp_path / db_id).mkdir()
+        build_school_db(tmp_path / db_id / f"{db_id}.sqlite")
+    rows = [{"question": f"q{index}", "db_id": db_id,
+             "SQL": "SELECT name FROM students"}
+            for index, db_id in enumerate(["a", "b", "a"])]
+    dataset = tmp_path / "dev.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
     run_item, start = bench.run_item, threading.Thread.start
     tracer = spans.Tracer({})
     try:
         tracer.install()
         assert bench.run_item is not run_item
         assert threading.Thread.start is not start
+        bench.run_benchmark(dataset, tmp_path, out_dir=tmp_path / "run")
     finally:
         tracer.uninstall()
     assert bench.run_item is run_item
     assert threading.Thread.start is start
+    assert sorted(span.item for span in tracer.spans
+                  if span.name == "bench.run_item") == ["0", "1", "2"]
+    assert len([span for span in tracer.spans
+                if span.name == "schema.profile"]) == 2
+    assert spans.layer_metrics(tracer, [])["schema.profile.ms_per_db"] > 0
