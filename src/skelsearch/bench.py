@@ -28,7 +28,7 @@ from .agents import GoldOracle, LlmEvaluationBackend, LlmFormulationBackend
 from .engine import EmptySearch, SearchConfig, run_search
 from .gateway import Cassette, GatewayConfig, LlmGateway
 from .journal import Journal
-from .schema import DatabaseProfile, profile_from_sqlite
+from .schema import DatabaseProfile, profile_from_sqlite, read_only_uri
 from .selector import (
     ExecutionLimits,
     ExecutionOutcome,
@@ -179,6 +179,21 @@ def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
     except (OSError, sqlite3.Error) as exc:
         raise BenchConfigError(f"cannot open database {path}: {exc}") \
             from exc
+
+
+def open_database(path) -> DatabaseProfile:
+    """A profile of the database file at `path` that holds its path and
+    no tables: enough to run SQL on the file, without sampling it. The
+    file is opened read-only and its schema read first, so that a file
+    SQLite cannot open or read is the BenchConfigError `open_profile`
+    raises."""
+    try:
+        with closing(sqlite3.connect(read_only_uri(path), uri=True)) as conn:
+            conn.execute("SELECT count(*) FROM sqlite_master").fetchone()
+    except (OSError, sqlite3.Error) as exc:
+        raise BenchConfigError(f"cannot open database {path}: {exc}") \
+            from exc
+    return DatabaseProfile(Path(path).stem, path=str(path))
 
 
 class DatabaseProfiles:

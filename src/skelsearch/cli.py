@@ -22,6 +22,7 @@ from .bench import (
     build_backends,
     load_items,
     load_settings,
+    open_database,
     open_profile,
     recompute_report,
     run_benchmark,
@@ -126,7 +127,7 @@ def _load_candidates(path) -> list[SqlCandidate]:
 def cmd_select(args) -> int:
     candidates = _load_candidates(args.candidates)
     limits = ExecutionLimits(timeout=args.timeout, row_cap=args.row_cap)
-    profile = open_profile(args.db)
+    profile = open_database(args.db)  # running SQL reads only its path
     with ReadOnlyConnections() as connections:
         outcomes = execute_all(profile, candidates, limits, connections)
     winner, trace = select_final(candidates, outcomes,

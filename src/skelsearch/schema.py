@@ -31,13 +31,30 @@ A WITHOUT ROWID table has no rowid order, and SQLite 3.40.1 still plans
 table the spelling of collation-equal values (NOCASE 'a' and 'A', RTRIM
 'a' and 'a ', 1 and 1.0 in an untyped column) can follow that index;
 the values themselves do not.
+
+Profiling is byte-stable: an unchanged database gives the same
+profile, sample for sample, every time. So a profile is a function of
+the database file's bytes, the SQLite version and this module's code,
+and `profile_from_sqlite` keeps each one on disk under a hash of the
+three, so that a later call on the same bytes skips the scans: `<cache>/skelsearch/profiles/<key>.json`, where `<cache>` is
+`$XDG_CACHE_HOME`, or `~/.cache` when that is unset (or not an
+absolute path). Deleting that directory clears it. An edit to this
+file invalidates every entry. A database with a `-wal` or `-journal`
+file beside it bypasses the cache, since its committed state is then
+not the file's bytes alone. A cache that cannot be read or written only
+costs the scans again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import sqlite3
+import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 SAMPLE_VALUES_PER_COLUMN = 3
@@ -208,17 +225,140 @@ def read_only_uri(path: str | Path) -> str:
     return Path(path).resolve().as_uri() + "?mode=ro"
 
 
+def _cache_entry(path: Path) -> Path | None:
+    """The cache file of the database at `path`; None when the cache is
+    bypassed: no cache directory is known, or a `-wal` or `-journal`
+    file sits beside the database."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the default
+        home = os.path.expanduser("~")
+        if home == "~":
+            return None
+        base = os.path.join(home, ".cache")
+    resolved = path.resolve()  # where SQLite looks for the journal
+    if any(os.path.exists(f"{resolved}{suffix}")
+           for suffix in ("-wal", "-journal")):
+        return None
+    return Path(base, "skelsearch", "profiles", f"{_cache_key(path)}.json")
+
+
+@cache
+def _code_digest() -> bytes:
+    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+
+
+def _cache_key(path: Path) -> str:
+    """sha256 over this module's code, the SQLite version and the bytes
+    of the file at `path`."""
+    digest = hashlib.sha256(_code_digest())
+    digest.update(sqlite3.sqlite_version.encode() + b"\0")
+    view = memoryview(bytearray(1 << 18))  # one buffer, read into again
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(view):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _stat(path: Path) -> tuple[int, int, int]:
+    """What changes when the file at `path` is written or replaced."""
+    info = os.stat(path)
+    return info.st_ino, info.st_size, info.st_mtime_ns
+
+
+def _encode(profile: DatabaseProfile) -> str:
+    """A cache entry: the profile less its db_id and path, each sample
+    as JSON keeps it (int, float and str stay apart; floats round-trip
+    by repr, inf included) and bytes tagged as {"hex": ...}."""
+    return json.dumps({
+        "tables": [[table.name, [
+            [column.name, column.type, column.primary_key,
+             [{"hex": v.hex()} if isinstance(v, bytes) else v
+              for v in column.samples]]
+            for column in table.columns]] for table in profile.tables],
+        "foreign_keys": [[fk.table, fk.column, fk.ref_table, fk.ref_column]
+                         for fk in profile.foreign_keys],
+    })
+
+
+def _text(value) -> str:
+    if type(value) is not str:
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
+def _sample(value):
+    if type(value) in (int, float, str):
+        return value
+    if type(value) is dict and list(value) == ["hex"]:
+        return bytes.fromhex(_text(value["hex"]))
+    raise ValueError(f"not a sample: {value!r}")
+
+
+def _column(name, ctype, primary_key, samples) -> ColumnProfile:
+    if type(primary_key) is not bool or type(samples) is not list:
+        raise ValueError("malformed column")
+    return ColumnProfile(_text(name), _text(ctype), primary_key,
+                         samples=[_sample(v) for v in samples])
+
+
+def _decode(text: str, db_id: str, path: Path) -> DatabaseProfile:
+    """The profile in a cache entry; ValueError, TypeError or
+    LookupError when the entry is not one that `_encode` writes."""
+    entry = json.loads(text)
+    tables = [TableProfile(_text(name), [_column(*column)
+                                         for column in columns])
+              for name, columns in entry["tables"]]
+    fks = [ForeignKey(*map(_text, fk)) for fk in entry["foreign_keys"]]
+    return DatabaseProfile(db_id, tables, fks, str(path))
+
+
+def _store(entry: Path, profile: DatabaseProfile) -> None:
+    """Write `entry` whole or not at all."""
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    handle, temp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as out:
+            out.write(_encode(profile))
+        os.replace(temp, entry)
+    finally:
+        with suppress(OSError):
+            os.unlink(temp)
+
+
 def profile_from_sqlite(path: str | Path,
                         db_id: str | None = None) -> DatabaseProfile:
-    """Introspect a sqlite file into a profile.
+    """Introspect a sqlite file into a profile, or read it from the
+    profile cache (see the module docstring).
 
-    Sample values are the smallest distinct non-null values per column
-    (see the module docstring), so repeated introspection of an unchanged
-    database is byte-stable.
+    Sample values are the smallest distinct non-null values per column,
+    so repeated introspection of an unchanged database is byte-stable:
+    that is what lets a cached profile stand in for the scans. A hit
+    opens no SQLite connection; `db_id` and `path` come from the call.
+    A miss stores its profile unless the file changed while it was read.
+    The cache never fails a call: a bypass, an `OSError` or a malformed
+    entry means profiling as if there were no cache.
     """
     path = Path(path)
     if db_id is None:
         db_id = path.stem
+    entry = None
+    try:
+        before = _stat(path)
+        entry = _cache_entry(path)
+        if entry is not None:
+            return _decode(entry.read_text(encoding="utf-8"), db_id, path)
+    except (OSError, ValueError, TypeError, LookupError, RecursionError):
+        pass
+    profile = _introspect(path, db_id)
+    if entry is not None:
+        with suppress(OSError):
+            if _stat(path) == before:
+                _store(entry, profile)
+    return profile
+
+
+def _introspect(path: Path, db_id: str) -> DatabaseProfile:
+    """The profile of the sqlite file at `path`, read through SQLite."""
     conn = sqlite3.connect(read_only_uri(path), uri=True)
     try:
         names = [name for (name,) in conn.execute(

@@ -73,6 +73,15 @@ def gateway_pool_threads(threads=None) -> set:
             if thread.name.startswith("skelsearch-gateway")}
 
 
+@pytest.fixture(autouse=True)
+def profile_cache(tmp_path_factory, monkeypatch):
+    """The directory of this test's profile cache, empty when the test
+    starts, so that no test reads a profile another test stored."""
+    cache = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "skelsearch" / "profiles"
+
+
 @pytest.fixture
 def school_db(tmp_path):
     return build_school_db(tmp_path / "school.sqlite")

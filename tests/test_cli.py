@@ -503,6 +503,41 @@ def test_select_parses_no_sql(capsys, env, parse_counts):
         "rows", "error", "rows"]
 
 
+def test_select_samples_no_database(capsys, env, profile_calls,
+                                    monkeypatch):
+    """Running the candidates reads only the database's path, so
+    `select` profiles nothing and prints what it printed when it
+    profiled the file first."""
+    candidates = env["tmp"] / "candidates.json"
+    candidates.write_text(json.dumps([
+        GOLD, "SELECT name FROM students WHERE year = 2022", "SELEC name",
+        "SELECT COUNT(*) FROM grades",
+    ]), encoding="utf-8")
+    argv = ["select", "--db", env["db"], "--candidates", str(candidates),
+            "--question", QUESTION]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert profile_calls == []
+    monkeypatch.setattr(cli, "open_database", bench.open_profile)
+    assert run_cli(capsys, *argv) == (0, out, "")
+    assert profile_calls == [env["db"]]
+
+
+@pytest.mark.parametrize("database", ["missing", "not a database"])
+def test_select_unreadable_database_exits_2(capsys, env, database):
+    db = env["tmp"] / "other.sqlite"
+    if database != "missing":
+        db.write_bytes(b"not a database" * 100)
+    candidates = env["tmp"] / "candidates.json"
+    candidates.write_text(json.dumps([GOLD]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "select", "--db", str(db),
+                             "--candidates", str(candidates))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot open database {db}: ")
+    assert db.exists() == (database != "missing")
+
+
 def test_select_bad_limits_exit_2(capsys, env):
     candidates = env["tmp"] / "candidates.json"
     candidates.write_text(json.dumps([GOLD]), encoding="utf-8")

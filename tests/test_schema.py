@@ -1,5 +1,7 @@
 """Profile construction and M-Schema rendering."""
 
+import os
+import shutil
 import sqlite3
 from contextlib import closing
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from skelsearch import schema
 from skelsearch.schema import (
     SAMPLE_VALUES_PER_COLUMN,
     ColumnProfile,
@@ -17,7 +20,7 @@ from skelsearch.schema import (
     render_mschema,
 )
 
-from conftest import make_profile
+from conftest import build_school_db, make_profile
 
 
 def table(profile, name):
@@ -147,7 +150,7 @@ COLUMN = st.tuples(st.sampled_from(["", " TEXT", " INTEGER", " REAL",
 
 
 @st.composite
-def databases(draw):
+def databases(draw, values=VALUES):
     """DDL and rows for one to three tables, with indexes among them."""
     statements, inserts = [], []
     for number in range(draw(st.integers(1, 3))):
@@ -161,7 +164,7 @@ def databases(draw):
         statements.append(f"CREATE TABLE {table} ({', '.join(columns)})"
                           + (" WITHOUT ROWID" if without_rowid else ""))
         width = len(columns) - without_rowid
-        rows = draw(st.lists(st.lists(VALUES, min_size=width,
+        rows = draw(st.lists(st.lists(values, min_size=width,
                                       max_size=width), max_size=12))
         # repeat the drawn rows so that a table can outgrow any bounded
         # look-ahead and every value has many equal rows
@@ -379,3 +382,253 @@ def test_statement_count_is_bounded(tmp_path, monkeypatch):
     assert len(small) == len(large) == 1 + 2 * 2 + 3
     assert not any("ORDER BY" in statement
                    for statement in small[1:] + large[1:])
+
+
+# The profile cache (see the `schema` docstring).
+
+# Values whose type or spelling a cache entry could lose: bytes, -0.0,
+# ints past float precision, huge and infinite floats, non-ASCII text.
+EDGE_VALUES = [b"\x00\xff", b"", -0.0, 2**53, 2**53 + 1, 2**63 - 1,
+               -2**63, 1e300, float("inf"), float("-inf"), "é", "日本語"]
+CACHE_VALUES = st.one_of(VALUES, st.sampled_from(EDGE_VALUES),
+                         st.integers(-2**63, 2**63 - 1),
+                         st.floats(allow_nan=False), st.text(max_size=8),
+                         st.binary(max_size=8))
+
+
+def typed_samples(profile):
+    return [[(type(v), repr(v)) for v in column.samples]
+            for table in profile.tables for column in table.columns]
+
+
+@pytest.fixture
+def introspections(monkeypatch):
+    """The paths that profiling reads through SQLite, not the cache."""
+    calls, introspect = [], schema._introspect
+
+    def counted(path, *args):
+        calls.append(path)
+        return introspect(path, *args)
+
+    monkeypatch.setattr(schema, "_introspect", counted)
+    return calls
+
+
+def entries(profile_cache) -> list:
+    return sorted(profile_cache.iterdir()) if profile_cache.is_dir() else []
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(database=databases(CACHE_VALUES))
+@example(database=(
+    ["CREATE TABLE t0 (c0, c1 BLOB, c2 REAL, c3 TEXT)",
+     "CREATE TABLE t1 (c0, k INTEGER PRIMARY KEY) WITHOUT ROWID"],
+    [("t0", [value, value, value, value]) for value in EDGE_VALUES]
+    + [("t1", [None, 1]), ("t1", [None, 2])],
+    False))
+def test_a_cached_profile_equals_a_fresh_one(tmp_path, profile_cache,
+                                             introspections, database):
+    """A profile read back from the cache renders the same M-Schema
+    bytes and holds equal samples of equal types."""
+    shutil.rmtree(profile_cache, ignore_errors=True)
+    path = tmp_path / "drawn.sqlite"
+    _build(path, *database)
+    del introspections[:]
+    cold = profile_from_sqlite(path)
+    warm = profile_from_sqlite(path)
+    assert introspections == [path]
+    assert len(entries(profile_cache)) == 1
+    assert render_mschema(warm) == render_mschema(cold)
+    assert warm == cold
+    assert typed_samples(warm) == typed_samples(cold)
+
+
+def test_a_hit_opens_no_database(tmp_path, monkeypatch, profile_cache):
+    """A hit rebuilds tables, samples and foreign keys without SQLite,
+    and takes the db_id and path from the call: a copy of the file hits
+    the entry its original stored."""
+    school = build_school_db(tmp_path / "school.sqlite")
+    cold = profile_from_sqlite(school, db_id="school")
+    copy = tmp_path / "copy.sqlite"
+    shutil.copyfile(school, copy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SQLite opened on a hit")
+
+    monkeypatch.setattr(sqlite3, "connect", refuse)
+    warm = profile_from_sqlite(copy)
+    assert (warm.db_id, warm.path) == ("copy", str(copy))
+    assert warm.tables == cold.tables
+    assert warm.foreign_keys == cold.foreign_keys == [
+        ForeignKey("grades", "student_id", "students", "id")]
+    assert len(entries(profile_cache)) == 1
+
+
+def test_a_changed_row_misses_within_one_mtime(tmp_path, profile_cache):
+    """One changed row changes the key, even when the file keeps its
+    size and modification time, which a key on the file's stat would
+    not see."""
+    path = build_school_db(tmp_path / "school.sqlite")
+    stat = os.stat(path)
+    assert table(profile_from_sqlite(path), "students").columns[1] \
+        .samples == ["Ada", "Ben", "Cam"]
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("UPDATE students SET name = 'Aba' WHERE id = 2")
+        conn.commit()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert table(profile_from_sqlite(path), "students").columns[1] \
+        .samples == ["Aba", "Ada", "Cam"]
+    assert len(entries(profile_cache)) == 2
+
+
+@pytest.mark.parametrize("suffix", ["-wal", "-journal"])
+def test_a_journal_beside_the_database_bypasses_the_cache(
+        tmp_path, profile_cache, introspections, suffix):
+    """With a -wal or -journal file beside the database, profiling
+    neither reads the entry of the file's bytes nor writes one."""
+    path = build_school_db(tmp_path / "school.sqlite")
+    fresh = profile_from_sqlite(path)
+    [entry] = entries(profile_cache)
+    stale = entry.read_text(encoding="utf-8").replace('"Ada"', '"Stale"')
+    entry.write_text(stale, encoding="utf-8")
+    assert "Stale" in render_mschema(profile_from_sqlite(path))
+    (tmp_path / f"school.sqlite{suffix}").touch()
+    del introspections[:]
+    assert render_mschema(profile_from_sqlite(path)) \
+        == render_mschema(fresh)
+    assert introspections == [path]
+    assert entry.read_text(encoding="utf-8") == stale
+    entry.unlink()
+    profile_from_sqlite(path)
+    assert entries(profile_cache) == []
+
+
+def test_rows_still_in_the_wal_are_sampled(tmp_path, profile_cache):
+    """Rows committed to the write-ahead log but not yet copied into the
+    database file are sampled, though the file's bytes did not change."""
+    path = tmp_path / "wal.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("CREATE TABLE t (v TEXT)")
+        conn.execute("INSERT INTO t VALUES ('b')")
+        conn.commit()
+    assert not (tmp_path / "wal.sqlite-wal").exists()
+    assert profile_from_sqlite(path).tables[0].columns[0].samples == ["b"]
+    assert len(entries(profile_cache)) == 1
+    data = path.read_bytes()
+    with closing(sqlite3.connect(path)) as writer:
+        writer.execute("PRAGMA wal_autocheckpoint=0")
+        writer.execute("INSERT INTO t VALUES ('a')")
+        writer.commit()
+        assert path.read_bytes() == data
+        assert profile_from_sqlite(path).tables[0].columns[0].samples \
+            == ["a", "b"]
+
+
+@pytest.mark.parametrize("broken", [
+    "truncated",
+    "not json at all",
+    "[" * 100_000,
+    "[]",
+    '{"tables": [["t", [["c", "", "yes", []]]]], "foreign_keys": []}',
+    '{"tables": [["t", [["c", "", false, [[1]]]]]], "foreign_keys": []}',
+    '{"tables": [["t", [["c", "", false, [true]]]]], "foreign_keys": []}',
+    '{"tables": [["t", [["c", "", false, [{"hex": "zz"}]]]]], '
+    '"foreign_keys": []}',
+    '{"tables": [["t", [["c", "", false, []]]]], '
+    '"foreign_keys": [["t", "c", "u", "d"]]}',
+], ids=["truncated", "garbage", "deep", "list", "key-not-bool",
+        "sample-list", "sample-bool", "bad-hex", "dangling-fk"])
+def test_a_broken_entry_is_profiled_again_and_replaced(
+        school_db, profile_cache, introspections, broken):
+    """An entry cut short, not JSON, too deep to parse, or of another
+    shape than profiles are written in is never read as a profile."""
+    fresh = profile_from_sqlite(school_db)
+    [entry] = entries(profile_cache)
+    good = entry.read_bytes()
+    if broken == "truncated":
+        entry.write_bytes(good[:len(good) // 2])
+    else:
+        entry.write_text(broken, encoding="utf-8")
+    del introspections[:]
+    again = profile_from_sqlite(school_db)
+    assert introspections == [school_db]
+    assert render_mschema(again) == render_mschema(fresh)
+    assert typed_samples(again) == typed_samples(fresh)
+    assert entry.read_bytes() == good
+
+
+def test_an_unwritable_cache_still_profiles(school_db, tmp_path,
+                                            monkeypatch, introspections):
+    """A cache location that cannot be made (a file stands where its
+    directory would be) costs the scans each time, and nothing else."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    first = profile_from_sqlite(school_db)
+    assert render_mschema(profile_from_sqlite(school_db)) \
+        == render_mschema(first)
+    assert introspections == [school_db, school_db]
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
+def test_another_sqlite_version_misses(school_db, monkeypatch, profile_cache,
+                                       introspections):
+    profile_from_sqlite(school_db)
+    profile_from_sqlite(school_db)
+    assert introspections == [school_db]
+    monkeypatch.setattr(sqlite3, "sqlite_version", "0.0.0")
+    profile_from_sqlite(school_db)
+    assert introspections == [school_db, school_db]
+    assert len(entries(profile_cache)) == 2
+
+
+def test_a_file_changed_while_profiled_is_not_stored(school_db, monkeypatch,
+                                                     profile_cache):
+    introspect = schema._introspect
+
+    def touched(path, *args):
+        profile = introspect(path, *args)
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        return profile
+
+    monkeypatch.setattr(schema, "_introspect", touched)
+    profile_from_sqlite(school_db)
+    assert entries(profile_cache) == []
+
+
+@pytest.mark.parametrize("setting", [None, "", "relative/cache"])
+def test_the_cache_defaults_to_the_home_cache(school_db, tmp_path,
+                                              monkeypatch, setting):
+    """Unset, empty or relative, XDG_CACHE_HOME means ~/.cache."""
+    if setting is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", setting)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    profile_from_sqlite(school_db)
+    assert len(entries(tmp_path / "home" / ".cache" / "skelsearch"
+                       / "profiles")) == 1
+    assert not (tmp_path / "relative").exists()
+
+
+def test_the_key_covers_every_byte_of_the_file(tmp_path):
+    """Files that differ in a single byte, wherever it lies, have
+    different keys; files with the same bytes share one."""
+    data = bytes(range(256)) * 3077  # a few reads' worth of bytes
+    keys = set()
+    for position in (None, 0, len(data) // 2, len(data) - 1):
+        changed = bytearray(data)
+        if position is not None:
+            changed[position] ^= 1
+        path = tmp_path / f"{position}.sqlite"
+        path.write_bytes(changed)
+        keys.add(schema._cache_key(path))
+    (tmp_path / "same.sqlite").write_bytes(data)
+    keys.add(schema._cache_key(tmp_path / "same.sqlite"))
+    assert len(keys) == 4
