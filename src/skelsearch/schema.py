@@ -259,12 +259,6 @@ def _cache_key(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _stat(path: Path) -> tuple[int, int, int]:
-    """What changes when the file at `path` is written or replaced."""
-    info = os.stat(path)
-    return info.st_ino, info.st_size, info.st_mtime_ns
-
-
 def _encode(profile: DatabaseProfile) -> str:
     """A cache entry: the profile less its db_id and path, each sample
     as JSON keeps it (int, float and str stay apart; floats round-trip
@@ -334,16 +328,18 @@ def profile_from_sqlite(path: str | Path,
     so repeated introspection of an unchanged database is byte-stable:
     that is what lets a cached profile stand in for the scans. A hit
     opens no SQLite connection; `db_id` and `path` come from the call.
-    A miss stores its profile unless the file changed while it was read.
-    The cache never fails a call: a bypass, an `OSError` or a malformed
-    entry means profiling as if there were no cache.
+    A miss hashes the file again after the scans and stores its profile
+    only under an unchanged key, so bytes written while it was read,
+    however quickly and whatever their size, are never stored as the
+    profile of the bytes before them. The cache never fails a call: a
+    bypass, an `OSError` or a malformed entry means profiling as if
+    there were no cache.
     """
     path = Path(path)
     if db_id is None:
         db_id = path.stem
     entry = None
     try:
-        before = _stat(path)
         entry = _cache_entry(path)
         if entry is not None:
             return _decode(entry.read_text(encoding="utf-8"), db_id, path)
@@ -352,7 +348,7 @@ def profile_from_sqlite(path: str | Path,
     profile = _introspect(path, db_id)
     if entry is not None:
         with suppress(OSError):
-            if _stat(path) == before:
+            if _cache_entry(path) == entry:
                 _store(entry, profile)
     return profile
 
