@@ -36,10 +36,13 @@ Profiling is byte-stable: an unchanged database gives the same
 profile, sample for sample, every time. So a profile is a function of
 the database file's bytes, the SQLite version and this module's code,
 and `profile_from_sqlite` keeps each one on disk under a hash of the
-three, so that a later call on the same bytes skips the scans: `<cache>/skelsearch/profiles/<key>.json`, where `<cache>` is
+three, so that a later call on the same bytes skips the scans:
+`<cache>/skelsearch/profiles/<key>.json`, where `<cache>` is
 `$XDG_CACHE_HOME`, or `~/.cache` when that is unset (or not an
 absolute path). Deleting that directory clears it. An edit to this
-file invalidates every entry. A database with a `-wal` or `-journal`
+file invalidates every entry. Only a call on bytes profiled before
+gains; a miss costs two hashes of the file and a write more than the
+scans alone. A database with a `-wal` or `-journal`
 file beside it bypasses the cache, since its committed state is then
 not the file's bytes alone. A cache that cannot be read or written only
 costs the scans again.
