@@ -42,9 +42,9 @@ three, so that a later call on the same bytes skips the scans:
 absolute path). Deleting that directory clears it. An edit to this
 file invalidates every entry. Only a call on bytes profiled before
 gains; a miss costs two hashes of the file and a write more than the
-scans alone. A database with a `-wal` or `-journal`
-file beside it bypasses the cache, since its committed state is then
-not the file's bytes alone. A cache that cannot be read or written only
+scans alone. A database with a `-wal` or `-journal` file beside it
+bypasses the cache, since its committed state is then not the file's
+bytes alone. A cache that cannot be read or written only
 costs the scans again.
 """
 
@@ -333,7 +333,7 @@ def profile_from_sqlite(path: str | Path,
     opens no SQLite connection; `db_id` and `path` come from the call.
     A miss hashes the file again after the scans and stores its profile
     only under an unchanged key, so bytes written while it was read,
-    however quickly and whatever their size, are never stored as the
+    however quickly and whatever their size, are not stored as the
     profile of the bytes before them. The cache never fails a call: a
     bypass, an `OSError` or a malformed entry means profiling as if
     there were no cache.
