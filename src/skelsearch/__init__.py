@@ -6,7 +6,6 @@ from .skeleton import (
     LevelOrderError,
     Skeleton,
     extract_skeleton,
-    nesting_depth,
     parse_query,
     refinement_check,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "Skeleton",
     "SqlSyntaxError",
     "extract_skeleton",
-    "nesting_depth",
     "parse_query",
     "refinement_check",
 ]

@@ -52,11 +52,8 @@ from .skeleton import GranularityLevel, Skeleton
 
 
 class EmptySearch(RuntimeError):
-    """Phase 1 produced no Valid Base skeleton; tree attached for fallback."""
-
-    def __init__(self, message: str, tree: "SearchTree"):
-        super().__init__(message)
-        self.tree = tree
+    """Phase 1 produced no Valid Base skeleton; like every exception
+    `run_search` raises, it carries the search tree as `.tree`."""
 
 
 class NodeStatus(Enum):
@@ -282,7 +279,7 @@ class _Engine:
         if not frontier:
             raise EmptySearch(
                 f"no Base skeleton survived evaluation for question "
-                f"{self.question!r}", self.tree)
+                f"{self.question!r}")
 
         ready: list[SearchNode] = []
         for wave in range(1, self.config.expanded_cap + 1):
@@ -322,21 +319,21 @@ def run_search(schema: DatabaseProfile, question: str, formulator, evaluator,
     yields their results in the order of `items`, as the builtin `map`
     (the default, inline) and `LlmGateway.map` (side by side) do.
 
+    Every exception it raises carries the search tree as it stood, as
+    `.tree`.
+
     Raises:
-        EmptySearch: Phase 1 pruned every Base skeleton; the partial tree
-            rides on the exception.
+        ValueError: the question is empty (the tree has no node).
+        EmptySearch: Phase 1 pruned every Base skeleton.
         Exception: unrecoverable backend failures (for example a cassette
-            miss) propagate with the partial tree attached as
-            `partial_tree`.
+            miss) propagate as raised.
     """
-    if not question or not question.strip():
-        raise ValueError("question is empty")
     engine = _Engine(schema, question, formulator, evaluator,
                      config or SearchConfig(), map_calls)
     try:
+        if not question or not question.strip():
+            raise ValueError("question is empty")
         return engine.run()
-    except EmptySearch:
-        raise
     except Exception as exc:
-        exc.partial_tree = engine.tree
+        exc.tree = engine.tree
         raise

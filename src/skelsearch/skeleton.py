@@ -27,9 +27,8 @@ subquery. Rendering reads those instead of walking the tree for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 
 from . import sqlast as A
 from .sqlast import ClauseTree
@@ -58,26 +57,15 @@ class LevelOrderError(ValueError):
     """Raised when a refinement check is asked with the levels reversed."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Skeleton:
-    """A granularity-tagged skeleton; its clause tree is parsed from the
-    text on first use."""
+    """A granularity-tagged skeleton text. Equality and hash read only
+    (level, text): the depth follows from the text, as extracting from
+    the text's own parse gives back the same text and depth."""
 
     level: GranularityLevel
     text: str
-    nesting_depth: int
-
-    @cached_property
-    def tree(self) -> ClauseTree:
-        return parse_query(self.text)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Skeleton):
-            return NotImplemented
-        return self.level == other.level and self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.text))
+    nesting_depth: int = field(compare=False)
 
 
 def parse_query(text: str,
@@ -94,11 +82,6 @@ def parse_query(text: str,
             byte offset.
     """
     return A.parse(text, tokens)
-
-
-def nesting_depth(tree: ClauseTree) -> int:
-    """Maximum subquery nesting depth; 0 for flat queries."""
-    return tree.nesting_depth
 
 
 def extract_skeleton(tree: ClauseTree, level: GranularityLevel) -> Skeleton:
@@ -121,7 +104,8 @@ def refinement_check(coarse: Skeleton, fine: Skeleton) -> bool:
             f"{fine.level.label}")
     if coarse.level == fine.level:
         return coarse.text == fine.text
-    return extract_skeleton(fine.tree, coarse.level).text == coarse.text
+    return extract_skeleton(parse_query(fine.text),
+                            coarse.level).text == coarse.text
 
 
 # rendering
@@ -157,6 +141,16 @@ def _render_base(stmt: A.SelectStmt) -> str:
     if stmt.offset is not None:
         parts.append("OFFSET _")
     return " ".join(parts)
+
+
+def _bare_and(text: str) -> bool:
+    """Whether rendered text holds an AND outside every bracket."""
+    depth = 0
+    for token in text.split(" "):
+        depth += (token == "(") - (token == ")")
+        if token == "AND" and not depth:
+            return True
+    return False
 
 
 class _Renderer:
@@ -306,8 +300,12 @@ class _Renderer:
             return self.expr(e.operand)
         if isinstance(e, A.Between):
             word = "NOT BETWEEN" if e.negated else "BETWEEN"
+            low = self.slot(e.low)
+            # a container's subqueries: bare, their AND would end it
+            if _bare_and(low):
+                low = "( " + low + " )"
             return (f"{self.slot(e.expr)} {word} "
-                    f"{self.slot(e.low)} AND {self.slot(e.high)}")
+                    f"{low} AND {self.slot(e.high)}")
         if isinstance(e, A.LikeOp):
             word = ("NOT " if e.negated else "") + e.op
             return f"{self.slot(e.left)} {word} {self.slot(e.right)}"

@@ -726,7 +726,8 @@ class Parser:
             # A Join, then the DerivedTable or inner JoinChain.
             outer = self.depth
             self.depth = self.reach(outer + 2)
-            if self.at("SELECT") or self.at("_"):
+            if self.at("SELECT") or (
+                    self.at("_") and self.tags[self.i + 1] in _ARM_ENDS):
                 query = self.select_stmt()
                 self.expect_op(")")
                 self.depth = outer
@@ -881,7 +882,8 @@ class Parser:
 
     def _paren(self):
         self.i += 1
-        if self.at("SELECT"):
+        if self.at("SELECT") or (
+                self.at("_") and self.tags[self.i + 1] in _SET_STARTERS):
             query = self.select_stmt()
             self.expect_op(")")
             return Subquery(query)

@@ -223,17 +223,21 @@ def test_a_skeleton_judged_once_per_search(pooled, pooled_map):
         traces.DB2))
 
 
-def test_unrecoverable_error_attaches_partial_tree():
-    class Exploding:
-        def judge(self, schema, question, candidate):
-            raise KeyError("cassette miss stand-in")
-
-    profile = make_profile()
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("verdict,raised,nodes", [
+    (False, EmptySearch, 2),  # the root and the pruned B1
+    (KeyError("cassette miss stand-in"), KeyError, 1),  # the root
+], ids=["empty", "raising"])
+def test_a_failed_search_carries_its_tree(verdict, raised, nodes, pooled,
+                                          pooled_map):
     formulator = ScriptedFormulationBackend(
         {traces.fkey("base"): [traces.B1]})
-    with pytest.raises(KeyError) as info:
-        run_search(profile, traces.Q, formulator, Exploding(), SearchConfig())
-    assert len(info.value.partial_tree.nodes) >= 1
+    evaluator = ScriptedEvaluationBackend({(traces.Q, traces.B1): verdict})
+    with pytest.raises(raised) as info:
+        run_search(make_profile(), traces.Q, formulator, evaluator,
+                   SearchConfig(), pooled_map if pooled else map)
+    assert len(info.value.tree.nodes) == nodes
+    assert not hasattr(info.value, "partial_tree")
 
 
 def test_no_backend_call_after_search_raises():
@@ -299,8 +303,9 @@ def test_config_validation():
     for bad in (dict(m=0), dict(expanded_cap=0)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         run_search(make_profile(), "  ", None, None, SearchConfig())
+    assert info.value.tree.nodes == []
 
 
 @pytest.fixture
@@ -353,7 +358,7 @@ def test_side_by_side_calls_give_the_inline_result(make, seed, pooled_map):
     assert search_and_generate(jittered(pooled_map, seed)) == inline
 
 
-def test_raising_evaluator_leaves_the_inline_partial_tree(pooled_map):
+def test_raising_evaluator_leaves_the_inline_tree(pooled_map):
     scenario = traces.tri_branching()
 
     def search(map_calls):
@@ -368,7 +373,8 @@ def test_raising_evaluator_leaves_the_inline_partial_tree(pooled_map):
         calls = len(evaluator.calls)
         time.sleep(0.05)
         assert len(evaluator.calls) == calls, "a call outlived the search"
-        tree = info.value.partial_tree
+        assert not hasattr(info.value, "partial_tree")
+        tree = info.value.tree
         return tree.dump(), tree.verdict_log
 
     inline = search(map)

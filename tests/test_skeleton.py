@@ -4,20 +4,23 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skelsearch import sqlast
 from skelsearch import (
     GranularityLevel,
     LevelOrderError,
+    Skeleton,
     SqlSyntaxError,
     extract_skeleton,
-    nesting_depth,
     parse_query,
     refinement_check,
 )
 
 from oracle_skeleton import oracle_depth, oracle_extract
 from fixtures.corpus import CORPUS, DEPTH, FROZEN
+from test_sqlast import _random_statement
 
 LEVELS = {
     "base": GranularityLevel.BASE,
@@ -57,19 +60,19 @@ def test_oracle_agrees_with_frozen(sql, triple):
 
 @pytest.mark.parametrize("sql,depth", sorted(DEPTH.items()))
 def test_depth_anchor(sql, depth):
-    assert nesting_depth(parse_query(sql)) == depth
+    assert parse_query(sql).nesting_depth == depth
     assert oracle_depth(sql) == depth
 
 
 @pytest.mark.parametrize("sql", CORPUS)
 def test_depth_matches_oracle(sql):
-    assert nesting_depth(parse_query(sql)) == oracle_depth(sql)
+    assert parse_query(sql).nesting_depth == oracle_depth(sql)
 
 
 @pytest.mark.parametrize("sql", CORPUS)
 def test_skeleton_depth_law(sql):
     tree = parse_query(sql)
-    full = nesting_depth(tree)
+    full = tree.nesting_depth
     base = extract_skeleton(tree, GranularityLevel.BASE)
     expanded = extract_skeleton(tree, GranularityLevel.EXPANDED)
     detailed = extract_skeleton(tree, GranularityLevel.DETAILED)
@@ -96,7 +99,7 @@ def test_extraction_idempotent(sql):
     tree = parse_query(sql)
     for level in LEVELS.values():
         skeleton = extract_skeleton(tree, level)
-        again = extract_skeleton(skeleton.tree, level)
+        again = extract_skeleton(parse_query(skeleton.text), level)
         assert again.text == skeleton.text
 
 
@@ -167,7 +170,7 @@ def test_skeleton_reparses():
     tree = parse_query(sql)
     for level in LEVELS.values():
         skeleton = extract_skeleton(tree, level)
-        assert parse_query(skeleton.text).stmt == skeleton.tree.stmt
+        assert extract_skeleton(parse_query(skeleton.text), level) == skeleton
 
 
 # Parse once: extraction renders from the tree it is given
@@ -182,21 +185,50 @@ def test_extract_skeleton_does_not_parse(parse_counts):
     assert parse_counts == {"parse": 0, "lex": 0}
 
 
-def test_skeleton_tree_is_parsed_once_on_first_use(parse_counts):
-    skeleton = extract_skeleton(parse_query("SELECT a FROM t"),
-                                GranularityLevel.DETAILED)
-    parse_counts.update(parse=0, lex=0)
-    assert skeleton.tree is skeleton.tree
-    assert parse_counts == {"parse": 1, "lex": 1}
+# A skeleton is compared and hashed by (level, text) alone, which is
+# sound because its depth follows from its text: extracting again from
+# the text's own parse gives back the same text and the same depth.
+
+
+def assert_reextracts(tree, level):
+    skeleton = extract_skeleton(tree, level)
+    again = extract_skeleton(parse_query(skeleton.text), level)
+    assert again == skeleton, (skeleton.text, again.text)
+    assert again.nesting_depth == skeleton.nesting_depth, skeleton.text
 
 
 @pytest.mark.parametrize("sql", CORPUS)
 @pytest.mark.parametrize("name", ["base", "expanded", "detailed"])
-def test_skeleton_depth_and_tree_match_reparse(sql, name):
-    skeleton = extract_skeleton(parse_query(sql), LEVELS[name])
-    reparsed = parse_query(skeleton.text)
-    assert skeleton.nesting_depth == nesting_depth(reparsed)
-    assert skeleton.tree.stmt == reparsed.stmt
+def test_skeleton_reextracts_from_its_text(sql, name):
+    assert_reextracts(parse_query(sql), LEVELS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(_random_statement))
+# a `_` that opens a bracketed join chain is its first table
+@example("SELECT a FROM t JOIN (u JOIN (SELECT b FROM v) AS w ON u.k = w.k) "
+         "ON t.k = u.k")
+# a value container renders its `_ UNION _` arms as a bracketed subquery
+@example("SELECT f(a IN ( _ UNION _ ), (SELECT b FROM u)) FROM t")
+# a container of several subqueries is bracketed as a BETWEEN's low bound
+@example("SELECT a FROM t WHERE a BETWEEN CASE WHEN (SELECT b FROM u) "
+         "THEN (SELECT c FROM v) END AND b = 1 BETWEEN c AND d")
+def test_skeleton_reextracts_on_generated_statements(sql):
+    try:
+        tree = parse_query(sql)
+    except SqlSyntaxError:
+        return
+    for level in LEVELS.values():
+        assert_reextracts(tree, level)
+
+
+def test_skeleton_is_a_value_of_level_and_text():
+    a = Skeleton(GranularityLevel.BASE, "SELECT _", 0)
+    b = Skeleton(GranularityLevel.BASE, "SELECT _", 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != Skeleton(GranularityLevel.EXPANDED, "SELECT _", 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.text = "SELECT _ FROM _"
 
 
 # Tree walks: sqlast.children lists each node's children once
@@ -262,13 +294,13 @@ def test_extraction_visits_each_node_once(monkeypatch):
         extract_skeleton(tree, level)
         assert visits, "no container was collected"
         assert len(visits) == len(set(visits))
-    assert nesting_depth(tree) == 4
+    assert tree.nesting_depth == 4
 
 
 def test_escape_operand_is_dropped():
     sql = "SELECT a FROM t WHERE a LIKE b ESCAPE (SELECT c FROM u)"
     tree = parse_query(sql)
-    assert nesting_depth(tree) == 0 == oracle_depth(sql)
+    assert tree.nesting_depth == 0 == oracle_depth(sql)
     for name, level in LEVELS.items():
         skeleton = extract_skeleton(tree, level)
         assert skeleton.text == oracle_extract(sql, name)

@@ -703,6 +703,10 @@ def test_corpus_marks_span_the_holder_kinds():
      "(SELECT b FROM x)) AS w ON v.k = w.k)", 2, False),
     # a lone `_` in IN ( ) is a list item, not a SELECT arm
     ("SELECT a FROM t WHERE b IN ( _ )", 0, False),
+    # a `_` that a join follows is a table, and one that a set operator
+    # follows is a SELECT arm, in a bracket as in IN ( )
+    ("SELECT a FROM t JOIN ( _ JOIN ( SELECT b FROM v ) )", 1, False),
+    ("SELECT ( _ UNION _ ) AND ( SELECT b FROM u ) FROM t", 1, True),
 ])
 def test_marks_on_explicit_cases(sql, depth, placeholder_query):
     tree = sqlast.parse(sql)
