@@ -471,8 +471,7 @@ def run_benchmark(dataset_path, db_root, out_dir="runs",
     journal.rewrite(range(len(items)))
     usage = {}
     if built.gateway is not None:
-        ledger = built.gateway.ledger
-        usage = {stage: ledger.totals(stage) for stage in ledger.stages()}
+        usage = built.gateway.ledger.by_stage()
         if built.gateway.cassette is not None:
             built.gateway.cassette.rewrite_sorted()
     summary = aggregate(records, usage)

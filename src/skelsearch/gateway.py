@@ -86,17 +86,13 @@ class UsageLedger:
             self._sums[stage] = (calls + 1, prompt + prompt_tokens,
                                  completion + completion_tokens)
 
-    def totals(self, stage: str | None = None) -> dict:
+    def by_stage(self) -> dict[str, dict]:
+        """Each stage's sums, in the order of the stages' first calls."""
         with self._lock:
-            rows = [sums for name, sums in self._sums.items()
-                    if stage is None or name == stage]
-        return {"calls": sum(row[0] for row in rows),
-                "prompt_tokens": sum(row[1] for row in rows),
-                "completion_tokens": sum(row[2] for row in rows)}
-
-    def stages(self) -> list[str]:
-        with self._lock:
-            return list(self._sums)
+            return {stage: {"calls": calls, "prompt_tokens": prompt,
+                            "completion_tokens": completion}
+                    for stage, (calls, prompt, completion)
+                    in self._sums.items()}
 
 
 def prompt_key(prompt: str) -> str:

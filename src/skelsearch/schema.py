@@ -9,7 +9,7 @@ file) and rendered into the M-Schema layout used by every prompt:
     【Schema】
     # Table: t
     [
-    (col:TYPE, Primary Key, description, Examples: [v1, v2]),
+    (col:TYPE, Primary Key, Examples: [v1, v2]),
     ...
     ]
     【Foreign keys】
@@ -69,7 +69,6 @@ class ColumnProfile:
     name: str
     type: str = ""
     primary_key: bool = False
-    description: str = ""
     samples: list = field(default_factory=list)
 
 
@@ -127,8 +126,6 @@ class DatabaseProfile:
                          if column.type else f"({column.name}"]
                 if column.primary_key:
                     parts.append("Primary Key")
-                if column.description:
-                    parts.append(column.description)
                 if column.samples:
                     rendered = ", ".join(_format_sample(v)
                                          for v in column.samples)

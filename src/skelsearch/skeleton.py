@@ -308,7 +308,11 @@ class _Renderer:
                     f"{low} AND {self.slot(e.high)}")
         if isinstance(e, A.LikeOp):
             word = ("NOT " if e.negated else "") + e.op
-            return f"{self.slot(e.left)} {word} {self.slot(e.right)}"
+            right = self.slot(e.right)
+            # the ESCAPE that may have ended a prefix NOT's operand is gone
+            if isinstance(e.right, A.Unary) and right.startswith("NOT "):
+                right = "( " + right + " )"
+            return f"{self.slot(e.left)} {word} {right}"
         if isinstance(e, A.IsOp):
             word = "IS NOT" if e.negated else "IS"
             if isinstance(e.right, A.Literal) and e.right.kind == "null":

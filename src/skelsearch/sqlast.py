@@ -469,9 +469,11 @@ MAX_HEIGHT = 150
 _TOO_DEEP = f"query nested deeper than {MAX_HEIGHT} levels"
 
 # Binding power of the infix operators, loosest first; every level is
-# left-associative. Prefix NOT binds between AND and the comparisons.
+# left-associative. These are SQLite's levels, except that all comparisons
+# share one, `||` shares `+`'s, and COLLATE binds tighter than a prefix
+# sign. Prefix NOT binds between AND and the comparisons.
 _OR, _AND, _NOT, _COMPARE, _ADD, _MUL = range(1, 7)
-# The operand of a prefix sign takes no infix operator at all.
+# The operand of a prefix sign takes only COLLATE.
 _SIGNED = _MUL + 1
 _INFIX = {
     "OR": _OR, "AND": _AND,
@@ -480,6 +482,7 @@ _INFIX = {
                     _COMPARE),
     "+": _ADD, "-": _ADD, "||": _ADD,
     "*": _MUL, "/": _MUL, "%": _MUL,
+    "COLLATE": _SIGNED,
 }
 _LIKE_OPS = frozenset({"LIKE", "GLOB", "REGEXP", "MATCH"})
 _NEGATABLE = _LIKE_OPS | {"IN", "BETWEEN"}
@@ -760,12 +763,7 @@ class Parser:
 
     def expr(self, level: int = _OR):
         """An expression whose infix operators bind at least as tightly
-        as `level` (precedence climbing).
-
-        `ceiling` is the binding of the last operator applied: an operand
-        parsed at `bind + 1` has taken every tighter operator already,
-        and after `IN (...)` a tighter one must not extend the result.
-        """
+        as `level` (precedence climbing)."""
         tags = self.tags
         start = self.selects
         outer_deepest = self.deepest
@@ -773,22 +771,18 @@ class Parser:
         if depth > MAX_HEIGHT:
             raise self.fail(_TOO_DEEP)
         self.depth = self.deepest = depth
-        if level <= _NOT and tags[self.i] == "NOT" and \
-                tags[self.i + 1] != "EXISTS":
+        if tags[self.i] == "NOT" and tags[self.i + 1] != "EXISTS":
             self.i += 1
             left = Unary("NOT", self.expr(_NOT))
-            ceiling = _NOT
         else:
             left = self._unary()
-            ceiling = _MUL
         while True:
             if self.selects != start:
                 self.marks.add(id(left))
             tag = tags[self.i]
             bind = _INFIX.get(tag)
-            if bind is None or bind < level or bind > ceiling:
+            if bind is None or bind < level:
                 break
-            ceiling = bind
             negated = tag == "NOT"
             if negated:
                 if tags[self.i + 1] not in _NEGATABLE:
@@ -799,8 +793,10 @@ class Parser:
             self.i += 1
             if tag == "IN":
                 left = self._in_tail(negated, left)
+            elif tag == "COLLATE":
+                left = Collate(left, self._name("collation"))
             elif tag == "BETWEEN":
-                low = self.expr(_ADD)
+                low = self.expr(_NOT)
                 self.expect_keyword("AND")
                 left = Between(negated, left, low, self.expr(_ADD))
             elif tag in _LIKE_OPS:
@@ -842,15 +838,7 @@ class Parser:
         if tag == "+" or tag == "-":
             self.i += 1
             return Unary(tag, self.expr(_SIGNED))
-        start = self.selects
-        expr = _PRIMARY.get(tag, Parser._unexpected)(self)
-        while self.eat("COLLATE"):
-            self.reach(self.deepest + 1)
-            # `expr()` marks the outermost Collate; this, the nodes below
-            if self.selects != start:
-                self.marks.add(id(expr))
-            expr = Collate(expr, self._name("collation"))
-        return expr
+        return _PRIMARY.get(tag, Parser._unexpected)(self)
 
     # primaries, dispatched on the tag of their first token by _PRIMARY
 
@@ -871,8 +859,6 @@ class Parser:
         return Literal(self.advance().value, "bool")
 
     def _exists(self) -> Exists:
-        if self.at("NOT") and self.tags[self.i + 1] != "EXISTS":
-            return self._unexpected()
         negated = self.eat("NOT")
         self.expect_keyword("EXISTS")
         self.expect_op("(")

@@ -382,11 +382,11 @@ def test_gold_run_is_perfect(bench_env, tmp_path):
         assert bucket["mean_candidates"] >= 1.0
 
 
-def _same_question_dataset(tmp_path, db_ids):
+def _same_question_dataset(tmp_path, db_ids,
+                           other_gold="SELECT name FROM students"):
     """Two items that ask "Which names?" with different gold SQL."""
     db_root = tmp_path / "databases"
-    golds = ["SELECT name FROM students WHERE year = 2021",
-             "SELECT name FROM students"]
+    golds = ["SELECT name FROM students WHERE year = 2021", other_gold]
     rows = []
     for index, (db_id, gold) in enumerate(zip(db_ids, golds)):
         (db_root / db_id).mkdir(parents=True, exist_ok=True)
@@ -399,9 +399,15 @@ def _same_question_dataset(tmp_path, db_ids):
     return dataset, db_root
 
 
-def test_gold_mode_scores_each_item_against_its_own_gold(tmp_path):
-    dataset, db_root = _same_question_dataset(tmp_path,
-                                              ["school", "school2"])
+@pytest.mark.parametrize("other_gold", [
+    "SELECT name FROM students",
+    # a prefix NOT as a comparison's operand: `id = NOT (year IS NULL)`
+    "SELECT name FROM students WHERE id = NOT year IS NULL",
+])
+def test_gold_mode_scores_each_item_against_its_own_gold(tmp_path,
+                                                         other_gold):
+    dataset, db_root = _same_question_dataset(
+        tmp_path, ["school", "school2"], other_gold)
     report = run_benchmark(dataset, db_root, out_dir=tmp_path / "run")
     assert report["ex"] == 1.0
     assert [r["final_sql"] for r in report["records"]] == \

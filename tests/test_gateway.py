@@ -66,8 +66,8 @@ def test_record_then_replay(tmp_path):
     player = LlmGateway(config(), "replay", Cassette(path),
                         transport=sentinel_transport)
     assert player.complete("hello") == "reply to hello"
-    assert player.ledger.totals() == {
-        "calls": 1, "prompt_tokens": 10, "completion_tokens": 5}
+    assert player.ledger.by_stage() == {"default": {
+        "calls": 1, "prompt_tokens": 10, "completion_tokens": 5}}
 
 
 def test_replay_miss_is_strict(tmp_path):
@@ -236,7 +236,7 @@ def test_transport_error_after_retries_records_usage():
     gateway = LlmGateway(config(retries=1), transport=broken)
     with pytest.raises(TransportError):
         gateway.complete("some prompt here", stage="probe")
-    totals = gateway.ledger.totals("probe")
+    totals = gateway.ledger.by_stage()["probe"]
     assert totals["calls"] == 1
     assert totals["completion_tokens"] == 0
     assert totals["prompt_tokens"] > 0
@@ -250,11 +250,8 @@ def test_ledger_conserved_under_concurrency():
     with ThreadPoolExecutor(max_workers=16) as pool:
         list(pool.map(lambda i: gateway.complete(f"p{i}", stage="load"),
                       range(200)))
-    totals = gateway.ledger.totals("load")
-    assert totals["calls"] == 200
-    assert totals["prompt_tokens"] == 400
-    assert totals["completion_tokens"] == 600
-    assert gateway.ledger.totals() == totals
+    assert gateway.ledger.by_stage() == {"load": {
+        "calls": 200, "prompt_tokens": 400, "completion_tokens": 600}}
 
 
 def test_ledger_stage_split():
@@ -267,10 +264,10 @@ def test_ledger_stage_split():
     gateway.complete("a", stage="formulate")
     gateway.complete("b", stage="evaluate")
     gateway.complete("c", stage="evaluate")
-    assert ledger.totals("formulate")["calls"] == 1
-    assert ledger.totals("evaluate")["calls"] == 2
-    assert ledger.totals()["calls"] == 3
-    assert ledger.stages() == ["formulate", "evaluate"]
+    by_stage = ledger.by_stage()
+    assert list(by_stage) == ["formulate", "evaluate"]
+    assert by_stage["formulate"]["calls"] == 1
+    assert by_stage["evaluate"]["calls"] == 2
 
 
 def test_mode_validation(tmp_path):
@@ -307,7 +304,7 @@ def test_concurrent_misses_of_one_prompt_share_one_transport_call(tmp_path):
     stored = Cassette(path).lookup(prompt_key("the same prompt"))
     assert answers == [stored["response"]] * workers
     assert calls == ["the same prompt"]
-    totals = recorder.ledger.totals("evaluate")
+    totals = recorder.ledger.by_stage()["evaluate"]
     assert totals["calls"] == workers
     assert totals["prompt_tokens"] == 4 * workers
 

@@ -172,6 +172,8 @@ def test_trailing_semicolon_still_accepted():
     ("SELECT name FROM t WHERE id IN (SELECT id FROM u)",
      GranularityLevel.EXPANDED),
     ("SELECT [col] FROM [tab] WHERE [col] > [val]", GranularityLevel.BASE),
+    ("SELECT [col] FROM [tab] WHERE [col] = NOT [col]",
+     GranularityLevel.DETAILED),
 ])
 def test_normalize_lexes_and_parses_once(parse_counts, text, target):
     report = normalize(text, target)

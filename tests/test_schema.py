@@ -74,13 +74,6 @@ def test_foreign_key_validation():
         )
 
 
-def test_description_slot():
-    profile = DatabaseProfile("d", [TableProfile("t", [
-        ColumnProfile("c", "TEXT", description="the label"),
-    ])])
-    assert "(c:TEXT, the label)," in render_mschema(profile)
-
-
 def test_profile_from_sqlite(school_db):
     profile = profile_from_sqlite(school_db, db_id="school")
     assert profile.db_id == "school"

@@ -213,6 +213,9 @@ def test_skeleton_reextracts_from_its_text(sql, name):
 # a container of several subqueries is bracketed as a BETWEEN's low bound
 @example("SELECT a FROM t WHERE a BETWEEN CASE WHEN (SELECT b FROM u) "
          "THEN (SELECT c FROM v) END AND b = 1 BETWEEN c AND d")
+# an ESCAPE ends a prefix NOT's operand, and the skeleton drops the ESCAPE
+@example("SELECT a FROM t WHERE (SELECT b FROM u) LIKE NOT b ESCAPE c "
+         "IN (1, 2)")
 def test_skeleton_reextracts_on_generated_statements(sql):
     try:
         tree = parse_query(sql)
