@@ -171,11 +171,11 @@ def resolve_database(db_root, db_id: str) -> str:
     return str(path)
 
 
-def open_profile(path, db_id: str | None = None) -> DatabaseProfile:
+def open_profile(path) -> DatabaseProfile:
     """The profile of the database file at `path`; a file that SQLite
     cannot open or read is a BenchConfigError that names it."""
     try:
-        return profile_from_sqlite(path, db_id=db_id)
+        return profile_from_sqlite(path)
     except (OSError, sqlite3.Error) as exc:
         raise BenchConfigError(f"cannot open database {path}: {exc}") \
             from exc
@@ -216,8 +216,7 @@ class DatabaseProfiles:
     def __getitem__(self, db_id: str) -> DatabaseProfile:
         with self._locks[db_id]:
             if db_id not in self._profiles:
-                self._profiles[db_id] = open_profile(self._paths[db_id],
-                                                     db_id=db_id)
+                self._profiles[db_id] = open_profile(self._paths[db_id])
             return self._profiles[db_id]
 
 

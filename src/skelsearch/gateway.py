@@ -179,8 +179,7 @@ class LlmGateway:
 
     def __init__(self, config: GatewayConfig, mode: str = "live",
                  cassette: Cassette | None = None,
-                 transport=None, ledger: UsageLedger | None = None,
-                 api_key: str | None = None):
+                 transport=None, api_key: str | None = None):
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown gateway mode {mode!r}")
         if mode in ("record", "replay") and cassette is None:
@@ -189,7 +188,7 @@ class LlmGateway:
         self.mode = mode
         self.cassette = cassette
         self.transport = transport or http_transport
-        self.ledger = ledger or UsageLedger()
+        self.ledger = UsageLedger()
         self.api_key = api_key
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None

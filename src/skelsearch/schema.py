@@ -319,15 +319,15 @@ def _store(entry: Path, profile: DatabaseProfile) -> None:
             os.unlink(temp)
 
 
-def profile_from_sqlite(path: str | Path,
-                        db_id: str | None = None) -> DatabaseProfile:
+def profile_from_sqlite(path: str | Path) -> DatabaseProfile:
     """Introspect a sqlite file into a profile, or read it from the
-    profile cache (see the module docstring).
+    profile cache (see the module docstring). The profile's db_id is the
+    file's stem.
 
     Sample values are the smallest distinct non-null values per column,
     so repeated introspection of an unchanged database is byte-stable:
     that is what lets a cached profile stand in for the scans. A hit
-    opens no SQLite connection; `db_id` and `path` come from the call.
+    opens no SQLite connection; the db_id and path come from `path`.
     A miss hashes the file again after the scans and stores its profile
     only under an unchanged key, so bytes written while it was read,
     however quickly and whatever their size, are not stored as the
@@ -336,8 +336,7 @@ def profile_from_sqlite(path: str | Path,
     there were no cache.
     """
     path = Path(path)
-    if db_id is None:
-        db_id = path.stem
+    db_id = path.stem
     entry = None
     try:
         entry = _cache_entry(path)

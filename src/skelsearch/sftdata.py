@@ -289,13 +289,12 @@ _OPERATOR_FNS = {
 OPERATORS = tuple(_OPERATOR_FNS)
 
 
-def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
-                     attempts: int = CORRUPTION_ATTEMPTS
-                     ) -> tuple[str, list[dict]]:
+def corrupt_skeleton(gold: Skeleton,
+                     rnd: random.Random) -> tuple[str, list[dict]]:
     """A grammatical skeleton text that differs from the gold text, and
     its recipe: an {"operator", "detail"} dict per operator applied."""
     base = gold.text.split(" ")
-    for _ in range(attempts):
+    for _ in range(CORRUPTION_ATTEMPTS):
         tokens = list(base)
         recipe = []
         for name in rnd.sample(OPERATORS, rnd.randint(1, 2)):
@@ -315,21 +314,16 @@ def corrupt_skeleton(gold: Skeleton, rnd: random.Random,
             return text, recipe
     raise CorruptionError(
         f"no corruption found for {gold.level.label} skeleton "
-        f"{gold.text!r} within {attempts} attempts")
+        f"{gold.text!r} within {CORRUPTION_ATTEMPTS} attempts")
 
 
 # Demonstration schema pruning
 
 
 def prune_demonstration_schema(profile: DatabaseProfile,
-                               gold_sql: str) -> DatabaseProfile:
-    """Profile reduced to what the gold SQL touches, plus key columns."""
-    return _prune_schema(profile, parse_query(gold_sql))
-
-
-def _prune_schema(profile: DatabaseProfile,
-                  tree: A.ClauseTree) -> DatabaseProfile:
-    """`prune_demonstration_schema` of gold SQL already parsed to `tree`."""
+                               tree: A.ClauseTree) -> DatabaseProfile:
+    """Profile reduced to what the gold SQL parsed to `tree` touches, plus
+    key columns."""
     nodes, stack = [], [tree.stmt]
     while stack:
         node = stack.pop()
@@ -444,7 +438,7 @@ def build_dataset(corpus, out_path, pairs_per_level: int = 10,
     prepared = []
     for question, gold_sql, profile in corpus:
         tree = parse_query(gold_sql)
-        schema = render_mschema(_prune_schema(profile, tree))
+        schema = render_mschema(prune_demonstration_schema(profile, tree))
         skeletons = {level: extract_skeleton(tree, level)
                      for level in GranularityLevel}
         prepared.append((question, schema, skeletons))

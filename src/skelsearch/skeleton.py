@@ -143,12 +143,12 @@ def _render_base(stmt: A.SelectStmt) -> str:
     return " ".join(parts)
 
 
-def _bare_and(text: str) -> bool:
-    """Whether rendered text holds an AND outside every bracket."""
+def _bare(word: str, text: str) -> bool:
+    """Whether rendered text holds `word` outside every bracket."""
     depth = 0
     for token in text.split(" "):
         depth += (token == "(") - (token == ")")
-        if token == "AND" and not depth:
+        if token == word and not depth:
             return True
     return False
 
@@ -273,8 +273,7 @@ class _Renderer:
         if isinstance(e, A.Subquery):
             return "( " + self.query(e.query) + " )"
         if isinstance(e, A.Exists):
-            prefix = "NOT " if e.negated else ""
-            return prefix + "EXISTS ( " + self.query(e.query) + " )"
+            return "EXISTS ( " + self.query(e.query) + " )"
         if isinstance(e, A.InSelect):
             word = "NOT IN" if e.negated else "IN"
             return f"{self.slot(e.expr)} {word} ( {self.query(e.query)} )"
@@ -302,15 +301,16 @@ class _Renderer:
             word = "NOT BETWEEN" if e.negated else "BETWEEN"
             low = self.slot(e.low)
             # a container's subqueries: bare, their AND would end it
-            if _bare_and(low):
+            if _bare("AND", low):
                 low = "( " + low + " )"
             return (f"{self.slot(e.expr)} {word} "
                     f"{low} AND {self.slot(e.high)}")
         if isinstance(e, A.LikeOp):
             word = ("NOT " if e.negated else "") + e.op
             right = self.slot(e.right)
-            # the ESCAPE that may have ended a prefix NOT's operand is gone
-            if isinstance(e.right, A.Unary) and right.startswith("NOT "):
+            # a bare NOT is a prefix NOT whose operand runs to the end of
+            # `right`, and the ESCAPE that may have ended it is gone
+            if _bare("NOT", right):
                 right = "( " + right + " )"
             return f"{self.slot(e.left)} {word} {right}"
         if isinstance(e, A.IsOp):

@@ -281,7 +281,6 @@ class InSelect:
 
 @dataclass
 class Exists:
-    negated: bool
     query: object
 
 
@@ -469,20 +468,19 @@ MAX_HEIGHT = 150
 _TOO_DEEP = f"query nested deeper than {MAX_HEIGHT} levels"
 
 # Binding power of the infix operators, loosest first; every level is
-# left-associative. These are SQLite's levels, except that all comparisons
-# share one, `||` shares `+`'s, and COLLATE binds tighter than a prefix
-# sign. Prefix NOT binds between AND and the comparisons.
-_OR, _AND, _NOT, _COMPARE, _ADD, _MUL = range(1, 7)
-# The operand of a prefix sign takes only COLLATE.
-_SIGNED = _MUL + 1
+# left-associative. These are SQLite's levels (lang_expr.html#operators,
+# less the operators the lexer has no token for); prefix NOT binds between
+# AND and `=`, and a prefix sign tighter than COLLATE.
+_OR, _AND, _NOT, _EQ, _LT, _ADD, _MUL, _CONCAT, _COLLATE = range(1, 10)
 _INFIX = {
     "OR": _OR, "AND": _AND,
-    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">=", "IN", "BETWEEN",
-                     "LIKE", "GLOB", "REGEXP", "MATCH", "IS", "NOT"),
-                    _COMPARE),
-    "+": _ADD, "-": _ADD, "||": _ADD,
+    **dict.fromkeys(("=", "!=", "IS", "IN", "LIKE", "GLOB", "REGEXP", "MATCH",
+                     "BETWEEN", "NOT"), _EQ),
+    **dict.fromkeys(("<", "<=", ">", ">="), _LT),
+    "+": _ADD, "-": _ADD,
     "*": _MUL, "/": _MUL, "%": _MUL,
-    "COLLATE": _SIGNED,
+    "||": _CONCAT,
+    "COLLATE": _COLLATE,
 }
 _LIKE_OPS = frozenset({"LIKE", "GLOB", "REGEXP", "MATCH"})
 _NEGATABLE = _LIKE_OPS | {"IN", "BETWEEN"}
@@ -771,7 +769,7 @@ class Parser:
         if depth > MAX_HEIGHT:
             raise self.fail(_TOO_DEEP)
         self.depth = self.deepest = depth
-        if tags[self.i] == "NOT" and tags[self.i + 1] != "EXISTS":
+        if tags[self.i] == "NOT":
             self.i += 1
             left = Unary("NOT", self.expr(_NOT))
         else:
@@ -798,21 +796,21 @@ class Parser:
             elif tag == "BETWEEN":
                 low = self.expr(_NOT)
                 self.expect_keyword("AND")
-                left = Between(negated, left, low, self.expr(_ADD))
+                left = Between(negated, left, low, self.expr(bind + 1))
             elif tag in _LIKE_OPS:
-                right = self.expr(_ADD)
+                right = self.expr(bind + 1)
                 if self.eat("ESCAPE"):
                     # The operand is dropped, and so is what it noted.
                     noted = (self.marks, self.selects, self.nesting,
                              self.placeholder_query)
                     self.marks = set()
-                    self.expr(_ADD)
+                    self.expr(bind + 1)
                     (self.marks, self.selects, self.nesting,
                      self.placeholder_query) = noted
                 left = LikeOp(tag, negated, left, right)
             elif tag == "IS":
                 is_negated = self.eat("NOT")
-                left = IsOp(is_negated, left, self.expr(_ADD))
+                left = IsOp(is_negated, left, self.expr(bind + 1))
             else:
                 left = Binary(tag, left, self.expr(bind + 1))
         self.depth = depth - 1
@@ -837,7 +835,8 @@ class Parser:
         tag = self.tags[self.i]
         if tag == "+" or tag == "-":
             self.i += 1
-            return Unary(tag, self.expr(_SIGNED))
+            # the operand takes no infix operator, as a sign binds tightest
+            return Unary(tag, self.expr(_COLLATE + 1))
         return _PRIMARY.get(tag, Parser._unexpected)(self)
 
     # primaries, dispatched on the tag of their first token by _PRIMARY
@@ -859,12 +858,11 @@ class Parser:
         return Literal(self.advance().value, "bool")
 
     def _exists(self) -> Exists:
-        negated = self.eat("NOT")
-        self.expect_keyword("EXISTS")
+        self.i += 1
         self.expect_op("(")
         query = self.select_stmt()
         self.expect_op(")")
-        return Exists(negated, query)
+        return Exists(query)
 
     def _paren(self):
         self.i += 1
@@ -974,7 +972,6 @@ _PRIMARY = {
     "TRUE": Parser._bool,
     "FALSE": Parser._bool,
     "EXISTS": Parser._exists,
-    "NOT": Parser._exists,
     "CASE": Parser._case,
     "CAST": Parser._cast,
     "(": Parser._paren,

@@ -89,7 +89,7 @@ def school_db(tmp_path):
 
 @pytest.fixture
 def school_profile(school_db):
-    return profile_from_sqlite(school_db, db_id="school")
+    return profile_from_sqlite(school_db)
 
 
 def make_profile(db_id="toy"):

@@ -192,10 +192,11 @@ def profiled(monkeypatch):
     log = SimpleNamespace(calls=[], made={}, delay={})
     profile = bench.profile_from_sqlite
 
-    def recorded(path, db_id=None):
+    def recorded(path):
+        db_id = Path(path).stem
         log.calls.append(db_id)
         time.sleep(log.delay.get(db_id, 0))
-        log.made[db_id] = profile(path, db_id=db_id)
+        log.made[db_id] = profile(path)
         return log.made[db_id]
 
     monkeypatch.setattr(bench, "profile_from_sqlite", recorded)
@@ -264,8 +265,7 @@ def test_item_pool_profiles_each_database_once(tmp_path, profiled):
     assert report["ex"] == 1.0
     assert sorted(profiled.calls) == db_ids
     for db_id, profile in profiled.made.items():
-        alone = profile_from_sqlite(resolve_database(db_root, db_id),
-                                    db_id=db_id)
+        alone = profile_from_sqlite(resolve_database(db_root, db_id))
         assert render_mschema(profile) == render_mschema(alone)
 
 
@@ -495,8 +495,7 @@ def test_always_false_evaluator_flags_all_items(bench_env, tmp_path):
 
 def test_pass_at_k_counts_candidate_voting_missed(bench_env, connections):
     _, db_root = bench_env
-    profile = profile_from_sqlite(resolve_database(db_root, "school"),
-                                  db_id="school")
+    profile = profile_from_sqlite(resolve_database(db_root, "school"))
     item = BenchmarkItem("0", Q1, "school", GOLDS[Q1], "simple")
     bases = ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _",
              "SELECT _ FROM _ ORDER BY _"]
@@ -520,8 +519,7 @@ def test_pass_at_k_counts_candidate_voting_missed(bench_env, connections):
 def test_gold_text_executes_once_per_item(bench_env, monkeypatch,
                                           connections):
     _, db_root = bench_env
-    profile = profile_from_sqlite(resolve_database(db_root, "school"),
-                                  db_id="school")
+    profile = profile_from_sqlite(resolve_database(db_root, "school"))
     item = BenchmarkItem("0", Q1, "school", GOLDS[Q1], "simple")
     bases = ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _",
              "SELECT _ FROM _ ORDER BY _"]
@@ -575,8 +573,7 @@ def test_gold_mode_parses_each_gold_text_once_per_item(bench_env, tmp_path,
 
 def test_gold_execution_error_is_not_correct(bench_env, connections):
     _, db_root = bench_env
-    profile = profile_from_sqlite(resolve_database(db_root, "school"),
-                                  db_id="school")
+    profile = profile_from_sqlite(resolve_database(db_root, "school"))
     question = "broken gold"
     gold = "SELECT ghost FROM students"
     item = BenchmarkItem("0", question, "school", gold)
@@ -595,8 +592,7 @@ def test_gold_execution_error_is_not_correct(bench_env, connections):
 ], ids=["cte", "parameter", "isnull"])
 def test_unparsable_gold_sql_is_classified(bench_env, gold, connections):
     _, db_root = bench_env
-    profile = profile_from_sqlite(resolve_database(db_root, "school"),
-                                  db_id="school")
+    profile = profile_from_sqlite(resolve_database(db_root, "school"))
     question = "gold the parser rejects"
     record = run_item(BenchmarkItem("0", question, "school", gold), profile,
                       gold_backends({("school", question): gold}),

@@ -21,7 +21,6 @@ from skelsearch.gateway import (
     GatewayConfig,
     LlmGateway,
     TransportError,
-    UsageLedger,
     http_transport,
     prompt_key,
 )
@@ -255,16 +254,14 @@ def test_ledger_conserved_under_concurrency():
 
 
 def test_ledger_stage_split():
-    ledger = UsageLedger()
-
     def transport(prompt, cfg, api_key=None):
         return "r", 1, 1
 
-    gateway = LlmGateway(config(), transport=transport, ledger=ledger)
+    gateway = LlmGateway(config(), transport=transport)
     gateway.complete("a", stage="formulate")
     gateway.complete("b", stage="evaluate")
     gateway.complete("c", stage="evaluate")
-    by_stage = ledger.by_stage()
+    by_stage = gateway.ledger.by_stage()
     assert list(by_stage) == ["formulate", "evaluate"]
     assert by_stage["formulate"]["calls"] == 1
     assert by_stage["evaluate"]["calls"] == 2

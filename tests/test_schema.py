@@ -75,7 +75,7 @@ def test_foreign_key_validation():
 
 
 def test_profile_from_sqlite(school_db):
-    profile = profile_from_sqlite(school_db, db_id="school")
+    profile = profile_from_sqlite(school_db)
     assert profile.db_id == "school"
     assert [t.name for t in profile.tables] == ["grades", "students"]
     students = table(profile, "students")
@@ -84,7 +84,7 @@ def test_profile_from_sqlite(school_db):
     assert students.columns[1].samples == ["Ada", "Ben", "Cam"]
     assert profile.foreign_keys == [
         ForeignKey("grades", "student_id", "students", "id")]
-    again = profile_from_sqlite(school_db, db_id="school")
+    again = profile_from_sqlite(school_db)
     assert render_mschema(again) == render_mschema(profile)
 
 
@@ -443,7 +443,7 @@ def test_a_hit_opens_no_database(tmp_path, monkeypatch, profile_cache):
     and takes the db_id and path from the call: a copy of the file hits
     the entry its original stored."""
     school = build_school_db(tmp_path / "school.sqlite")
-    cold = profile_from_sqlite(school, db_id="school")
+    cold = profile_from_sqlite(school)
     copy = tmp_path / "copy.sqlite"
     shutil.copyfile(school, copy)
 

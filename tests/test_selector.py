@@ -379,7 +379,7 @@ def test_database_paths_with_uri_characters(tmp_path, name, run):
     directory = tmp_path / name
     directory.mkdir()
     path = build_school_db(directory / "school.sqlite")
-    profile = profile_from_sqlite(path, db_id="school")
+    profile = profile_from_sqlite(path)
     assert [table.name for table in profile.tables] == ["grades", "students"]
     outcome = run(profile, "SELECT name FROM students")
     assert (outcome.status, outcome.row_count) == (OutcomeStatus.ROWS, 4)

@@ -177,26 +177,26 @@ def test_corrupt_skeleton_sweep_over_corpus():
 # Schema pruning
 
 
+def prune(sql):
+    return prune_demonstration_schema(PROFILE, parse_query(sql))
+
+
 def test_prune_single_table():
-    pruned = prune_demonstration_schema(
-        PROFILE, "SELECT name FROM students WHERE year > 2021")
+    pruned = prune("SELECT name FROM students WHERE year > 2021")
     assert [t.name for t in pruned.tables] == ["students"]
     assert pruned.tables[0].column_names() == ["id", "name", "year"]
     assert pruned.foreign_keys == []
 
 
 def test_prune_drops_unreferenced_columns():
-    pruned = prune_demonstration_schema(
-        PROFILE, "SELECT course FROM grades")
+    pruned = prune("SELECT course FROM grades")
     assert [t.name for t in pruned.tables] == ["grades"]
     assert pruned.tables[0].column_names() == ["course"]
 
 
 def test_prune_join_keeps_fk_columns():
-    pruned = prune_demonstration_schema(
-        PROFILE,
-        "SELECT students.name, grades.score FROM students JOIN grades "
-        "ON students.id = grades.student_id")
+    pruned = prune("SELECT students.name, grades.score FROM students JOIN "
+                   "grades ON students.id = grades.student_id")
     names = {t.name: t.column_names() for t in pruned.tables}
     assert set(names) == {"students", "grades"}
     assert "id" in names["students"]
@@ -205,44 +205,39 @@ def test_prune_join_keeps_fk_columns():
 
 
 def test_prune_fk_columns_kept_even_when_unreferenced():
-    pruned = prune_demonstration_schema(
-        PROFILE,
-        "SELECT students.name, grades.score FROM students "
-        "JOIN grades ON students.id = grades.student_id WHERE score > 1")
+    pruned = prune("SELECT students.name, grades.score FROM students "
+                   "JOIN grades ON students.id = grades.student_id "
+                   "WHERE score > 1")
     names = {t.name: t.column_names() for t in pruned.tables}
     assert "student_id" in names["grades"]
 
 
 def test_prune_star_keeps_all_columns():
-    pruned = prune_demonstration_schema(PROFILE, "SELECT * FROM grades")
+    pruned = prune("SELECT * FROM grades")
     assert pruned.tables[0].column_names() == ["student_id", "course",
                                                "score"]
 
 
 def test_prune_alias_resolution():
-    pruned = prune_demonstration_schema(
-        PROFILE, "SELECT s.name FROM students AS s")
+    pruned = prune("SELECT s.name FROM students AS s")
     assert pruned.tables[0].column_names() == ["id", "name"]
 
 
 def test_prune_derived_alias_is_not_an_error():
-    pruned = prune_demonstration_schema(
-        PROFILE,
-        "SELECT t.course FROM (SELECT course FROM grades) t")
+    pruned = prune("SELECT t.course FROM (SELECT course FROM grades) t")
     assert [t.name for t in pruned.tables] == ["grades"]
 
 
 def test_prune_unknown_column_raises():
     with pytest.raises(UnresolvedReference):
-        prune_demonstration_schema(PROFILE, "SELECT ghost FROM students")
+        prune("SELECT ghost FROM students")
     with pytest.raises(UnresolvedReference):
-        prune_demonstration_schema(PROFILE,
-                                   "SELECT students.ghost FROM students")
+        prune("SELECT students.ghost FROM students")
 
 
 def test_prune_unknown_table_raises():
     with pytest.raises(UnresolvedReference):
-        prune_demonstration_schema(PROFILE, "SELECT a FROM ghost")
+        prune("SELECT a FROM ghost")
 
 
 # Dataset builds
@@ -382,7 +377,8 @@ def test_template_annotator_is_deterministic():
     assert len(first) == 3
 
 
-def test_corruption_error_bubbles_message():
+def test_corruption_error_bubbles_message(monkeypatch):
     gold = sk("SELECT a FROM t", B)
+    monkeypatch.setattr(sftdata, "CORRUPTION_ATTEMPTS", 0)
     with pytest.raises(CorruptionError):
-        corrupt_skeleton(gold, random.Random(0), attempts=0)
+        corrupt_skeleton(gold, random.Random(0))

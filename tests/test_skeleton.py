@@ -216,6 +216,8 @@ def test_skeleton_reextracts_from_its_text(sql, name):
 # an ESCAPE ends a prefix NOT's operand, and the skeleton drops the ESCAPE
 @example("SELECT a FROM t WHERE (SELECT b FROM u) LIKE NOT b ESCAPE c "
          "IN (1, 2)")
+# ... also where that NOT is the right operand of a `<` in the pattern
+@example(_random_statement(20307))
 def test_skeleton_reextracts_on_generated_statements(sql):
     try:
         tree = parse_query(sql)
