@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .agents import GoldOracle, LlmEvaluationBackend, LlmFormulationBackend
 from .engine import EmptySearch, SearchConfig, run_search
-from .gateway import Cassette, GatewayConfig, LlmGateway
+from .gateway import Cassette, GatewayConfig, LlmGateway, endpoint_url
 from .journal import Journal
 from .schema import DatabaseProfile, profile_from_sqlite, read_only_uri
 from .selector import (
@@ -254,7 +254,7 @@ class Backends(NamedTuple):
 def build_backends(settings: RunSettings,
                    items: list[BenchmarkItem]) -> Backends:
     """The backends that settings.mode calls for; replay needs its
-    cassette file to exist."""
+    cassette file to exist, and live and record an http(s) endpoint."""
     if settings.mode == "gold":
         golds: dict[tuple[str, str], str] = {}
         for item in items:
@@ -268,6 +268,11 @@ def build_backends(settings: RunSettings,
     if settings.mode == "replay" and not Path(settings.cassette).is_file():
         # every call would miss, and each item would fail on its own
         raise BenchConfigError(f"no cassette at {settings.cassette}")
+    if settings.mode in ("live", "record"):
+        try:
+            endpoint_url(settings.gateway.endpoint)
+        except ValueError as exc:
+            raise BenchConfigError(f"gateway.endpoint: {exc}") from None
     cassette = Cassette(settings.cassette) if settings.cassette else None
     api_key = os.environ.get(settings.gateway.api_key_env, "")
     gateway = LlmGateway(settings.gateway, mode=settings.mode,

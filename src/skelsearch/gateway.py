@@ -12,10 +12,12 @@ cassette instead of silently replaying a stale response.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,19 @@ POOL_SIZE = 12
 
 
 class TransportError(RuntimeError):
-    """All attempts to reach the completion endpoint failed."""
+    """A completion could not be had from the endpoint."""
+
+
+class HTTPStatusError(TransportError):
+    """The endpoint answered with a status other than 2xx."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(f"HTTP {status} {reason}")
+        self.status = status
+
+
+class PermanentError(TransportError):
+    """A failure that another attempt cannot mend, raised at the first."""
 
 
 class CassetteMiss(KeyError):
@@ -46,7 +60,7 @@ class GatewayConfig:
     model: str = ""
     temperature: float = 0.0
     max_tokens: int = 2048
-    timeout: float = 60.0
+    timeout: float = 60.0  # seconds of one attempt, connect to last byte
     retries: int = 2
     backoff_base: float = 0.5
     api_key_env: str = "LLM_API_KEY"
@@ -132,12 +146,44 @@ class Cassette(Journal):
             self.rewrite()
 
 
+def endpoint_url(endpoint: str) -> urllib.parse.SplitResult:
+    """`endpoint` split; ValueError unless it is an absolute http or https
+    URL with a host (`port` raises it for a port that is not a number)."""
+    url = urllib.parse.urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname or \
+            url.port == 0:
+        raise ValueError(f"{endpoint!r} is not an absolute http or https "
+                         f"URL with a host")
+    return url
+
+
+def is_transient(exc: Exception) -> bool:
+    """Whether a retry can help: any OSError, or HTTP 408, 429 or 5xx."""
+    if isinstance(exc, HTTPStatusError):
+        return exc.status in (408, 429) or 500 <= exc.status < 600
+    return isinstance(exc, OSError)
+
+
 def http_transport(prompt: str, config: GatewayConfig,
                    api_key: str | None = None) -> tuple[str, int, int]:
-    """POST one chat completion in the common provider wire format."""
-    import requests  # only runs that reach the network pay for the import
+    """POST one chat completion in the common provider wire format.
 
-    headers = {"Content-Type": "application/json"}
+    `config.timeout` bounds the attempt from the connect to the last byte:
+    a timer shuts the socket down at the deadline, and once it has fired
+    the attempt is a TimeoutError, whatever was read. Any status but 2xx,
+    a redirect too, raises HTTPStatusError. A proxy that `urllib.request`
+    finds for the endpoint is reached through a CONNECT tunnel."""
+    import http.client  # only runs that reach the network pay for these
+    import json
+    import socket
+    import ssl
+    import urllib.request
+
+    url = endpoint_url(config.endpoint)
+    port = url.port or (443 if url.scheme == "https" else 80)
+    target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+    headers = {"Host": url.netloc.rpartition("@")[2],
+               "Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     payload = {
@@ -146,10 +192,48 @@ def http_transport(prompt: str, config: GatewayConfig,
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
-    resp = requests.post(config.endpoint, json=payload, headers=headers,
-                         timeout=config.timeout)
-    resp.raise_for_status()
-    body = resp.json()
+    proxy = None if urllib.request.proxy_bypass(url.hostname) \
+        else urllib.request.getproxies().get(url.scheme)
+    via = urllib.parse.urlsplit(proxy) if proxy else url
+    conn = http.client.HTTPConnection(
+        via.hostname, via.port if proxy else port, timeout=config.timeout)
+    if proxy:
+        conn.set_tunnel(url.hostname, port)
+    fired, sock = threading.Event(), None
+
+    def expire():
+        fired.set()
+        with contextlib.suppress(AttributeError, OSError):  # none yet, or gone
+            (sock or conn.sock).shutdown(socket.SHUT_RDWR)
+
+    timer = threading.Timer(config.timeout, expire)
+    timer.start()
+    try:
+        conn.connect()
+        if url.scheme == "https":  # handshake where the timer can cut it
+            conn.sock = ssl.create_default_context().wrap_socket(
+                conn.sock, server_hostname=url.hostname,
+                do_handshake_on_connect=False)
+        sock = conn.sock  # `getresponse` drops `conn.sock` on a closing reply
+        if fired.is_set():  # before there was a socket to shut down
+            raise TimeoutError
+        if url.scheme == "https":
+            conn.sock.do_handshake()
+        conn.request("POST", target, json.dumps(payload).encode(), headers)
+        response = conn.getresponse()
+        raw = response.read()
+    except Exception:  # a cut socket fails in many ways; the timer decides
+        if not fired.is_set():
+            raise
+    finally:
+        timer.cancel()
+        timer.join()  # so that `fired` no longer changes
+        conn.close()
+    if fired.is_set():
+        raise TimeoutError(f"no whole response within {config.timeout} s")
+    if not 200 <= response.status < 300:
+        raise HTTPStatusError(response.status, response.reason)
+    body = json.loads(raw)
     text = body["choices"][0]["message"]["content"]
     usage = body.get("usage") or {}
     return (
@@ -251,8 +335,10 @@ class LlmGateway:
         return entry["response"]
 
     def _call(self, key: str, prompt: str, stage: str) -> str:
-        """One completion through the transport, with retries; record mode
-        stores the response."""
+        """One completion through the transport; record mode stores the
+        response. A transient failure (`is_transient`) is tried again, up
+        to `config.retries` times after backoff; any other raises
+        PermanentError at its first attempt."""
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
             if attempt and self.config.backoff_base > 0:
@@ -263,13 +349,19 @@ class LlmGateway:
                     prompt, self.config, self.api_key)
             except Exception as exc:
                 last_error = exc
-                continue
+                if is_transient(exc):
+                    continue
+                break
             self.ledger.record(stage, p_tokens, c_tokens)
             if self.mode == "record":
                 self.cassette.store(key, text, p_tokens, c_tokens)
             return text
 
         self.ledger.record(stage, estimate_tokens(prompt), 0)
+        if not is_transient(last_error):
+            raise PermanentError(
+                f"completion failed, not retried: "
+                f"{type(last_error).__name__}: {last_error}") from last_error
         raise TransportError(
             f"completion failed after {self.config.retries + 1} attempts: "
             f"{last_error}") from last_error

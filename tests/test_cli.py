@@ -335,6 +335,40 @@ def test_replay_without_cassette_exits_2(capsys, env, profile_calls,
     assert not Path("nope.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "search"])
+@pytest.mark.parametrize("mode,endpoint", [
+    ("record", ""),
+    ("live", ""),
+    ("record", "api.example.com/v1"),
+    ("live", "ftp://example.com/v1"),
+    ("record", "http:///v1"),
+    ("record", "http://example.com:port/v1"),
+    ("record", "http://[::1/v1"),
+])
+def test_live_or_record_without_usable_endpoint_exits_2(
+        capsys, env, profile_calls, monkeypatch, command, mode, endpoint):
+    """A live or record run whose endpoint is no absolute http(s) URL with
+    a host is a configuration error that names `gateway.endpoint`, raised
+    before the run profiles a database or writes anything; not a run
+    whose items all fail at the transport and read as empty searches."""
+    monkeypatch.chdir(env["tmp"])
+    config = env["tmp"] / "config.yaml"
+    config.write_text(f"mode: {mode}\ncassette: tape.jsonl\n"
+                      f"gateway: {{endpoint: {json.dumps(endpoint)}}}\n",
+                      encoding="utf-8")
+    out_dir = env["tmp"] / "run"
+    argv = (["run", "--dataset", env["dataset"], "--db-root",
+             env["db_root"], "--out", str(out_dir)] if command == "run"
+            else ["search", "--db", env["db"], "--question", QUESTION])
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert err.startswith("error: gateway.endpoint: ")
+    assert out == ""
+    assert profile_calls == []
+    assert not out_dir.exists()
+    assert not (env["tmp"] / "tape.jsonl").exists()
+
+
 def test_journal_with_the_dropped_keys_resumes(capsys, env, monkeypatch):
     """A journal written while records still held `candidate_count`,
     `trace.winner_sql`, each trace group's `size` and `cost.depth` is

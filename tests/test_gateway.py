@@ -1,13 +1,17 @@
 """Gateway behavior: cassettes, retries, ledger conservation, hermetic replay."""
 
+import datetime
+import ipaddress
 import json
 import os
+import socket
+import ssl
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,9 @@ from skelsearch.gateway import (
     Cassette,
     CassetteMiss,
     GatewayConfig,
+    HTTPStatusError,
     LlmGateway,
+    PermanentError,
     TransportError,
     http_transport,
     prompt_key,
@@ -501,58 +507,324 @@ def test_close_stops_the_pool_before_closing_the_cassette(tmp_path):
     del pending
 
 
-def test_cli_and_bench_import_without_requests():
-    src = str(Path(skelsearch.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, skelsearch.cli, skelsearch.bench; "
-         "print('requests' in sys.modules, 'yaml' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False False"
+COMPLETION = {"choices": [{"message": {"content": "VERDICT: True"}}],
+              "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
 
 
-def test_http_transport_posts_one_chat_completion(monkeypatch):
+class Endpoint:
+    """A chat-completion endpoint on localhost, over TLS when given a
+    server `context`. The n-th POST gets the n-th of `replies`, the last
+    one once they run out: a (status, body) pair, or a function that
+    writes the whole response to the handler. `posts` holds each POST's
+    payload and Authorization header. Asked to CONNECT, the endpoint
+    plays a proxy: it notes the target in `tunnels`, answers 200 and
+    then serves the tunnelled request itself."""
+
+    def __init__(self, context=None):
+        self.replies, self.posts, self.tunnels = [], [], []
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_CONNECT(self):
+                endpoint.tunnels.append(self.path)
+                self.send_response(200)
+                self.end_headers()
+                self.close_connection = False
+
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                endpoint.posts.append((json.loads(self.rfile.read(length)),
+                                       self.headers.get("Authorization")))
+                reply = endpoint.replies[
+                    min(len(endpoint.posts), len(endpoint.replies)) - 1]
+                try:
+                    if callable(reply):
+                        reply(self)
+                    else:
+                        status, body = reply
+                        body = body.encode()
+                        self.send_response(status)
+                        if 300 <= status < 400:
+                            self.send_header("Location", "/elsewhere")
+                        self.send_header("Content-Length", str(len(body)))
+                        self.end_headers()
+                        self.wfile.write(body)
+                except OSError:  # the client hung up
+                    pass
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        if context is not None:
+            self.server.socket = context.wrap_socket(self.server.socket,
+                                                     server_side=True)
+        self.url = (f"{'https' if context else 'http'}://127.0.0.1:"
+                    f"{self.server.server_port}/v1")
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.02})
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()  # joins the handler threads
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def direct(monkeypatch):
+    """No proxy for 127.0.0.1, whatever the environment names."""
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy",
                  "https_proxy", "all_proxy"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    received = []
 
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            received.append((json.loads(self.rfile.read(length)),
-                             self.headers.get("Authorization")))
-            body = json.dumps({
-                "choices": [{"message": {"content": "VERDICT: True"}}],
-                "usage": {"prompt_tokens": 7, "completion_tokens": 3},
-            }).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
 
-        def log_message(self, *args):
-            pass
+@pytest.fixture
+def endpoint(direct):
+    with Endpoint() as server:
+        yield server
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
-    try:
-        cfg = config(endpoint=f"http://127.0.0.1:{server.server_port}/v1",
-                     timeout=10)
-        assert http_transport("judge this", cfg, "secret") == \
-            ("VERDICT: True", 7, 3)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    payload, authorization = received[0]
+
+def test_imports_load_no_http_module_and_a_call_loads_no_requests(
+        endpoint):
+    """Importing the command line, the runner and the gateway loads no
+    HTTP, TLS or YAML module; a live call then loads `requests` neither."""
+    endpoint.replies.append((200, json.dumps(COMPLETION)))
+    src = str(Path(skelsearch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f"""
+import sys
+import skelsearch.cli, skelsearch.bench, skelsearch.gateway as gateway
+print(sorted(name for name in sys.modules if name in
+             ("requests", "http.client", "urllib.request", "ssl", "yaml")))
+print(gateway.http_transport(
+    "p", gateway.GatewayConfig(endpoint={endpoint.url!r})))
+print("requests" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.splitlines() == ["[]", "('VERDICT: True', 7, 3)",
+                                       "False"]
+
+
+def test_http_transport_posts_one_chat_completion(endpoint):
+    endpoint.replies.append((200, json.dumps(COMPLETION)))
+    cfg = config(endpoint=endpoint.url, timeout=10)
+    assert http_transport("judge this", cfg, "secret") == \
+        ("VERDICT: True", 7, 3)
+    payload, authorization = endpoint.posts[0]
     assert payload["messages"] == [{"role": "user", "content": "judge this"}]
     assert payload["model"] == "test-model"
     assert authorization == "Bearer secret"
+
+
+def drip_body(handler):
+    """A whole 200 whose 51-byte body arrives one byte per 50 ms."""
+    body = json.dumps({"choices": [{"message": {"content": "dripped"}}]})
+    body = body.ljust(51).encode()
+    handler.send_response(200)
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    for byte in body:
+        handler.wfile.write(bytes([byte]))
+        handler.wfile.flush()
+        time.sleep(0.05)
+
+
+def drip_headers(handler):
+    """A status line, then 400 header lines 10 ms apart."""
+    handler.wfile.write(b"HTTP/1.1 200 OK\r\n")
+    for n in range(400):
+        handler.wfile.flush()
+        time.sleep(0.01)
+        handler.wfile.write(b"X-Drip-%d: 1\r\n" % n)
+
+
+# What an attempt may take past its timeout: the timer's thread waking,
+# the socket being shut down and the response being dropped.
+SLACK_S = 0.15
+
+
+@pytest.mark.parametrize("drip", [drip_body, drip_headers])
+def test_a_drip_ends_each_attempt_at_its_timeout(endpoint, drip):
+    """`timeout` bounds an attempt from the connect to the last byte, so
+    a response that keeps trickling in is a timeout, and a timeout is
+    tried again."""
+    endpoint.replies.append(drip)
+    gateway = LlmGateway(config(endpoint=endpoint.url, timeout=0.25,
+                                retries=1))
+    start = time.monotonic()
+    with pytest.raises(TransportError) as info:
+        gateway.complete("p")
+    elapsed = time.monotonic() - start
+    assert not isinstance(info.value, PermanentError)
+    assert isinstance(info.value.__cause__, TimeoutError)
+    assert len(endpoint.posts) == 2
+    assert 2 * 0.25 <= elapsed <= 2 * (0.25 + SLACK_S)
+
+
+@pytest.mark.parametrize("reply,cause", [
+    ((400, "{}"), HTTPStatusError),
+    ((200, "{}"), KeyError),
+])
+def test_a_failure_no_retry_can_mend_costs_one_post(endpoint, reply, cause):
+    endpoint.replies.append(reply)
+    gateway = LlmGateway(config(endpoint=endpoint.url, retries=2))
+    with pytest.raises(PermanentError) as info:
+        gateway.complete("p", stage="probe")
+    assert isinstance(info.value.__cause__, cause)
+    assert cause.__name__ in str(info.value)
+    assert len(endpoint.posts) == 1
+    assert gateway.ledger.by_stage()["probe"]["calls"] == 1
+
+
+def test_a_503_then_a_200_costs_two_posts(endpoint):
+    endpoint.replies += [(503, "busy"), (200, json.dumps(COMPLETION))]
+    gateway = LlmGateway(config(endpoint=endpoint.url, retries=2))
+    assert gateway.complete("p") == "VERDICT: True"
+    assert len(endpoint.posts) == 2
+
+
+@pytest.mark.parametrize("failure,retried", [
+    (ConnectionError("reset"), True),
+    (TimeoutError("timed out"), True),
+    (408, True),
+    (429, True),
+    (500, True),
+    (503, True),
+    (301, False),
+    (400, False),
+    (401, False),
+    (404, False),
+    (KeyError("choices"), False),
+    (ValueError("bad"), False),
+    (json.JSONDecodeError("Expecting value", "<html>", 0), False),
+])
+def test_only_transient_failures_are_retried(endpoint, failure, retried):
+    """The retry rule: an OSError, or HTTP 408, 429 or 5xx, is tried
+    again; any other failure raises PermanentError at its first attempt.
+    Statuses come from the localhost endpoint, and its 301 is not
+    followed."""
+    attempts = []
+    if isinstance(failure, int):
+        endpoint.replies += [(failure, "{}")]
+        transport = None
+    else:
+        def transport(prompt, cfg, api_key=None):
+            attempts.append(prompt)
+            raise failure
+    gateway = LlmGateway(config(endpoint=endpoint.url, retries=2),
+                         transport=transport)
+    with pytest.raises(TransportError) as info:
+        gateway.complete("p")
+    assert isinstance(info.value, PermanentError) is not retried
+    assert len(attempts or endpoint.posts) == (3 if retried else 1)
+
+
+def test_a_proxy_is_reached_through_a_connect_tunnel(endpoint, monkeypatch):
+    """`http_proxy` routes a call through a CONNECT tunnel to the
+    endpoint's host; the localhost endpoint plays the proxy."""
+    endpoint.replies.append((200, json.dumps(COMPLETION)))
+    monkeypatch.delenv("NO_PROXY")
+    monkeypatch.delenv("no_proxy")
+    monkeypatch.setenv("http_proxy", endpoint.url.removesuffix("/v1"))
+    cfg = config(endpoint="http://model.example:8080/v1/chat")
+    assert http_transport("p", cfg) == ("VERDICT: True", 7, 3)
+    assert endpoint.tunnels == ["model.example:8080"]
+
+
+def test_no_proxy_skips_the_proxy(endpoint, monkeypatch):
+    endpoint.replies.append((200, json.dumps(COMPLETION)))
+    with socket.socket() as unused:  # a port that nothing listens on
+        unused.bind(("127.0.0.1", 0))
+        monkeypatch.setenv("http_proxy",
+                           f"http://127.0.0.1:{unused.getsockname()[1]}")
+    assert http_transport("p", config(endpoint=endpoint.url)) == \
+        ("VERDICT: True", 7, 3)
+    assert endpoint.tunnels == []
+
+
+@pytest.fixture
+def tls_context(tmp_path, monkeypatch):
+    """A server context with a fresh self-signed certificate for
+    127.0.0.1, which `SSL_CERT_FILE` makes the client trust."""
+    pytest.importorskip("cryptography")
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder().subject_name(name).issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName(
+            [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None),
+                       True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(
+            key.public_key()), False)
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(
+            key.public_key()), False)
+        .sign(key, hashes.SHA256()))
+    cert_file, key_file = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_file.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_file.write_bytes(key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption()))
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file, key_file)
+    return context
+
+
+def test_https_posts_one_chat_completion(direct, tls_context):
+    """An https endpoint is verified against the CA store, which
+    `SSL_CERT_FILE` names here."""
+    with Endpoint(tls_context) as tls_endpoint:
+        tls_endpoint.replies.append((200, json.dumps(COMPLETION)))
+        cfg = config(endpoint=tls_endpoint.url, timeout=10)
+        assert http_transport("p", cfg, "secret") == ("VERDICT: True", 7, 3)
+    assert tls_endpoint.posts[0][1] == "Bearer secret"
+
+
+def test_a_dripping_tls_handshake_ends_at_the_timeout(direct):
+    """A server that answers the TLS hello one byte per 20 ms is cut off
+    at the deadline, as a dripping response is."""
+    def drip(listener):
+        conn, _ = listener.accept()
+        with conn:
+            try:  # a handshake record of 16 kB, of which few bytes come
+                conn.sendall(b"\x16\x03\x03\x40\x00")
+                for _ in range(100):
+                    time.sleep(0.02)
+                    conn.sendall(b"\x00")
+            except OSError:  # the client hung up
+                pass
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=drip, args=(listener,))
+        server.start()
+        port = listener.getsockname()[1]
+        gateway = LlmGateway(config(endpoint=f"https://127.0.0.1:{port}/v1",
+                                    timeout=0.25, retries=0))
+        start = time.monotonic()
+        with pytest.raises(TransportError) as info:
+            gateway.complete("p")
+        elapsed = time.monotonic() - start
+        server.join(timeout=10)
+    assert isinstance(info.value.__cause__, TimeoutError)
+    assert 0.25 <= elapsed <= 0.25 + SLACK_S
