@@ -31,12 +31,12 @@ from .journal import Journal
 from .schema import DatabaseProfile, profile_from_sqlite, read_only_uri
 from .selector import (
     ExecutionLimits,
-    ExecutionOutcome,
     LlmArbitratorBackend,
     OutcomeStatus,
     ReadOnlyConnections,
     execute_all,
     execute_candidate,
+    same_result,
     select_final,
 )
 from .skeleton import GranularityLevel
@@ -220,15 +220,6 @@ class DatabaseProfiles:
             return self._profiles[db_id]
 
 
-def _result_token(outcome: ExecutionOutcome) -> str | None:
-    """Comparable result identity; None means not comparable (error)."""
-    if outcome.status is OutcomeStatus.ROWS:
-        return outcome.fingerprint
-    if outcome.status is OutcomeStatus.EMPTY:
-        return "empty"
-    return None
-
-
 class Backends(NamedTuple):
     """The model-facing parts of a run; gold mode has no gateway."""
 
@@ -308,7 +299,6 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
     gold_outcome = execute_candidate(
         profile, SqlCandidate(item.gold_sql, None), settings.limits,
         connections)
-    gold_token = _result_token(gold_outcome)
     record["gold_status"] = gold_outcome.status.value
     leaves = []
     try:
@@ -333,18 +323,16 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
                                   backends.generator, backends.map_calls)
         outcomes = execute_all(profile, candidates, settings.limits,
                                connections, {item.gold_sql: gold_outcome})
-        tokens = [_result_token(o) for o in outcomes]
-        record["k"] = sum(token is not None for token in tokens)
-        if gold_token is not None:
-            record["pass_hit"] = any(token == gold_token
-                                     for token in tokens)
+        record["k"] = sum(o.status is not OutcomeStatus.ERROR
+                          for o in outcomes)
+        record["pass_hit"] = any(same_result(o, gold_outcome)
+                                 for o in outcomes)
         winner, trace = select_final(candidates, outcomes,
                                      backends.arbitrator, item.question)
         record["final_sql"] = winner.sql
         record["trace"] = trace.to_dict()
-        winner_token = tokens[candidates.index(winner)]
-        record["correct"] = (gold_token is not None
-                             and winner_token == gold_token)
+        record["correct"] = same_result(
+            outcomes[candidates.index(winner)], gold_outcome)
     except Exception as exc:
         record["error"] = f"pipeline failed: {exc}"
     return record

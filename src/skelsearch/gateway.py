@@ -221,7 +221,10 @@ def http_transport(prompt: str, config: GatewayConfig,
             conn.sock.do_handshake()
         conn.request("POST", target, json.dumps(payload).encode(), headers)
         response = conn.getresponse()
-        raw = response.read()
+        try:
+            raw = response.read()
+        except http.client.IncompleteRead as exc:  # a retry may get it whole
+            raise ConnectionError(f"response cut short: {exc!r}") from exc
     except Exception:  # a cut socket fails in many ways; the timer decides
         if not fired.is_set():
             raise

@@ -14,12 +14,16 @@ over those canonical rows, order-insensitive unless the query has
 ORDER BY outside every parenthesis. That rule is a lexical scan, not a
 parse, so it also holds for CTEs, which the parser rejects. Identical
 candidates (the same SQL text) share one execution and its outcome.
-Candidates whose fingerprints agree form a vote group; the largest group
-wins, ties go to an arbitrator backend with a deterministic fallback,
-and when nothing executed to a row set the selector falls back to the
-most detailed surviving candidate. Selection is a pure function of
-(candidates, outcomes), so shuffling candidate order never changes the
-winning fingerprint.
+`same_result` is the one rule for whether two outcomes are the same
+answer: both EMPTY, or both ROWS with one fingerprint; an ERROR is the
+same as nothing. The vote and the benchmark's scoring both use it. In
+candidate order, each ROWS outcome joins the first vote group whose
+first outcome is the same result; the largest group wins, ties go to an
+arbitrator backend with a deterministic fallback, and when nothing
+executed to a row set the selector falls back to the most detailed
+surviving candidate. Selection is a pure function of (candidates,
+outcomes), so shuffling candidate order never changes the winning
+fingerprint.
 """
 
 from __future__ import annotations
@@ -340,12 +344,18 @@ def execute_all(profile: DatabaseProfile, candidates: list[SqlCandidate],
     return outcomes
 
 
+def same_result(a: ExecutionOutcome, b: ExecutionOutcome) -> bool:
+    """Whether two outcomes are the same answer: both EMPTY, or both ROWS
+    with one fingerprint. An ERROR is the same as nothing, not even an
+    ERROR. The vote groups and the benchmark scores by this rule alone."""
+    return (a.status is b.status and a.status is not OutcomeStatus.ERROR
+            and a.fingerprint == b.fingerprint)
+
+
 @dataclass
 class VoteGroup:
-    fingerprint: str
+    outcome: ExecutionOutcome  # its first member's
     members: list[SqlCandidate]
-    row_count: int = 0
-    preview: list[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -364,8 +374,8 @@ class DecisionTrace:
             "chosen_fingerprint": self.chosen_fingerprint,
             "rule": self.rule,
             "notes": self.notes,
-            "groups": [{"fingerprint": g.fingerprint,
-                        "row_count": g.row_count,
+            "groups": [{"fingerprint": g.outcome.fingerprint,
+                        "row_count": g.outcome.row_count,
                         "sqls": [c.sql for c in g.members]}
                        for g in self.groups],
         }
@@ -373,22 +383,21 @@ class DecisionTrace:
 
 def group_candidates(candidates: list[SqlCandidate],
                      outcomes: list[ExecutionOutcome]) -> list[VoteGroup]:
-    """Vote groups over ROWS outcomes, ordered by first appearance."""
+    """Vote groups over ROWS outcomes, in candidate order: each joins the
+    first group whose first outcome is `same_result` with its own."""
     if len(candidates) != len(outcomes):
         raise ValueError("candidates and outcomes differ in length")
-    groups: dict[str, VoteGroup] = {}
+    groups: list[VoteGroup] = []
     for candidate, outcome in zip(candidates, outcomes):
         if outcome.status is not OutcomeStatus.ROWS:
             continue
-        group = groups.get(outcome.fingerprint)
-        if group is None:
-            groups[outcome.fingerprint] = VoteGroup(
-                outcome.fingerprint, [candidate],
-                row_count=outcome.row_count,
-                preview=list(outcome.preview))
+        for group in groups:
+            if same_result(group.outcome, outcome):
+                group.members.append(candidate)
+                break
         else:
-            group.members.append(candidate)
-    return list(groups.values())
+            groups.append(VoteGroup(outcome, [candidate]))
+    return groups
 
 
 def _representative(members: list[SqlCandidate]) -> SqlCandidate:
@@ -416,38 +425,32 @@ def select_final(candidates: list[SqlCandidate],
                                      notes)
     top = max(group.size for group in groups)
     tied = [group for group in groups if group.size == top]
+    rule, notes = "arbitration-fallback", "tie with no arbitrator configured"
     if len(tied) == 1:
-        group = tied[0]
-        winner = _representative(group.members)
-        return winner, DecisionTrace(group.fingerprint, "majority", groups)
-    if arbitrator is not None:
+        rule, notes = "majority", ""
+    elif arbitrator is not None:
         try:
             index = arbitrator.choose(question, tied)
             if not isinstance(index, int) or not 0 <= index < len(tied):
                 raise ArbitrationError(f"choice {index!r} out of range")
-            group = tied[index]
-            winner = _representative(group.members)
             notes = f"arbitrator chose group {index + 1} of {len(tied)}"
-            return winner, DecisionTrace(group.fingerprint, "arbitrated",
-                                         groups, notes)
+            rule, tied = "arbitrated", [tied[index]]
         except ArbitrationError as exc:
             notes = f"arbitration failed: {exc}"
-    else:
-        notes = "tie with no arbitrator configured"
-    reps = [(_representative(group.members), group) for group in tied]
-    winner, group = min(reps,
-                        key=lambda p: (-int(p[0].level), p[0].sql))
-    return winner, DecisionTrace(group.fingerprint, "arbitration-fallback",
-                                 groups, notes)
+    # from every member of the groups still in the running
+    winner = _representative([c for group in tied for c in group.members])
+    group = next(group for group in tied if winner in group.members)
+    return winner, DecisionTrace(group.outcome.fingerprint, rule, groups,
+                                 notes)
 
 
 def build_arbitration_prompt(question: str, tied: list[VoteGroup]) -> str:
     blocks = []
     for number, group in enumerate(tied, start=1):
         lines = [f"Group {number} ({group.size} candidates, "
-                 f"{group.row_count} rows):",
+                 f"{group.outcome.row_count} rows):",
                  f"SQL: {_representative(group.members).sql}"]
-        for row in group.preview:
+        for row in group.outcome.preview:
             lines.append("  row: " + row.replace("\x1f", " | "))
         blocks.append("\n".join(lines))
     return load_template("arbitrate").format(question=question,

@@ -76,7 +76,7 @@ class ScriptedArbitratorBackend:
         self.calls: list[tuple] = []
 
     def choose(self, question: str, tied: list[VoteGroup]) -> int:
-        self.calls.append((question, [g.fingerprint for g in tied]))
+        self.calls.append((question, [g.outcome.fingerprint for g in tied]))
         if isinstance(self.choice, Exception):
             raise self.choice
         return self.choice

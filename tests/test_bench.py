@@ -585,6 +585,37 @@ def test_gold_execution_error_is_not_correct(bench_env, connections):
     assert record["pass_hit"] is False
 
 
+@pytest.mark.parametrize("sqls,k,pass_hit,correct", [
+    (["SELECT name FROM students WHERE year = 1800",
+      "SELECT ghost FROM students",
+      "SELECT id FROM students WHERE id < 0"], 2, True, True),
+    (["SELECT name FROM students WHERE year = 1800", GOLDS[Q1], GOLDS[Q1]],
+     3, True, False),
+    ([GOLDS[Q1], "SELECT name FROM students WHERE id = 2", GOLDS[Q1]],
+     3, False, False),
+], ids=["empty-winner", "rows-outvote-empty", "rows-only"])
+def test_empty_gold_scores_through_the_result_rule(bench_env, connections,
+                                                   sqls, k, pass_hit,
+                                                   correct):
+    """An EMPTY gold is matched by any EMPTY candidate, whatever its
+    text, and by no candidate that returns rows."""
+    _, db_root = bench_env
+    profile = profile_from_sqlite(resolve_database(db_root, "school"))
+    gold = "SELECT name FROM students WHERE year = 1900"
+    bases = ["SELECT _ FROM _ WHERE _", "SELECT _ FROM _",
+             "SELECT _ FROM _ ORDER BY _"]
+    backends = Backends(
+        ScriptedFormulationBackend({(Q1, "base", None): bases}),
+        ScriptedEvaluationBackend({(Q1, text): True for text in bases}),
+        ScriptedGenerationBackend({(Q1, base): sql
+                                   for base, sql in zip(bases, sqls)}))
+    record = run_item(BenchmarkItem("0", Q1, "school", gold), profile,
+                      backends, RunSettings(), connections)
+    assert record["gold_status"] == "empty"
+    assert (record["k"], record["pass_hit"], record["correct"]) == \
+        (k, pass_hit, correct)
+
+
 @pytest.mark.parametrize("gold", [
     "WITH s AS (SELECT name FROM students) SELECT name FROM s",
     "SELECT name FROM students WHERE year = ?",

@@ -671,6 +671,26 @@ def test_a_drip_ends_each_attempt_at_its_timeout(endpoint, drip):
     assert 2 * 0.25 <= elapsed <= 2 * (0.25 + SLACK_S)
 
 
+def cut_body(handler):
+    """A 200 that promises 100 body bytes, sends 12 and hangs up."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices": ')
+    handler.wfile.flush()
+    handler.connection.shutdown(socket.SHUT_RDWR)
+
+
+def test_a_body_cut_short_is_tried_again(endpoint):
+    endpoint.replies.append(cut_body)
+    gateway = LlmGateway(config(endpoint=endpoint.url, retries=2))
+    with pytest.raises(TransportError) as info:
+        gateway.complete("p")
+    assert not isinstance(info.value, PermanentError)
+    assert isinstance(info.value.__cause__, ConnectionError)
+    assert len(endpoint.posts) == 3
+
+
 @pytest.mark.parametrize("reply,cause", [
     ((400, "{}"), HTTPStatusError),
     ((200, "{}"), KeyError),

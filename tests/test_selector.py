@@ -35,6 +35,7 @@ from skelsearch.selector import (
     execute_candidate,
     fingerprint_rows,
     group_candidates,
+    same_result,
     select_final,
 )
 from skelsearch.skeleton import GranularityLevel, parse_query
@@ -718,14 +719,59 @@ def test_ordered_cte_gets_sequence_fingerprint(school_profile, run):
 # Grouping and selection
 
 
+@pytest.mark.parametrize("a,b,same", [
+    (EMPTY, ExecutionOutcome(OutcomeStatus.EMPTY), True),
+    (rows_outcome("a"), rows_outcome("a", count=3), True),
+    (rows_outcome("a"), rows_outcome("b"), False),
+    (rows_outcome("a"), EMPTY, False),
+    (ERROR, rows_outcome("a"), False),
+    (ERROR, EMPTY, False),
+    (ERROR, ERROR, False),
+    (ERROR, ExecutionOutcome(OutcomeStatus.ERROR, error="boom"), False),
+], ids=["empty-empty", "rows-same", "rows-differ", "rows-empty",
+        "error-rows", "error-empty", "error-itself", "error-error"])
+def test_same_result(a, b, same):
+    """Both EMPTY, or both ROWS with one fingerprint; an ERROR is the
+    same as nothing, itself included. The rule is symmetric."""
+    assert same_result(a, b) is same
+    assert same_result(b, a) is same
+
+
 def test_group_candidates_orders_by_first_appearance():
     candidates = [cand("s1"), cand("s2"), cand("s3"), cand("s4")]
     outcomes = [rows_outcome("b"), rows_outcome("a"), EMPTY,
                 rows_outcome("b")]
     groups = group_candidates(candidates, outcomes)
-    assert [g.fingerprint for g in groups] == ["bag:b", "bag:a"]
+    assert [g.outcome.fingerprint for g in groups] == ["bag:b", "bag:a"]
     assert [g.size for g in groups] == [2, 1]
     assert groups[0].members[0].sql == "s1"
+
+
+def reference_groups(outcomes):
+    """Candidate indices of each vote group: ROWS outcomes keyed by
+    fingerprint in a dict, so groups keep their first appearance."""
+    groups = {}
+    for index, outcome in enumerate(outcomes):
+        if outcome.status is OutcomeStatus.ROWS:
+            groups.setdefault(outcome.fingerprint, []).append(index)
+    return list(groups.values())
+
+
+OUTCOMES = st.one_of(st.just(EMPTY), st.just(ERROR),
+                     st.sampled_from("abcd").map(rows_outcome))
+
+
+@given(st.lists(OUTCOMES, max_size=12))
+def test_group_candidates_partitions_as_a_dict_by_fingerprint(outcomes):
+    """Joining the first group whose first outcome is the same result
+    gives the partition, in the same order, that a dict keyed by
+    fingerprint gives; each group holds its first member's outcome."""
+    candidates = [cand(f"s{index}") for index in range(len(outcomes))]
+    groups = group_candidates(candidates, outcomes)
+    assert [[candidates.index(c) for c in g.members] for g in groups] == \
+        reference_groups(outcomes)
+    for group in groups:
+        assert group.outcome is outcomes[candidates.index(group.members[0])]
 
 
 def test_majority_selection():
