@@ -51,13 +51,15 @@ class SearchPhase(Enum):
     DETAILED_STEP1 = "detailed-step1"
     DETAILED_STEP2 = "detailed-step2"
 
-    @property
-    def target_level(self) -> GranularityLevel:
-        if self is SearchPhase.BASE:
-            return GranularityLevel.BASE
-        if self is SearchPhase.EXPANDED:
-            return GranularityLevel.EXPANDED
-        return GranularityLevel.DETAILED
+    def __init__(self, value: str):
+        # what each formulation reads, computed once per member; both
+        # Detailed steps target the Detailed level
+        self.target_level = GranularityLevel.from_name(value.partition("-")[0])
+        self.template = "formulate_" + value.replace("-", "_")
+        self.stage = "formulate:" + value
+
+
+_BASE_PHASE = SearchPhase.BASE  # as in `sqlast`: no metaclass lookup
 
 
 @dataclass
@@ -69,7 +71,7 @@ class FormulationRequest:
     max_children: int
 
     def __post_init__(self):
-        if (self.parent is None) != (self.phase is SearchPhase.BASE):
+        if (self.parent is None) != (self.phase is _BASE_PHASE):
             raise ValueError(
                 "parent skeleton must be absent exactly in the Base phase")
         if self.max_children < 1:
@@ -89,16 +91,8 @@ def load_template(name: str) -> str:
         f"prompts/{name}.txt").read_text(encoding="utf-8")
 
 
-_PHASE_TEMPLATES = {
-    SearchPhase.BASE: "formulate_base",
-    SearchPhase.EXPANDED: "formulate_expanded",
-    SearchPhase.DETAILED_STEP1: "formulate_detailed_step1",
-    SearchPhase.DETAILED_STEP2: "formulate_detailed_step2",
-}
-
-
 def build_formulation_prompt(req: FormulationRequest) -> str:
-    template = load_template(_PHASE_TEMPLATES[req.phase])
+    template = load_template(req.phase.template)
     return template.format(
         schema=render_mschema(req.schema).rstrip("\n"),
         question=req.question,
@@ -168,8 +162,7 @@ class LlmFormulationBackend:
 
     def propose(self, req: FormulationRequest) -> list[str]:
         prompt = build_formulation_prompt(req)
-        response = self.gateway.complete(
-            prompt, stage=f"formulate:{req.phase.value}")
+        response = self.gateway.complete(prompt, stage=req.phase.stage)
         return parse_candidate_lines(response)
 
 

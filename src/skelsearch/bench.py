@@ -46,6 +46,9 @@ from .sqlgen import LlmGenerationBackend, SqlCandidate, generate_all
 REPORT_FORMAT = "bench-report"
 REPORT_VERSION = 1
 MODES = ("gold", "live", "record", "replay")
+# read for every item; as in `sqlast`, no enum metaclass lookup
+_ERROR = OutcomeStatus.ERROR
+_LEVEL_LABELS = tuple(level.label for level in GranularityLevel)
 
 
 class BenchConfigError(ValueError):
@@ -323,8 +326,7 @@ def run_item(item: BenchmarkItem, profile: DatabaseProfile,
                                   backends.generator, backends.map_calls)
         outcomes = execute_all(profile, candidates, settings.limits,
                                connections, {item.gold_sql: gold_outcome})
-        record["k"] = sum(o.status is not OutcomeStatus.ERROR
-                          for o in outcomes)
+        record["k"] = sum(o.status is not _ERROR for o in outcomes)
         record["pass_hit"] = any(same_result(o, gold_outcome)
                                  for o in outcomes)
         winner, trace = select_final(candidates, outcomes,
@@ -349,7 +351,7 @@ def aggregate(records: list[dict], usage: dict | None = None) -> dict:
         bucket = per_difficulty.setdefault(
             record["difficulty"],
             {"count": 0, "correct": 0, "pass_hits": 0,
-             "levels": {level.label: 0 for level in GranularityLevel}})
+             "levels": dict.fromkeys(_LEVEL_LABELS, 0)})
         bucket["count"] += 1
         bucket["correct"] += bool(record["correct"])
         bucket["pass_hits"] += bool(record["pass_hit"])

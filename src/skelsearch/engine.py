@@ -62,6 +62,17 @@ class NodeStatus(Enum):
     LEAF = "leaf"
 
 
+# Hot enum members as module constants, as in `sqlast`.
+_VALID = NodeStatus.VALID
+_PRUNED = NodeStatus.PRUNED
+_LEAF = NodeStatus.LEAF
+_REJECTED = NormalizationOutcome.REJECTED
+_BASE_PHASE = SearchPhase.BASE
+_EXPANDED_PHASE = SearchPhase.EXPANDED
+_STEP1_PHASE = SearchPhase.DETAILED_STEP1
+_STEP2_PHASE = SearchPhase.DETAILED_STEP2
+
+
 @dataclass
 class SearchNode:
     id: int
@@ -101,7 +112,7 @@ class SearchTree:
     verdict_log: list[VerdictRecord] = field(default_factory=list)
 
     def add_root(self) -> SearchNode:
-        root = SearchNode(0, None, None, 0, 0, 0, None, NodeStatus.VALID)
+        root = SearchNode(0, None, None, 0, 0, 0, None, _VALID)
         self.nodes.append(root)
         self.children[0] = []
         return root
@@ -118,7 +129,7 @@ class SearchTree:
 
     def valid_children(self, node_id: int) -> list[SearchNode]:
         return [self.nodes[c] for c in self.children[node_id]
-                if self.nodes[c].status is not NodeStatus.PRUNED]
+                if self.nodes[c].status is not _PRUNED]
 
     def depth(self) -> int:
         return max(n.depth for n in self.nodes)
@@ -152,7 +163,7 @@ class CostReport:
 def _surviving_counts(tree: SearchTree) -> list[int]:
     counts = [0] * (tree.depth() + 1)
     for n in tree.nodes:
-        if n.status is not NodeStatus.PRUNED:
+        if n.status is not _PRUNED:
             counts[n.depth] += 1
     return counts
 
@@ -216,7 +227,7 @@ class _Engine:
                 if report is None:
                     report = normalize(text, level)
                     self.normalized[text, level] = report
-                if report.outcome is NormalizationOutcome.REJECTED:
+                if report.outcome is _REJECTED:
                     continue
                 if report.skeleton.text in seen:
                     continue
@@ -262,8 +273,7 @@ class _Engine:
             if verdict is None:  # the first of this round's new keys
                 key, verdict = next(answers)
                 self.verdicts[key] = verdict
-            status = (NodeStatus.VALID if verdict.verdict
-                      else NodeStatus.PRUNED)
+            status = _VALID if verdict.verdict else _PRUNED
             node = self.tree.add_child(parent, phase, step, skeleton, status)
             self.tree.verdict_log.append(VerdictRecord(
                 node.id, verdict.verdict, verdict.reason))
@@ -274,7 +284,7 @@ class _Engine:
     def run(self) -> tuple[list[Skeleton], SearchTree, CostReport]:
         root = self.tree.add_root()
 
-        created, _ = self._expand([root], SearchPhase.BASE, 1)
+        created, _ = self._expand([root], _BASE_PHASE, 1)
         frontier = created[root.id]
         if not frontier:
             raise EmptySearch(
@@ -285,7 +295,7 @@ class _Engine:
         for wave in range(1, self.config.expanded_cap + 1):
             if not frontier:
                 break
-            created, stalled = self._expand(frontier, SearchPhase.EXPANDED,
+            created, stalled = self._expand(frontier, _EXPANDED_PHASE,
                                             wave, deepening_only=True)
             ready.extend(stalled)
             frontier = [child for parent in frontier
@@ -294,18 +304,18 @@ class _Engine:
             ready.extend(frontier)
 
         ready.sort(key=lambda n: n.id)
-        created, _ = self._expand(ready, SearchPhase.DETAILED_STEP1, 1)
+        created, _ = self._expand(ready, _STEP1_PHASE, 1)
         step1 = [child for parent in ready for child in created[parent.id]]
         if step1:
-            self._expand(step1, SearchPhase.DETAILED_STEP2, 2)
+            self._expand(step1, _STEP2_PHASE, 2)
 
         for node in self.tree.nodes:
             if node.skeleton is not None and \
-                    node.status is NodeStatus.VALID and \
+                    node.status is _VALID and \
                     not self.tree.valid_children(node.id):
-                node.status = NodeStatus.LEAF
+                node.status = _LEAF
         leaves = [n.skeleton for n in self.tree.nodes
-                  if n.status is NodeStatus.LEAF]
+                  if n.status is _LEAF]
         return leaves, self.tree, _cost_report(self.tree, self.gen_calls,
                                                self.eval_calls)
 

@@ -172,7 +172,9 @@ def http_transport(prompt: str, config: GatewayConfig,
     a timer shuts the socket down at the deadline, and once it has fired
     the attempt is a TimeoutError, whatever was read. Any status but 2xx,
     a redirect too, raises HTTPStatusError. A proxy that `urllib.request`
-    finds for the endpoint is reached through a CONNECT tunnel."""
+    finds for the endpoint is reached through a CONNECT tunnel, with the
+    credentials of its URL, if any, as Basic proxy authorization."""
+    import base64
     import http.client  # only runs that reach the network pay for these
     import json
     import socket
@@ -198,7 +200,13 @@ def http_transport(prompt: str, config: GatewayConfig,
     conn = http.client.HTTPConnection(
         via.hostname, via.port if proxy else port, timeout=config.timeout)
     if proxy:
-        conn.set_tunnel(url.hostname, port)
+        tunnel_headers = {}
+        if via.username is not None:  # as percent-encoded in the URL
+            credentials = (f"{urllib.parse.unquote(via.username)}:"
+                           f"{urllib.parse.unquote(via.password or '')}")
+            tunnel_headers["Proxy-Authorization"] = "Basic " + \
+                base64.b64encode(credentials.encode()).decode("ascii")
+        conn.set_tunnel(url.hostname, port, headers=tunnel_headers)
     fired, sock = threading.Event(), None
 
     def expire():

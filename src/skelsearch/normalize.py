@@ -56,6 +56,21 @@ class NormalizationOutcome(Enum):
     REJECTED = "rejected"
 
 
+# Hot enum members as module constants, as in `sqlast`.
+_ACCEPTED = NormalizationOutcome.ACCEPTED
+_COERCED = NormalizationOutcome.COERCED
+_REJECTED = NormalizationOutcome.REJECTED
+_EXPANDED = GranularityLevel.EXPANDED
+_DETAILED = GranularityLevel.DETAILED
+_LEVELS = tuple(GranularityLevel)
+_PLACEHOLDER = A.TokenType.PLACEHOLDER
+_ABSTRACTED = (A.TokenType.IDENTIFIER, A.TokenType.STRING,
+               A.TokenType.NUMBER)
+# Every word a skeleton text can hold: the folded text of a keyword,
+# placeholder or operator token.
+_SKELETON_WORDS = A.KEYWORDS | A.PLACEHOLDER_SYMBOLS | A.OPERATORS
+
+
 @dataclass
 class NormalizationReport:
     outcome: NormalizationOutcome
@@ -87,45 +102,37 @@ def normalize(agent_text: str,
         reasons.append(RULE_CODE_FENCE)
     text = text.rstrip("; \t\r\n")
     if not text:
-        return NormalizationReport(
-            NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
+        return NormalizationReport(_REJECTED, None, reasons + [RULE_PARSE])
 
     try:
         lexed = A.Lexer(text, MAX_TOKENS).tokens()
     except A.SqlSyntaxError:
-        return NormalizationReport(
-            NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
+        return NormalizationReport(_REJECTED, None, reasons + [RULE_PARSE])
     tokens = lexed[:-1]  # without the trailing EOF
     if len(tokens) > MAX_TOKENS:
-        return NormalizationReport(
-            NormalizationOutcome.REJECTED, None, reasons + [RULE_BUDGET])
+        return NormalizationReport(_REJECTED, None, reasons + [RULE_BUDGET])
 
     try:
         tree = parse_query(text, lexed)
     except A.SqlSyntaxError:
-        return NormalizationReport(
-            NormalizationOutcome.REJECTED, None, reasons + [RULE_PARSE])
+        return NormalizationReport(_REJECTED, None, reasons + [RULE_PARSE])
 
-    if target >= GranularityLevel.EXPANDED and tree.has_placeholder_query:
+    if target >= _EXPANDED and tree.has_placeholder_query:
         return NormalizationReport(
-            NormalizationOutcome.REJECTED, None,
-            reasons + [RULE_UNDER_DETAIL])
+            _REJECTED, None, reasons + [RULE_UNDER_DETAIL])
     skeleton = extract_skeleton(tree, target)
-    if target is GranularityLevel.DETAILED and \
-            "_" in skeleton.text.split(" "):
+    if target is _DETAILED and "_" in skeleton.text.split(" "):
         return NormalizationReport(
-            NormalizationOutcome.REJECTED, None,
-            reasons + [RULE_UNDER_DETAIL])
+            _REJECTED, None, reasons + [RULE_UNDER_DETAIL])
 
     # Every token of a canonical skeleton folds to itself and is written
     # as itself, so the comparison below would add no reason.
     if text == skeleton.text:
         return NormalizationReport(
-            NormalizationOutcome.COERCED if reasons
-            else NormalizationOutcome.ACCEPTED, skeleton, reasons)
+            _COERCED if reasons else _ACCEPTED, skeleton, reasons)
 
     canonical = skeleton.text.split(" ")
-    folded = [t.value if t.type is A.TokenType.PLACEHOLDER
+    folded = [t.value if t.type is _PLACEHOLDER
               else t.value.upper() for t in tokens]
     if folded == canonical:
         written = [text[t.offset:t.offset + len(t.value)] for t in tokens]
@@ -134,20 +141,19 @@ def normalize(agent_text: str,
         if " ".join(written) != text:
             reasons.append(RULE_WHITESPACE)
         if set(reasons) <= TRIVIAL_RULES:
-            return NormalizationReport(
-                NormalizationOutcome.ACCEPTED, skeleton, reasons)
-        return NormalizationReport(
-            NormalizationOutcome.COERCED, skeleton, reasons)
+            return NormalizationReport(_ACCEPTED, skeleton, reasons)
+        return NormalizationReport(_COERCED, skeleton, reasons)
 
-    if any(t.type in (A.TokenType.IDENTIFIER, A.TokenType.STRING,
-                      A.TokenType.NUMBER) for t in tokens):
+    if any(t.type in _ABSTRACTED for t in tokens):
         reasons.append(RULE_TOKENS)
-    for finer in GranularityLevel:
-        if finer > target and \
-                folded == extract_skeleton(tree, finer).text.split(" "):
-            reasons.append(RULE_DETAIL)
-            break
+    # Only a text whose every word a skeleton can hold may equal a finer
+    # skeleton: a name or a literal rules that out without a render.
+    if all(word in _SKELETON_WORDS for word in folded):
+        for finer in _LEVELS:
+            if finer > target and \
+                    folded == extract_skeleton(tree, finer).text.split(" "):
+                reasons.append(RULE_DETAIL)
+                break
     if not (set(reasons) - TRIVIAL_RULES - {RULE_CODE_FENCE}):
         reasons.append(RULE_STRUCTURE)
-    return NormalizationReport(NormalizationOutcome.COERCED, skeleton,
-                               reasons)
+    return NormalizationReport(_COERCED, skeleton, reasons)

@@ -74,6 +74,12 @@ class OutcomeStatus(Enum):
     ERROR = "error"
 
 
+# Hot enum members as module constants, as in `sqlast`.
+_ROWS = OutcomeStatus.ROWS
+_EMPTY = OutcomeStatus.EMPTY
+_ERROR = OutcomeStatus.ERROR
+
+
 @dataclass
 class ExecutionLimits:
     timeout: float = 30.0
@@ -274,17 +280,16 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
     """Run one candidate read-only under `limits`, on this thread's
     connection from `connections`."""
     if candidate.failed:
-        return ExecutionOutcome(OutcomeStatus.ERROR,
-                                error=candidate.error or "generation failed")
+        return ExecutionOutcome(
+            _ERROR, error=candidate.error or "generation failed")
     if not profile.path:
-        return ExecutionOutcome(OutcomeStatus.ERROR,
-                                error="profile has no database file")
+        return ExecutionOutcome(_ERROR, error="profile has no database file")
     sql = candidate.sql
     deadline = time.monotonic() + limits.timeout
     try:
         conn = connections.get(profile.path)
     except sqlite3.Error as exc:
-        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc))
+        return ExecutionOutcome(_ERROR, error=str(exc))
     conn.set_progress_handler(lambda: time.monotonic() > deadline,
                               PROGRESS_STEPS)
     canon: list[str] = []
@@ -301,17 +306,16 @@ def execute_candidate(profile: DatabaseProfile, candidate: SqlCandidate,
             canon += _canonical_chunk(chunk)
             del chunk  # the row tuples go before the next fetch
     except sqlite3.Error as exc:
-        return ExecutionOutcome(OutcomeStatus.ERROR, error=str(exc))
+        return ExecutionOutcome(_ERROR, error=str(exc))
     finally:
         cursor.close()
     if capped:
         return ExecutionOutcome(
-            OutcomeStatus.ERROR,
-            error=f"row cap exceeded ({limits.row_cap} rows)")
+            _ERROR, error=f"row cap exceeded ({limits.row_cap} rows)")
     if not canon:
-        return ExecutionOutcome(OutcomeStatus.EMPTY)
+        return ExecutionOutcome(_EMPTY)
     fingerprint = fingerprint_rows(canon, _is_ordered(sql))
-    return ExecutionOutcome(OutcomeStatus.ROWS, fingerprint=fingerprint,
+    return ExecutionOutcome(_ROWS, fingerprint=fingerprint,
                             row_count=len(canon),
                             preview=canon[:PREVIEW_ROWS])
 
@@ -348,7 +352,7 @@ def same_result(a: ExecutionOutcome, b: ExecutionOutcome) -> bool:
     """Whether two outcomes are the same answer: both EMPTY, or both ROWS
     with one fingerprint. An ERROR is the same as nothing, not even an
     ERROR. The vote groups and the benchmark scores by this rule alone."""
-    return (a.status is b.status and a.status is not OutcomeStatus.ERROR
+    return (a.status is b.status and a.status is not _ERROR
             and a.fingerprint == b.fingerprint)
 
 
@@ -389,7 +393,7 @@ def group_candidates(candidates: list[SqlCandidate],
         raise ValueError("candidates and outcomes differ in length")
     groups: list[VoteGroup] = []
     for candidate, outcome in zip(candidates, outcomes):
-        if outcome.status is not OutcomeStatus.ROWS:
+        if outcome.status is not _ROWS:
             continue
         for group in groups:
             if same_result(group.outcome, outcome):
@@ -415,7 +419,7 @@ def select_final(candidates: list[SqlCandidate],
     groups = group_candidates(candidates, outcomes)
     if not groups:
         pool = [c for c, o in zip(candidates, outcomes)
-                if o.status is not OutcomeStatus.ERROR]
+                if o.status is not _ERROR]
         notes = "no valid results"
         if not pool:
             pool = list(candidates)

@@ -48,9 +48,15 @@ class GranularityLevel(IntEnum):
         except (AttributeError, KeyError):  # not a string, or no such level
             raise ValueError(f"unknown granularity level {name!r}") from None
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
+    def __init__(self, value: int):
+        # an attribute, not a property: records, prompts and span names
+        # read it for every skeleton
+        self.label = self.name.lower()
+
+
+# Hot enum members as module constants, as in `sqlast`.
+_BASE = GranularityLevel.BASE
+_DETAILED = GranularityLevel.DETAILED
 
 
 class LevelOrderError(ValueError):
@@ -90,7 +96,7 @@ def extract_skeleton(tree: ClauseTree, level: GranularityLevel) -> Skeleton:
     Base renders no subquery, so its depth is 0; Expanded and Detailed
     keep every subquery boundary, so theirs is the source's depth.
     """
-    if level is GranularityLevel.BASE:
+    if level is _BASE:
         return Skeleton(level, _render_base(tree.stmt), 0)
     return Skeleton(level, _Renderer(tree, level).query(tree.stmt),
                     tree.nesting_depth)
@@ -162,7 +168,7 @@ class _Renderer:
 
     def __init__(self, tree: ClauseTree, level: GranularityLevel):
         self.marks = tree.marks
-        self.detailed = level is GranularityLevel.DETAILED
+        self.detailed = level is _DETAILED
 
     def query(self, stmt: A.SelectStmt) -> str:
         parts = []

@@ -44,8 +44,9 @@ class Token:
     offset: int
 
 
-# The token kinds as module constants: on Python 3.11 each `TokenType.X`
-# lookup runs the enum metaclass, several times the cost of a global.
+# The token kinds as module constants: on Python 3.10 and 3.11 each
+# `TokenType.X` lookup runs the enum metaclass, several times the cost of
+# a global. Every module reads its hot enum members this way.
 _KEYWORD = TokenType.KEYWORD
 _IDENTIFIER = TokenType.IDENTIFIER
 _STRING = TokenType.STRING
@@ -67,6 +68,9 @@ KEYWORDS = frozenset({
 })
 
 PLACEHOLDER_SYMBOLS = frozenset({"_", "[col]", "[tab]", "[val]", "[agg]"})
+
+# The text of every operator token: `==` and `<>` lex as `=` and `!=`.
+OPERATORS = frozenset({*"-=<>+*/%(),.;", "!=", "<=", ">=", "||"})
 
 AGGREGATE_FUNCTIONS = frozenset({
     "COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL", "GROUP_CONCAT",
@@ -110,9 +114,8 @@ _UNTERMINATED = {"'": "unterminated string",
 # names are ASCII words, tested in `Lexer.tokens`.
 _PIECES = {
     **{p: (_PLACEHOLDER, p) for p in PLACEHOLDER_SYMBOLS},
-    **{op: (_OPERATOR, op) for op in "-=<>+*/%(),.;"},
     **{op: (_OPERATOR, _OP_SPELLINGS.get(op, op))
-       for op in ("==", "<>", "!=", "<=", ">=", "||")},
+       for op in (*OPERATORS, *_OP_SPELLINGS)},
     **{word: (_KEYWORD, word) for word in KEYWORDS},
 }
 
@@ -453,10 +456,6 @@ def children(node) -> list:
     return out
 
 
-# Parser tags: a keyword, operator or placeholder token is tagged with its
-# text; the other kinds with a lowercase name no token text can equal.
-_TYPE_TAGS = {_IDENTIFIER: "identifier", _STRING: "string",
-              _NUMBER: "number", _EOF: "eof"}
 # The longest lookahead past the current token (LEFT OUTER JOIN).
 _LOOKAHEAD = 2
 # How many nodes tall a parse tree may be; deeper input is a syntax error
@@ -514,10 +513,16 @@ class Parser:
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
+        # A keyword, operator or placeholder token is tagged with its
+        # text; the other kinds with a lowercase name no token text can
+        # equal. The kinds are tested by identity, as an enum's hash runs
+        # in Python.
         self.tags = [
             tok.value if (kind := tok.type) is _KEYWORD
             or kind is _OPERATOR or kind is _PLACEHOLDER
-            else "identifier" if kind is _IDENTIFIER else _TYPE_TAGS[kind]
+            else "identifier" if kind is _IDENTIFIER
+            else "string" if kind is _STRING
+            else "number" if kind is _NUMBER else "eof"
             for tok in self.tokens]
         self.i = 0
         self.depth = self.deepest = 0

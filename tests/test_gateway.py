@@ -1,5 +1,6 @@
 """Gateway behavior: cassettes, retries, ledger conservation, hermetic replay."""
 
+import base64
 import datetime
 import ipaddress
 import json
@@ -517,16 +518,19 @@ class Endpoint:
     one once they run out: a (status, body) pair, or a function that
     writes the whole response to the handler. `posts` holds each POST's
     payload and Authorization header. Asked to CONNECT, the endpoint
-    plays a proxy: it notes the target in `tunnels`, answers 200 and
-    then serves the tunnelled request itself."""
+    plays a proxy: it notes the target in `tunnels` and the request's
+    headers in `tunnel_headers`, answers 200 and then serves the
+    tunnelled request itself."""
 
     def __init__(self, context=None):
         self.replies, self.posts, self.tunnels = [], [], []
+        self.tunnel_headers = []
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_CONNECT(self):
                 endpoint.tunnels.append(self.path)
+                endpoint.tunnel_headers.append(self.headers)
                 self.send_response(200)
                 self.end_headers()
                 self.close_connection = False
@@ -759,6 +763,29 @@ def test_a_proxy_is_reached_through_a_connect_tunnel(endpoint, monkeypatch):
     cfg = config(endpoint="http://model.example:8080/v1/chat")
     assert http_transport("p", cfg) == ("VERDICT: True", 7, 3)
     assert endpoint.tunnels == ["model.example:8080"]
+    assert "Proxy-Authorization" not in endpoint.tunnel_headers[0]
+
+
+@pytest.mark.parametrize("userinfo, credentials", [
+    ("user:secret", "user:secret"),
+    ("us%40er:p%3As%20s%25", "us@er:p:s s%"),
+    ("user", "user:"),
+], ids=["plain", "percent-encoded", "no-password"])
+def test_a_proxy_url_s_credentials_authorize_the_tunnel(
+        endpoint, monkeypatch, userinfo, credentials):
+    """User and password of the proxy URL, percent-decoded, go with the
+    CONNECT as Basic authorization, and not to the endpoint."""
+    endpoint.replies.append((200, json.dumps(COMPLETION)))
+    monkeypatch.delenv("NO_PROXY")
+    monkeypatch.delenv("no_proxy")
+    monkeypatch.setenv("http_proxy", endpoint.url.removesuffix("/v1")
+                       .replace("//", f"//{userinfo}@"))
+    cfg = config(endpoint="http://model.example:8080/v1/chat")
+    assert http_transport("p", cfg) == ("VERDICT: True", 7, 3)
+    basic = base64.b64encode(credentials.encode()).decode()
+    assert [headers["Proxy-Authorization"]
+            for headers in endpoint.tunnel_headers] == [f"Basic {basic}"]
+    assert endpoint.posts[0][1] is None
 
 
 def test_no_proxy_skips_the_proxy(endpoint, monkeypatch):

@@ -1,6 +1,10 @@
 """Normalizer behavior: outcomes, rule identifiers, oracle equivalence."""
 
+import enum
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skelsearch import GranularityLevel, extract_skeleton, parse_query
 from skelsearch import normalize as N
@@ -12,6 +16,7 @@ from skelsearch.normalize import (
 )
 
 from fixtures.corpus import CORPUS
+from test_sqlast import _random_statement
 
 LEVELS = [GranularityLevel.BASE, GranularityLevel.EXPANDED,
           GranularityLevel.DETAILED]
@@ -181,10 +186,62 @@ def test_normalize_lexes_and_parses_once(parse_counts, text, target):
     assert parse_counts == {"parse": 1, "lex": 1}
 
 
-# `normalize` takes two short cuts: the lexer's split path, and an early
-# accept when the text is the canonical skeleton itself. The reference is
-# the full path without either: the master pattern lexes, and every text
-# that parses is folded token by token.
+@pytest.mark.parametrize("target", LEVELS, ids=lambda level: level.label)
+def test_normalize_renders_full_sql_once(monkeypatch, target):
+    """A line with names in it can equal no finer skeleton, so only the
+    target level is rendered."""
+    rendered = []
+    extract = N.extract_skeleton
+
+    def counted(tree, level):
+        rendered.append(level)
+        return extract(tree, level)
+
+    monkeypatch.setattr(N, "extract_skeleton", counted)
+    report = normalize("SELECT name FROM t WHERE id IN (SELECT id FROM u)",
+                       target)
+    assert report.outcome is NormalizationOutcome.COERCED
+    assert rendered == [target]
+
+
+def test_normalize_and_extract_read_no_enum_member_through_its_class():
+    """On Python 3.10 and 3.11 reading `Enum.X` runs the enum
+    metaclass's attribute hook, several times the cost of a global, so
+    the per-line path reads its members from module constants."""
+    meta = type(GranularityLevel)
+    own = vars(meta).get("__getattribute__")
+    read = meta.__getattribute__
+    reads = []
+
+    def counted(cls, name):
+        value = read(cls, name)
+        if isinstance(value, enum.Enum):
+            reads.append(name)
+        return value
+
+    meta.__getattribute__ = counted
+    try:
+        for sql in CORPUS:
+            tree = parse_query(sql)
+            for level in LEVELS:
+                skeleton = extract_skeleton(tree, level)
+                for text in (sql, sql.lower(), skeleton.text,
+                             skeleton.text.lower()):
+                    normalize(text, level)
+    finally:
+        if own is None:
+            del meta.__getattribute__
+        else:
+            meta.__getattribute__ = own
+    assert reads == []
+
+
+# `normalize` takes three short cuts: the lexer's split path, an early
+# accept when the text is the canonical skeleton itself, and finer levels
+# rendered only for a text whose every word a skeleton can hold. The
+# reference is the full path without any: the master pattern lexes, every
+# text that parses is folded token by token, and every finer level is
+# rendered for a text that folds to another skeleton than the target's.
 
 
 def reference_normalize(agent_text, target):
@@ -268,3 +325,33 @@ def test_reports_match_full_path_on_skeleton_variants(skeleton):
             assert _report_fields(normalize(text, level)) == \
                 _report_fields(reference_normalize(text, level)), \
                 (text, level)
+
+
+VARIANTS = [lambda text: text, str.lower,
+            lambda text: text.replace(" ", "  "),
+            lambda text: f"```sql\n{text}\n```"]
+
+
+@st.composite
+def agent_lines(draw):
+    """A generated statement, or its skeleton at a level, as written, in
+    lower case, re-spaced or fenced."""
+    sql = _random_statement(draw(st.integers(0, 2**32 - 1)))
+    texts = [sql]
+    try:
+        tree = parse_query(sql)
+    except sqlast.SqlSyntaxError:
+        pass
+    else:
+        texts += [extract_skeleton(tree, level).text for level in LEVELS]
+    return draw(st.sampled_from(VARIANTS))(draw(st.sampled_from(texts)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(agent_lines(), st.sampled_from(LEVELS))
+# quoted names fold to skeleton words, so a finer level is tried
+@example('SELECT "_" FROM "_" WHERE "_" IN (SELECT "_" FROM "_")',
+         GranularityLevel.BASE)
+def test_reports_match_full_path_on_generated_lines(text, target):
+    assert _report_fields(normalize(text, target)) == \
+        _report_fields(reference_normalize(text, target))
