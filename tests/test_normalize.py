@@ -316,20 +316,18 @@ SKELETON_TEXTS = sorted({extract_skeleton(parse_query(sql), level).text
                          for sql in CORPUS for level in LEVELS})
 
 
+VARIANTS = [lambda text: text, str.lower,
+            lambda text: text.replace(" ", "  "),
+            lambda text: f"```sql\n{text}\n```"]
+
+
 @pytest.mark.parametrize("skeleton", SKELETON_TEXTS)
 def test_reports_match_full_path_on_skeleton_variants(skeleton):
-    variants = [skeleton, skeleton.lower(), f"```sql\n{skeleton}\n```",
-                skeleton.replace(" ", "  ")]
-    for text in variants:
+    for text in [variant(skeleton) for variant in VARIANTS]:
         for level in LEVELS:
             assert _report_fields(normalize(text, level)) == \
                 _report_fields(reference_normalize(text, level)), \
                 (text, level)
-
-
-VARIANTS = [lambda text: text, str.lower,
-            lambda text: text.replace(" ", "  "),
-            lambda text: f"```sql\n{text}\n```"]
 
 
 @st.composite
